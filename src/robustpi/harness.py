@@ -86,8 +86,9 @@ class RunConfig:
         if self.kind not in KINDS:
             raise ConfigParse(f"unknown plant kind {self.kind!r}")
         for name in ("step", "interval", "tol", "blowup", "sim_step", "sim_horizon"):
-            if getattr(self, name) <= 0:
-                raise ConfigParse(f"{name} must be positive")
+            value = getattr(self, name)
+            if not np.isfinite(value) or value <= 0:
+                raise ConfigParse(f"{name} must be positive and finite")
         if self.exploration_amplitude < 0:
             raise ConfigParse("exploration amplitude must be nonnegative")
         if self.max_iter < 1:
@@ -733,25 +734,22 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
 
     # certify max(|e_ro1|, |e_ro|) < gamma1(|X1|) on sampled sublevels of U;
     # the sample box covers the certified ball in (x, zeta)
-    rng = np.random.default_rng(config.seed + 23)
     ball = np.full(system["model"].n + 1, s_max)
-    samples = rng.uniform(-ball, ball, size=(config.d_samples, 2))
-    x_s, zeta_s = samples[:, :1], samples[:, 1]
-    u_vals = composite.evaluate_many(samples)
-    err = np.maximum(np.abs(e_ro1(x_s, zeta_s)), np.abs(np.asarray(e_ro(x_s))))
-    g_vals = np.asarray(gamma1(np.linalg.norm(samples, axis=1)))
     d_top = float(alpha1_lo(np.asarray(s_max))) * 0.999
-    certified_d1 = None
-    worst = None
-    for d1 in np.geomspace(d_top * 1e-3, d_top, config.d_ladder_n):
-        mask = (u_vals > 0) & (u_vals <= d1)
-        if not np.any(mask):
-            continue
-        ratios = err[mask] / np.maximum(g_vals[mask], 1e-300)
-        if np.all(ratios < 1.0):
-            certified_d1, worst = float(d1), float(ratios.max())
-        else:
-            break
+    certified = robust.certify_error_bound(
+        lambda pts: np.maximum(
+            np.abs(e_ro1(pts[:, :1], pts[:, 1])), np.abs(np.asarray(e_ro(pts[:, :1])))
+        ),
+        gamma1,
+        composite,
+        d_ladder=np.geomspace(d_top * 1e-3, d_top, config.d_ladder_n),
+        sample_low=-ball,
+        sample_high=ball,
+        n_samples=config.d_samples,
+        seed=config.seed + 23,
+    )
+    certified_d1 = certified.d if certified else None
+    worst = certified.worst_ratio if certified else None
 
     kappa1_eff, _ = backstep.cascade_effective_gains(
         gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
@@ -930,7 +928,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     roa = run.robust_report.get("roa")
     if roa is not None:
         run.audit["engaged_inside_roa_x"] = bool(
-            float(roa.sigma(np.asarray(roa._v(x_end)))) <= roa.level
+            float(roa.sigma(np.asarray(roa.value.evaluate(x_end)))) <= roa.level
         )
         if w_end is not None:
             run.audit["engaged_inside_roa_full"] = roa.contains(x_end, w_end)
@@ -980,6 +978,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
         config.step = args.step
     if args.max_iter is not None:
         config.max_iter = args.max_iter
+    config.__post_init__()  # overrides pass the same checks as file values
     return config
 
 

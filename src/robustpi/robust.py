@@ -31,14 +31,63 @@ def log_ladder(s_max: float, samples: int = 200) -> np.ndarray:
     return np.logspace(np.log10(s_max) - LADDER_DECADES, np.log10(s_max), samples)
 
 
+def _bisect(fn, y, hi, *, tol: float, iters: int) -> np.ndarray:
+    """Elementwise solution of fn(s) = y on [0, hi] for increasing fn.
+
+    Each element halves its bracket until hi - lo <= tol * max(1, hi), at
+    most `iters` times.  fn(mid, idx) is called with the midpoints of the
+    open elements and their flat indices; an element with hi = 0 is 0.
+    """
+    y = np.asarray(y, dtype=float)
+    target = y.ravel()
+    hi = np.array(np.broadcast_to(hi, y.shape), dtype=float).ravel()
+    lo = np.zeros_like(hi)
+    idx = np.flatnonzero(hi > 0)
+    for _ in range(iters):
+        if idx.size == 0:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        below = np.asarray(fn(mid, idx)) < target[idx]
+        lo[idx[below]] = mid[below]
+        hi[idx[~below]] = mid[~below]
+        idx = idx[hi[idx] - lo[idx] > tol * np.maximum(1.0, hi[idx])]
+    return (0.5 * (lo + hi)).reshape(y.shape)
+
+
+def _radius_to_level(fn, level: float, count: int, limit: float, iters: int) -> np.ndarray:
+    """Radius at which fn(r, idx) reaches `level` on each of `count` rays.
+
+    The bracket doubles from 1e-6 while fn(hi) < level and hi < limit;
+    then `iters` halvings (tol = 0).
+    """
+    hi = np.full(count, 1e-6)
+    idx = np.arange(count)
+    while idx.size:
+        idx = idx[(np.asarray(fn(hi[idx], idx)) < level) & (hi[idx] < limit)]
+        hi[idx] *= 2.0
+    return _bisect(fn, np.full(count, float(level)), hi, tol=0.0, iters=iters)
+
+
+def _directions(dim: int, n: int, seed: int) -> np.ndarray:
+    """Unit sampling directions: +-1 in 1-D, n even angles in 2-D, else n seeded draws."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    if dim == 2:
+        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    raw = np.random.default_rng(seed).normal(size=(n, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
 @dataclass
 class ClassKFunction:
     """Scalar gain function: continuous, zero at zero, increasing.
 
-    Inversion is by monotone bisection on [0, s_max]; composition simply
-    chains callables.  `positive_definite_only` marks members that are
-    only required to be positive away from zero (decay-rate bounds), for
-    which the monotonicity checks are skipped.
+    `inverse` takes arrays and bisects each element on [0, s_max] with
+    its own stop rule; composition simply chains callables.
+    `positive_definite_only` marks members that are only required to be
+    positive away from zero (decay-rate bounds), for which the
+    monotonicity checks are skipped.
     """
 
     fn: Callable
@@ -51,31 +100,22 @@ class ClassKFunction:
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
 
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        y = float(y)
-        if y < 0:
-            raise CompositionDomain(f"{self.name or 'gain'}: inverse of negative value")
-        if y == 0.0:
-            return 0.0
-        top = float(self.fn(np.asarray(self.s_max)))
-        if y > top * (1 + 1e-12):
-            raise CompositionDomain(
-                f"{self.name or 'gain'}: inverse of {y:g} outside range (max {top:g}); "
-                "s_max too small for the declared bounds"
-            )
-        lo, hi = 0.0, self.s_max
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.fn(np.asarray(mid))) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    def inverse_many(self, ys) -> np.ndarray:
-        return np.asarray([self.inverse(y) for y in np.atleast_1d(ys)], dtype=float)
+    def inverse(self, y, tol: float = 1e-12):
+        """Elementwise inverse of an array (a float for a scalar y)."""
+        y = np.asarray(y, dtype=float)
+        label = self.name or "gain"
+        if np.any(y < 0):
+            raise CompositionDomain(f"{label}: inverse of negative value")
+        if np.any(y > 0):
+            top = float(self.fn(np.asarray(self.s_max)))
+            if np.any(y > top * (1 + 1e-12)):
+                raise CompositionDomain(
+                    f"{label}: inverse of {float(np.max(y)):g} outside range (max {top:g}); "
+                    "s_max too small for the declared bounds"
+                )
+        hi = np.where(y == 0.0, 0.0, self.s_max)
+        s = _bisect(lambda mid, idx: self.fn(mid), y, hi, tol=tol, iters=200)
+        return float(s) if s.ndim == 0 else s
 
     def compose(self, inner: "ClassKFunction") -> "ClassKFunction":
         return ClassKFunction(
@@ -225,9 +265,9 @@ def _chain_rhs(
 ) -> np.ndarray:
     """kappa1 o lam_lo^-1 o kappa3 o alpha_lo^-1 o alpha_hi on the ladder."""
     vals = np.asarray(alpha_hi(ladder))
-    vals = alpha_lo.inverse_many(vals)
+    vals = alpha_lo.inverse(vals)
     vals = np.asarray(kappa3(vals))
-    vals = lam_lo.inverse_many(vals)
+    vals = lam_lo.inverse(vals)
     return np.asarray(kappa1(vals))
 
 
@@ -355,11 +395,7 @@ def certify_error_bound(
     high = np.atleast_1d(np.asarray(sample_high, dtype=float))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(low, high, size=(n_samples, low.size))
-    vvals = (
-        value.evaluate_many(pts)
-        if hasattr(value, "evaluate_many")
-        else np.asarray([value(x) for x in pts])
-    )
+    vvals = value.evaluate_many(pts)
     evals = np.abs(np.asarray(error_fn(pts)))
     gvals = np.asarray(gamma(np.linalg.norm(pts, axis=1)))
     best = None
@@ -397,15 +433,7 @@ def radial_envelopes(
     widened by `safety`, which absorbs the direction-sampling gap; both
     envelopes are genuine class-K-infinity quadratics.
     """
-    if dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        if dim > 2:
-            rng = np.random.default_rng(0)
-            raw = rng.normal(size=(n_dirs, dim))
-            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    dirs = _directions(dim, n_dirs, seed=0)
     radii = np.linspace(s_max / n_radii, s_max, n_radii)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
     if clip_low is not None and clip_high is not None:
@@ -415,11 +443,7 @@ def radial_envelopes(
         pts = pts[keep]
         if pts.shape[0] < 4:
             raise ValueError("clip box excludes almost the whole sampled ball")
-    vals = (
-        value.evaluate_many(pts)
-        if hasattr(value, "evaluate_many")
-        else np.asarray([value(x) for x in pts])
-    )
+    vals = value.evaluate_many(pts)
     ratio = vals / np.sum(pts**2, axis=1)
     c_lo, c_hi = float(np.min(ratio)), float(np.max(ratio))
     if c_lo <= 0:
@@ -449,11 +473,7 @@ def boundary_minimum(value: Callable, low, high, n: int = 200) -> float:
             pts[:, d] = bound
             faces.append(pts)
     pts = np.vstack(faces)
-    vals = (
-        value.evaluate_many(pts)
-        if hasattr(value, "evaluate_many")
-        else np.asarray([value(x) for x in pts])
-    )
+    vals = value.evaluate_many(pts)
     return float(np.min(vals))
 
 
@@ -470,25 +490,10 @@ def monotone_envelope(
 
     `safety` widens the envelope to absorb the direction-sampling gap.
     """
-    if dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        angles = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        if dim > 2:
-            rng = np.random.default_rng(1)
-            raw = rng.normal(size=(n_dirs, dim))
-            dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    dirs = _directions(dim, n_dirs, seed=1)
     radii = np.linspace(s_max / n_radii, s_max, n_radii)
-    peaks = np.empty(n_radii)
-    for i, r in enumerate(radii):
-        pts = r * dirs
-        vals = (
-            np.abs(fn_abs.evaluate_many(pts))
-            if hasattr(fn_abs, "evaluate_many")
-            else np.abs(np.asarray([fn_abs(x) for x in pts]))
-        )
-        peaks[i] = vals.max()
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    peaks = np.abs(fn_abs.evaluate_many(pts)).reshape(n_radii, -1).max(axis=1)
     peaks = np.maximum.accumulate(peaks) * (1.0 + safety)
     # tiny slope keeps the tabulated envelope strictly increasing
     peaks = peaks + 1e-12 * peaks[-1] * (radii / s_max)
@@ -507,7 +512,7 @@ def interconnection_sigma(
     """
     ladder = log_ladder(s_max, samples)
     chi2_vals = np.asarray(chi2(ladder))
-    chi1_inv = chi1.inverse_many(ladder)
+    chi1_inv = chi1.inverse(ladder)
     if np.any(chi2_vals >= chi1_inv):
         raise CompositionDomain(
             "chi2 >= chi1^-1 somewhere on the ladder: the small-gain loop "
@@ -529,22 +534,14 @@ def build_chi_pair(
     s_max: float,
 ) -> tuple:
     """The two loop gains whose contraction the small-gain test verifies."""
-    def chi1_fn(s):
-        out = np.empty_like(np.atleast_1d(np.asarray(s, dtype=float)))
-        flat = np.atleast_1d(np.asarray(s, dtype=float))
-        for i, v in enumerate(flat):
-            out[i] = float(
-                alpha_hi(np.asarray(gamma.inverse(float(kappa1(lam_lo.inverse(v))))))
-            )
-        return out.reshape(np.shape(s))
-
-    def chi2_fn(s):
-        flat = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.asarray(kappa3(alpha_lo.inverse_many(flat)))
-        return out.reshape(np.shape(s))
-
-    chi1 = ClassKFunction(fn=chi1_fn, s_max=s_max, name="chi1")
-    chi2 = ClassKFunction(fn=chi2_fn, s_max=s_max, name="chi2")
+    chi1 = ClassKFunction(
+        fn=lambda s: alpha_hi(gamma.inverse(kappa1(lam_lo.inverse(s)))),
+        s_max=s_max,
+        name="chi1",
+    )
+    chi2 = ClassKFunction(
+        fn=lambda s: kappa3(alpha_lo.inverse(s)), s_max=s_max, name="chi2"
+    )
     return chi1, chi2
 
 
@@ -561,49 +558,22 @@ class RegionEstimate:
     def __post_init__(self):
         self.level = float(self.sigma(np.asarray(self.d)))
 
-    def _v(self, x) -> float:
-        if hasattr(self.value, "evaluate"):
-            return float(self.value.evaluate(x))
-        return float(self.value(x))
-
     def contains(self, x, w) -> bool:
-        vx = self._v(np.asarray(x, dtype=float))
+        vx = self.value.evaluate(np.asarray(x, dtype=float))
         ww = float(self.lyapunov_w(np.asarray(w, dtype=float)))
         return max(float(self.sigma(np.asarray(vx))), ww) <= self.level
 
     def w_bound(self, w_max_search: float = 1e6) -> float:
         """Largest |w| admitted (scalar hidden state), by bisection."""
-        lo, hi = 0.0, 1e-6
-        while float(self.lyapunov_w(np.asarray([hi]))) < self.level and hi < w_max_search:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.lyapunov_w(np.asarray([mid]))) < self.level:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        w_of = lambda r, idx: self.lyapunov_w(r[:, None])
+        return float(_radius_to_level(w_of, self.level, 1, w_max_search, iters=200)[0])
 
     def boundary_points(self, dim: int, n: int = 72, r_max: float = 1e3) -> np.ndarray:
         """Radial sample of the x-slice boundary {V(x) = d} (w = 0)."""
-        if dim == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        pts = []
-        for u in dirs:
-            lo, hi = 0.0, 1e-6
-            while self._v(hi * u) < self.d and hi < r_max:
-                hi *= 2.0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if self._v(mid * u) < self.d:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append(0.5 * (lo + hi) * u)
-        return np.asarray(pts)
+        dirs = _directions(dim, n, seed=2)
+        v_of = lambda r, idx: self.value.evaluate_many(r[:, None] * dirs[idx])
+        radii = _radius_to_level(v_of, self.d, len(dirs), r_max, iters=100)
+        return radii[:, None] * dirs
 
 
 def estimate_roa(

@@ -83,3 +83,22 @@ def quadratic_weights_to_matrix(weights):
     """
     w = np.asarray(weights, dtype=float)
     return np.array([[w[2], w[3] / 2.0], [w[3] / 2.0, w[4]]])
+
+
+def scalar_bisection_inverse(gain, y, tol=1e-12):
+    """One-element bisection of gain.fn on [0, s_max], stopping once
+    hi - lo <= tol * max(1, hi): the rule the gain inverse applies per
+    element."""
+    y = float(y)
+    if y == 0.0:
+        return 0.0
+    lo, hi = 0.0, gain.s_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(gain.fn(np.asarray(mid))) < y:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)

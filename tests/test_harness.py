@@ -1,3 +1,4 @@
+import configparser
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from robustpi import harness
 from robustpi.dynsys import SystemModel
-from robustpi.errors import ConfigParse, PEViolation, StateDivergence
+from robustpi.errors import EXIT_CODES, ConfigParse, PEViolation, StateDivergence
 from robustpi.harness import (
     ObservedRegion,
     RunConfig,
@@ -76,6 +77,41 @@ def test_bad_values_raise(tmp_path):
     no_seed = MINIMAL.format(out=tmp_path).replace("seed = 3", "")
     with pytest.raises(ConfigParse):
         load_config(_write_cfg(tmp_path / "d.cfg", no_seed))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("integration", "step"),
+        ("sampling", "interval"),
+        ("pi", "tol"),
+        ("integration", "blowup"),
+        ("robustness", "sim_step"),
+        ("robustness", "sim_horizon"),
+    ],
+)
+def test_non_finite_values_raise(tmp_path, section, key, value):
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL.format(out=tmp_path / "out"))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / "non_finite.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigParse):
+        load_config(path)
+    assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0"])
+def test_non_finite_step_override_raises(tmp_path, scalar_config_path, step):
+    out = tmp_path / "out"
+    argv = ["run", str(scalar_config_path), "--out-dir", str(out), "--step", step]
+    assert harness.cli(argv) == EXIT_CODES[ConfigParse.category]
+    assert not out.exists()
 
 
 def test_shipped_configs_parse(arm_config_path, scalar_config_path, cascade_config_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_bisection_inverse
 
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.errors import CompositionDomain
@@ -42,6 +43,46 @@ def test_inverse_outside_range_raises():
         gain.inverse(11.0)
     with pytest.raises(CompositionDomain):
         gain.inverse(-1.0)
+    with pytest.raises(CompositionDomain):
+        gain.inverse(np.array([0.0, 2.0, -1e-9, 5.0]))
+    with pytest.raises(CompositionDomain):
+        gain.inverse(np.array([0.0, 2.0, 11.0, 5.0]))
+
+
+def _inverse_gains():
+    flat = lambda s: np.full_like(np.asarray(s, dtype=float), 2.0)
+    chi1, _ = build_chi_pair(
+        ClassKFunction.linear(2.0, 1e6),
+        ClassKFunction.linear(0.5, 1e6),
+        ClassKFunction.power(0.25, 2.0, 1e6),
+        ClassKFunction.power(1.0, 2.0, 1e6),
+        ClassKFunction.power(1.0, 2.0, 1e6),
+        ClassKFunction.power(4.0, 2.0, 1e6),
+        10.0,
+    )
+    return {
+        "linear": ClassKFunction.linear(3.0, 100.0),
+        "power": ClassKFunction.power(0.7, 1.5, 1e4),
+        "from_samples": ClassKFunction.from_samples(
+            np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, 2.0])
+        ),
+        "iss_gain_from_rho": iss_gain_from_rho(flat, 0.1),
+        "chi1": chi1,
+    }
+
+
+@pytest.mark.parametrize("name", ["linear", "power", "from_samples", "iss_gain_from_rho", "chi1"])
+def test_array_inverse_matches_scalar_calls(name):
+    gain = _inverse_gains()[name]
+    ys = np.concatenate([[0.0], np.asarray(gain(log_ladder(0.9 * gain.s_max, 11)))])
+    ys = ys.reshape(3, 4)
+    each = np.array([gain.inverse(np.asarray(y)) for y in ys.ravel()]).reshape(ys.shape)
+    together = gain.inverse(ys)
+    assert together.shape == ys.shape
+    assert np.array_equal(together, each)
+    reference = [scalar_bisection_inverse(gain, y) for y in ys.ravel()]
+    assert np.array_equal(together.ravel(), reference)
+    assert isinstance(gain.inverse(np.asarray(ys[0, 3])), float)
 
 
 def test_composition_and_maximum():
@@ -224,6 +265,16 @@ def test_region_boundary_points_lie_on_level_set():
     pts = roa.boundary_points(2, n=24)
     vals = value.evaluate_many(pts)
     assert np.allclose(vals, 1.0, atol=1e-6)
+
+
+def test_region_boundary_points_one_dimensional():
+    basis = BasisSet(dim=1, indices=((2,),))
+    value = Approximant(basis, np.array([4.0]))
+    w_fn = lambda w: np.sum(np.asarray(w, dtype=float) ** 2, axis=-1)
+    roa = estimate_roa(value, w_fn, 1.0, _identity())
+    pts = roa.boundary_points(1)
+    assert pts.shape == (2, 1)
+    assert np.allclose(pts[:, 0], [0.5, -0.5], rtol=1e-12)
 
 
 def test_interconnection_sigma_sits_between_loop_gains():
