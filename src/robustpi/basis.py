@@ -9,6 +9,7 @@ trivial; conditioning is the SVD solvers' problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -51,9 +52,12 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    @property
+    @cached_property
     def powers(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=int)
+        """The multi-indices as a read-only (N, dim) integer array."""
+        powers = np.asarray(self.indices, dtype=int)
+        powers.flags.writeable = False
+        return powers
 
     def design_matrix(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at `points` (P, dim) -> (P, N)."""

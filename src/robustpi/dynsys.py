@@ -112,7 +112,7 @@ class SimulationRecord:
 
 
 def _check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteDynamics(f"{what} returned a non-finite value")
 
 
@@ -132,8 +132,13 @@ def integrate(
 
     The controller is a feedback map, `controller(x, t)` or
     `controller(x, z, t)` for z-channel plants, evaluated at every RK4
-    substage (continuous feedback, no zero-order hold).  Divergence past
-    `blowup` raises StateDivergence instead of silently producing NaN.
+    substage (continuous feedback, no zero-order hold).  The controller
+    and disturbance maps run once per stage, 4 * n_steps + 1 times in
+    all: the record at a grid node (`u`, `x_input`, `z_input`) reuses the
+    first-stage evaluation there, and the final node evaluates the
+    plant maps too, so a non-finite derivative at the last node raises
+    NonFiniteDynamics.  Divergence past `blowup` raises StateDivergence
+    instead of silently producing NaN.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -156,7 +161,8 @@ def integrate(
     n_steps = int(round(horizon / step))
     size = n + (1 if has_z else 0) + p
 
-    def rhs(t, s):
+    def stage(t, s):
+        """Derivative at (t, s), with the u, x_input and z_input behind it."""
         x = s[:n]
         z = s[n] if has_z else None
         w = s[n + (1 if has_z else 0):] if p else None
@@ -165,17 +171,19 @@ def integrate(
         xin = (z + delta) if has_z else (u + delta)
         ds = np.empty(size)
         ds[:n] = model.drift(x) + model.input_gain(x) * xin
+        zin = None
         if has_z:
             d1 = (
                 uncertainty.unmatched_disturbance(w, x, z)
                 if uncertainty is not None and uncertainty.unmatched_disturbance
                 else 0.0
             )
+            zin = u + d1
             ds[n] = model.f1(x, z) + u + d1
         if p:
             ds[n + (1 if has_z else 0):] = uncertainty.w_dynamics(w, x)
         _check_finite(ds, "dynamics")
-        return ds
+        return ds, u, xin, zin
 
     ts = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, size))
@@ -187,28 +195,18 @@ def integrate(
     h = step
     for k in range(n_steps + 1):
         t = k * h
-        x = s[:n]
-        z = s[n] if has_z else None
-        w = s[n + (1 if has_z else 0):] if p else None
-        u = controller(x, z, t) if has_z else controller(x, t)
-        delta = uncertainty.matched_disturbance(w, x) if uncertainty else 0.0
+        k1, u, xin, zin = stage(t, s)
         ts[k] = t
         states[k] = s
         u_rec[k] = u
-        xin_rec[k] = (z + delta) if has_z else (u + delta)
+        xin_rec[k] = xin
         if has_z:
-            d1 = (
-                uncertainty.unmatched_disturbance(w, x, z)
-                if uncertainty is not None and uncertainty.unmatched_disturbance
-                else 0.0
-            )
-            zin_rec[k] = u + d1
+            zin_rec[k] = zin
         if k == n_steps:
             break
-        k1 = rhs(t, s)
-        k2 = rhs(t + h / 2, s + (h / 2) * k1)
-        k3 = rhs(t + h / 2, s + (h / 2) * k2)
-        k4 = rhs(t + h, s + h * k3)
+        k2 = stage(t + h / 2, s + (h / 2) * k1)[0]
+        k3 = stage(t + h / 2, s + (h / 2) * k2)[0]
+        k4 = stage(t + h, s + h * k3)[0]
         s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_finite(s, "state update")
         if np.linalg.norm(s) > blowup:

@@ -89,10 +89,24 @@ class RunConfig:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ConfigParse(f"{name} must be positive and finite")
+        for name in ("exploration_amplitude", "exploration_freq_low", "exploration_freq_high"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigParse(f"{name} must be finite")
         if self.exploration_amplitude < 0:
             raise ConfigParse("exploration amplitude must be nonnegative")
-        if self.max_iter < 1:
-            raise ConfigParse("max_iter must be at least 1")
+        if not 0 < self.exploration_freq_low <= self.exploration_freq_high:
+            raise ConfigParse("exploration frequencies need 0 < freq_low <= freq_high")
+        for name, least in (
+            ("value_degree", 1),
+            ("policy_degree", 1),
+            ("oracle_degree", 0),
+            ("exploration_components", 1),
+            ("max_iter", 1),
+        ):
+            if getattr(self, name) < least:
+                raise ConfigParse(f"{name} must be at least {least}")
+        if self.n_intervals is not None and self.n_intervals < 1:
+            raise ConfigParse("n_intervals must be at least 1")
         if self.exploration_seed is None:
             self.exploration_seed = self.seed + 1
 

@@ -102,3 +102,81 @@ def scalar_bisection_inverse(gain, y, tol=1e-12):
         if hi - lo <= tol * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+def reference_integrate(model, uncertainty, controller, x0, *, horizon, step, z0=None, w0=None):
+    """Fixed-step RK4 that evaluates the controller and disturbance maps a
+    second time at every grid node to record u, x_input and z_input
+    (5 * n_steps + 1 controller calls).  Returns the history arrays
+    t, x, u, x_input, z, z_input, w (None where a channel is absent)."""
+    n = model.n
+    has_z = model.has_z_channel
+    p = uncertainty.p if uncertainty is not None else 0
+    n_steps = int(round(horizon / step))
+    size = n + (1 if has_z else 0) + p
+
+    def rhs(t, s):
+        x = s[:n]
+        z = s[n] if has_z else None
+        w = s[n + (1 if has_z else 0):] if p else None
+        u = controller(x, z, t) if has_z else controller(x, t)
+        delta = uncertainty.matched_disturbance(w, x) if uncertainty else 0.0
+        xin = (z + delta) if has_z else (u + delta)
+        ds = np.empty(size)
+        ds[:n] = model.drift(x) + model.input_gain(x) * xin
+        if has_z:
+            d1 = (
+                uncertainty.unmatched_disturbance(w, x, z)
+                if uncertainty is not None and uncertainty.unmatched_disturbance
+                else 0.0
+            )
+            ds[n] = model.f1(x, z) + u + d1
+        if p:
+            ds[n + (1 if has_z else 0):] = uncertainty.w_dynamics(w, x)
+        return ds
+
+    ts = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, size))
+    u_rec = np.empty(n_steps + 1)
+    xin_rec = np.empty(n_steps + 1)
+    zin_rec = np.empty(n_steps + 1) if has_z else None
+
+    x0 = np.asarray(x0, dtype=float).reshape(n)
+    w0 = np.asarray(w0, dtype=float).reshape(p) if p else None
+    s = np.concatenate([x0, [z0] if has_z else [], w0 if p else []])
+    h = step
+    for k in range(n_steps + 1):
+        t = k * h
+        x = s[:n]
+        z = s[n] if has_z else None
+        w = s[n + (1 if has_z else 0):] if p else None
+        u = controller(x, z, t) if has_z else controller(x, t)
+        delta = uncertainty.matched_disturbance(w, x) if uncertainty else 0.0
+        ts[k] = t
+        states[k] = s
+        u_rec[k] = u
+        xin_rec[k] = (z + delta) if has_z else (u + delta)
+        if has_z:
+            d1 = (
+                uncertainty.unmatched_disturbance(w, x, z)
+                if uncertainty is not None and uncertainty.unmatched_disturbance
+                else 0.0
+            )
+            zin_rec[k] = u + d1
+        if k == n_steps:
+            break
+        k1 = rhs(t, s)
+        k2 = rhs(t + h / 2, s + (h / 2) * k1)
+        k3 = rhs(t + h / 2, s + (h / 2) * k2)
+        k4 = rhs(t + h, s + h * k3)
+        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    return {
+        "t": ts,
+        "x": states[:, :n].copy(),
+        "u": u_rec,
+        "x_input": xin_rec,
+        "z": states[:, n].copy() if has_z else None,
+        "z_input": zin_rec,
+        "w": states[:, n + (1 if has_z else 0):].copy() if p else None,
+    }

@@ -106,3 +106,16 @@ def test_dimension_mismatch():
 def test_vanishing_basis_rejects_constant_index():
     with pytest.raises(ValueError):
         BasisSet(dim=1, indices=((0,), (1,)), vanish_at_origin=True)
+
+
+def test_powers_is_cached_and_read_only():
+    basis = make_polynomial_basis(2, 3)
+    powers = basis.powers
+    assert basis.powers is powers
+    assert np.array_equal(powers, np.asarray(basis.indices))
+    with pytest.raises(ValueError):
+        powers[0, 0] = 7
+    grad = basis.gradient_tensor(np.array([[0.3, -0.7]]))
+    assert grad.shape == (1, len(basis), 2)
+    assert basis.powers is powers
+    assert np.array_equal(powers, np.asarray(basis.indices))

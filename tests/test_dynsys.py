@@ -9,7 +9,13 @@ from robustpi.dynsys import (
     simulate_batch,
 )
 from robustpi.errors import NonFiniteDynamics, StateDivergence
-from robustpi.experiments import build_arm_system
+from robustpi.experiments import (
+    build_arm_system,
+    build_cascade_system,
+    build_scalar_plant,
+)
+
+from oracles import reference_integrate
 
 
 def _scalar_model(drift):
@@ -150,6 +156,64 @@ def test_batch_matches_single_trajectories():
         )
         assert np.allclose(rec.trajectory.x, xs[:, i, :], atol=1e-12)
         assert np.allclose(rec.w, ws[:, i, :], atol=1e-12)
+
+
+def _closed_loop(name):
+    """(model, uncertainty, controller, integrate keywords) for one plant."""
+    if name == "arm":
+        arm = build_arm_system()
+        return (
+            arm.model,
+            arm.uncertainty,
+            lambda x, t: arm.initial_policy(x) + 0.1 * np.sin(3.0 * t),
+            dict(x0=arm.initial_state[1:], w0=arm.initial_state[:1]),
+        )
+    if name == "cascade":
+        cas = build_cascade_system()
+        return (
+            cas.model,
+            cas.uncertainty,
+            lambda x, z, t: cas.drive_policy(x, z) + 0.3 * np.sin(2.0 * t),
+            dict(x0=[0.5], z0=0.2, w0=[0.3]),
+        )
+    scalar = build_scalar_plant()
+    return (
+        scalar.model,
+        None,
+        lambda x, t: -0.4 * x[0] + 0.2 * np.sin(5.0 * t),
+        dict(x0=[1.0]),
+    )
+
+
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
+def test_integrate_matches_reference_loop_exactly(name):
+    model, uncertainty, controller, kw = _closed_loop(name)
+    rec = integrate(model, uncertainty, controller, horizon=2.0, step=1e-3, **kw)
+    ref = reference_integrate(model, uncertainty, controller, horizon=2.0, step=1e-3, **kw)
+    traj = rec.trajectory
+    got = {
+        "t": traj.t, "x": traj.x, "u": traj.u, "x_input": traj.x_input,
+        "z": traj.z, "z_input": traj.z_input, "w": rec.w,
+    }
+    for key, expected in ref.items():
+        if expected is None:
+            assert got[key] is None, key
+        else:
+            assert np.array_equal(got[key], expected), key
+
+
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
+def test_controller_runs_once_per_stage(name):
+    model, uncertainty, controller, kw = _closed_loop(name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return controller(*args)
+
+    integrate(model, uncertainty, counting, horizon=0.5, step=1e-3, **kw)
+    assert len(calls) == 4 * 500 + 1
+    assert calls[-1] == pytest.approx(0.5)
 
 
 def test_invalid_inputs_rejected():

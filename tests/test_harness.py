@@ -79,6 +79,22 @@ def test_bad_values_raise(tmp_path):
         load_config(_write_cfg(tmp_path / "d.cfg", no_seed))
 
 
+def _assert_rejected(tmp_path, section, key, value):
+    """`load_config` and `robustpi run` both reject MINIMAL with one key set."""
+    parser = configparser.ConfigParser()
+    parser.read_string(MINIMAL.format(out=tmp_path / "out"))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    path = tmp_path / "rejected.cfg"
+    with path.open("w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigParse):
+        load_config(path)
+    assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "section, key",
@@ -89,21 +105,31 @@ def test_bad_values_raise(tmp_path):
         ("integration", "blowup"),
         ("robustness", "sim_step"),
         ("robustness", "sim_horizon"),
+        ("exploration", "amplitude"),
+        ("exploration", "freq_low"),
+        ("exploration", "freq_high"),
     ],
 )
 def test_non_finite_values_raise(tmp_path, section, key, value):
-    parser = configparser.ConfigParser()
-    parser.read_string(MINIMAL.format(out=tmp_path / "out"))
-    if not parser.has_section(section):
-        parser.add_section(section)
-    parser.set(section, key, value)
-    path = tmp_path / "non_finite.cfg"
-    with path.open("w") as fh:
-        parser.write(fh)
-    with pytest.raises(ConfigParse):
-        load_config(path)
-    assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
-    assert not (tmp_path / "out").exists()
+    _assert_rejected(tmp_path, section, key, value)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("pi", "value_degree", "0"),
+        ("pi", "policy_degree", "0"),
+        ("pi", "oracle_degree", "-1"),
+        ("sampling", "n_intervals", "-4"),
+        ("sampling", "n_intervals", "0"),
+        ("exploration", "n_components", "0"),
+        ("exploration", "freq_low", "0"),
+        ("exploration", "freq_low", "-1"),
+        ("exploration", "freq_low", "20"),
+    ],
+)
+def test_out_of_range_values_raise(tmp_path, section, key, value):
+    _assert_rejected(tmp_path, section, key, value)
 
 
 @pytest.mark.parametrize("step", ["nan", "inf", "0"])
