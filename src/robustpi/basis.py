@@ -37,6 +37,36 @@ def graded_lex_indices(dim: int, max_degree: int, include_constant: bool) -> tup
     return tuple(out)
 
 
+def _monomials(pts: np.ndarray, column_sets, exponents: np.ndarray) -> list:
+    """prod_d pts[:, d] ** alpha_d for every multi-index alpha of each set
+    in `column_sets`: one (P, N) array per set.
+
+    A set is given by its exponent columns, one contiguous (N,) integer
+    array per dim.  One table ``pts[:, d] ** k`` for k in `exponents`
+    (0.0, 1.0, ..., max degree) holds every power the sets need, so each
+    pow(x_d, k) is computed once per point rather than once per monomial.
+    Each dim's factor is gathered from the table with `take`, and the dims
+    are multiplied left to right, the order `np.prod` uses, so every entry
+    equals ``np.prod(pts[:, None, :] ** alpha, axis=2)`` bit for bit.  The
+    result is F-ordered when that expression's is, i.e. when `pts` has
+    column-major strides; it is then built in the transposed frame, where
+    every gather and product stays contiguous.
+    """
+    n_points, dim = pts.shape
+    fortran = n_points > 1 and dim > 1 and abs(pts.strides[0]) < abs(pts.strides[1])
+    if fortran:
+        table, axis = pts.T[:, None, :] ** exponents[:, None], 0  # (dim, K, P)
+    else:
+        table, axis = pts.T[:, :, None] ** exponents, 1  # (dim, P, K)
+    out = []
+    for columns in column_sets:
+        mono = table[0].take(columns[0], axis=axis)
+        for d in range(1, dim):
+            mono *= table[d].take(columns[d], axis=axis)
+        out.append(mono.T if fortran else mono)
+    return out
+
+
 @dataclass(frozen=True)
 class BasisSet:
     """An ordered family of monomials x^alpha on R^dim."""
@@ -59,32 +89,56 @@ class BasisSet:
         powers.flags.writeable = False
         return powers
 
-    def design_matrix(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate all basis functions at `points` (P, dim) -> (P, N)."""
+    @cached_property
+    def _pow_exponents(self) -> np.ndarray:
+        """0.0, 1.0, ..., max degree: the exponents of the pow table."""
+        return np.arange(self.powers.max() + 1.0)
+
+    @cached_property
+    def _power_columns(self) -> tuple:
+        """The exponent columns of the multi-indices, one per dim."""
+        return tuple(np.ascontiguousarray(self.powers[:, d]) for d in range(self.dim))
+
+    @cached_property
+    def _dropped_columns(self) -> tuple:
+        """Per dim d, the exponent columns with alpha_d lowered by one
+        (floor 0): the monomial factor of d/dx_d x^alpha."""
+        return tuple(
+            tuple(
+                np.maximum(col - 1, 0) if e == d else col
+                for e, col in enumerate(self._power_columns)
+            )
+            for d in range(self.dim)
+        )
+
+    def _points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatch(
                 f"points have dim {pts.shape[1]}, basis has dim {self.dim}"
             )
-        # (P, N, dim) powers -> product over dim
-        return np.prod(pts[:, None, :] ** self.powers[None, :, :], axis=2)
+        return pts
+
+    def design_matrix(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate all basis functions at `points` (P, dim) -> (P, N).
+
+        Computed by `_monomials` from one pow table per call; the entries
+        and the memory order equal those of
+        ``np.prod(pts[:, None, :] ** powers, axis=2)`` exactly.  The order
+        is kept (F for a column-major `pts` such as the collocation grid,
+        C otherwise) because a BLAS product ``design_matrix(pts) @ w``
+        rounds differently per layout.
+        """
+        pts = self._points(points)
+        return _monomials(pts, (self._power_columns,), self._pow_exponents)[0]
 
     def gradient_tensor(self, points: np.ndarray) -> np.ndarray:
         """Gradients of all basis functions: (P, N, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"points have dim {pts.shape[1]}, basis has dim {self.dim}"
-            )
-        P = pts.shape[0]
-        N = len(self.indices)
-        powers = self.powers
-        grad = np.empty((P, N, self.dim))
-        for d in range(self.dim):
-            dropped = powers.copy()
-            dropped[:, d] = np.maximum(dropped[:, d] - 1, 0)
-            mono = np.prod(pts[:, None, :] ** dropped[None, :, :], axis=2)
-            grad[:, :, d] = powers[None, :, d] * mono
+        pts = self._points(points)
+        monos = _monomials(pts, self._dropped_columns, self._pow_exponents)
+        grad = np.empty((pts.shape[0], len(self.indices), self.dim))
+        for d, mono in enumerate(monos):
+            grad[:, :, d] = self._power_columns[d] * mono
         return grad
 
     def gram_min_eigenvalue(self, points: np.ndarray) -> float:

@@ -130,9 +130,10 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
 
     def drift(x):
         x = np.asarray(x, dtype=float)
-        dx1 = x[..., 1]
-        dx2 = -(mgl2 / inertia) * _gravity_shape(p, x[..., 0])
-        return np.stack([dx1, dx2], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = x[..., 1]
+        out[..., 1] = -(mgl2 / inertia) * _gravity_shape(p, x[..., 0])
+        return out
 
     def input_gain(x):
         x = np.asarray(x, dtype=float)

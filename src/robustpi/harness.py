@@ -33,6 +33,7 @@ from .experiments import (
     cost_surface_compare,
     speed_profile_analysis,
 )
+from .rundiff import compare_runs
 
 FORMAT_VERSION = 1
 KINDS = ("scalar_lqr", "linear_2state", "arm", "cascade")
@@ -107,8 +108,18 @@ class RunConfig:
                 raise ConfigParse(f"{name} must be at least {least}")
         if self.n_intervals is not None and self.n_intervals < 1:
             raise ConfigParse("n_intervals must be at least 1")
+        # NaN fails every comparison, so a NaN delta_rel would switch off the PE guard
+        if not np.isfinite(self.delta_rel) or self.delta_rel <= 0:
+            raise ConfigParse("delta_rel must be positive and finite")
+        for name in ("delta1_rel", "sample_start"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ConfigParse(f"{name} must be nonnegative and finite")
         if self.exploration_seed is None:
             self.exploration_seed = self.seed + 1
+        for name in ("seed", "exploration_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigParse(f"{name} must be nonnegative")
 
 
 def _get(parser, section, key, cast, default=None, required=False):
@@ -1063,6 +1074,23 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+def _cmd_diff(args) -> int:
+    if not np.isfinite(args.rtol) or args.rtol < 0:
+        raise ConfigParse("rtol must be nonnegative and finite")
+    gaps = compare_runs(args.run_a, args.run_b)
+    differing = {name: gap for name, gap in gaps.items() if gap is None or gap > args.rtol}
+    for name, gap in differing.items():
+        if gap is None:
+            print(f"{name}: in one run only")
+        else:
+            print(f"{name}: largest relative difference {gap:.3e}")
+    if differing:
+        print(f"{len(differing)} of {len(gaps)} files differ (rtol {args.rtol:g})")
+        return 1
+    print(f"no difference in {len(gaps)} files (rtol {args.rtol:g})")
+    return 0
+
+
 def cli(argv=None) -> int:
     """Entry point; returns a stable exit code per error category."""
     parser = argparse.ArgumentParser(
@@ -1086,6 +1114,14 @@ def cli(argv=None) -> int:
     p.add_argument("run_dir")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_replay)
+    p = sub.add_parser("diff", help="compare the artifacts of two run directories")
+    p.add_argument("run_a")
+    p.add_argument("run_b")
+    p.add_argument(
+        "--rtol", type=float, default=0.0,
+        help="numbers in .csv/.json match when |a-b| <= rtol*|b| (default 0: exact)",
+    )
+    p.set_defaults(func=_cmd_diff)
     p = sub.add_parser("configs", help="list the bundled configuration files")
     p.set_defaults(func=_cmd_configs)
 

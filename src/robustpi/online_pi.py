@@ -43,11 +43,12 @@ class ExplorationNoise:
             np.log10(self.freq_low), np.log10(self.freq_high), self.n_components
         )
         self.phases = rng.uniform(0.0, 2.0 * np.pi, size=self.n_components)
+        self.angular_frequencies = 2.0 * np.pi * self.frequencies
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        args = 2.0 * np.pi * self.frequencies * t[..., None] + self.phases
-        return self.amplitude * np.mean(np.sin(args), axis=-1)
+        args = self.angular_frequencies * t[..., None] + self.phases
+        return self.amplitude * (np.add.reduce(np.sin(args), axis=-1) / self.n_components)
 
 
 @dataclass

@@ -197,7 +197,7 @@ class RobustPolicy:
 
     def scale_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        s = np.sum(pts**2, axis=1)
+        s = (pts**2).sum(axis=1)
         return 1.0 + 0.5 * self.control_weight * np.asarray(self.rho(s)) ** 2
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
@@ -357,7 +357,7 @@ def redesign_error(
 
     def e_ro(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        s = np.sum(pts**2, axis=1)
+        s = (pts**2).sum(axis=1)
         scale = 0.5 * control_weight * np.asarray(rho(s)) ** 2
         learned = learned_policy.evaluate_many(pts)
         return (

@@ -180,3 +180,41 @@ def reference_integrate(model, uncertainty, controller, x0, *, horizon, step, z0
         "z_input": zin_rec,
         "w": states[:, n + (1 if has_z else 0):].copy() if p else None,
     }
+
+
+def broadcast_design_matrix(basis, points):
+    """Monomials by one pow per (point, monomial, dim), then a product over
+    dims: the expression the design matrix used before its pow table."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.prod(pts[:, None, :] ** basis.powers[None, :, :], axis=2)
+
+
+def broadcast_gradient_tensor(basis, points):
+    """Gradients (P, N, dim) by the same broadcast expression, one lowered
+    exponent set per dim."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    powers = basis.powers
+    grad = np.empty((pts.shape[0], len(basis), basis.dim))
+    for d in range(basis.dim):
+        dropped = powers.copy()
+        dropped[:, d] = np.maximum(dropped[:, d] - 1, 0)
+        mono = np.prod(pts[:, None, :] ** dropped[None, :, :], axis=2)
+        grad[:, :, d] = powers[None, :, d] * mono
+    return grad
+
+
+def mean_exploration_noise(noise, t):
+    """The exploration signal as a mean over its sinusoids, with the angular
+    frequencies formed inside the call."""
+    t = np.asarray(t, dtype=float)
+    args = 2.0 * np.pi * noise.frequencies * t[..., None] + noise.phases
+    return noise.amplitude * np.mean(np.sin(args), axis=-1)
+
+
+def stacked_arm_drift(params, x):
+    """Nominal arm drift (x2, -(2 m g l / I) g(x1)) assembled with np.stack."""
+    x = np.asarray(x, dtype=float)
+    half = 0.5 * x[..., 0]
+    shape = np.sin(half) * np.sin(half + params.target_angle)
+    dx2 = -(2.0 * params.torque_scale / params.inertia) * shape
+    return np.stack([x[..., 1], dx2], axis=-1)

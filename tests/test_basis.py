@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.errors import DimensionMismatch
 
-from oracles import enumerate_multi_indices, fd_gradient, total_degree_count
+from oracles import (
+    broadcast_design_matrix,
+    broadcast_gradient_tensor,
+    enumerate_multi_indices,
+    fd_gradient,
+    total_degree_count,
+)
 
 
 def test_vanishing_degree2_enumeration():
@@ -119,3 +125,54 @@ def test_powers_is_cached_and_read_only():
     assert grad.shape == (1, len(basis), 2)
     assert basis.powers is powers
     assert np.array_equal(powers, np.asarray(basis.indices))
+
+
+def _point_layouts(dim):
+    """The same kind of points in every memory layout the callers produce:
+    C- and F-ordered, strided and reversed views of both, and single rows.
+    Values include zeros, a negative zero, negatives and magnitudes up to 1e3."""
+    rng = np.random.default_rng(dim)
+    scale = np.array([1.0, 10.0, 1e3, 0.1, 1.0, 100.0])
+    big = rng.normal(size=(30, 6)) * scale
+    big[3] = 0.0
+    big[5, 1] = -0.0
+    big[7, 2] = 1e3
+    big[8, 0] = -1e3
+    big_f = np.asfortranarray(big)
+    return {
+        "C": np.ascontiguousarray(big[:, :dim]),
+        "F": np.asfortranarray(big[:, :dim]),
+        "C rows strided": big[::3, 1 : 1 + dim],
+        "F rows strided": big_f[::3, 1 : 1 + dim],
+        "C cols strided": big[:, ::2][:, :dim],
+        "F cols strided": big_f[:, ::2][:, :dim],
+        "F column block": big_f[:, 2 : 2 + dim],
+        "C reversed": big[::-1, :dim],
+        "F reversed": big_f[::-1, :dim],
+        "C single row": big[7:8, :dim],
+        "F single row": big_f[8:9, :dim],
+        "1-D point": big[5, :dim].copy(),
+    }
+
+
+@pytest.mark.parametrize("include_constant", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pow_table_matches_broadcast_oracle_exactly(dim, include_constant):
+    rng = np.random.default_rng(10 * dim + include_constant)
+    for degree in range(1, 12):
+        basis = make_polynomial_basis(
+            dim, degree, vanish_at_origin=not include_constant, include_constant=include_constant
+        )
+        weights = rng.normal(size=len(basis))
+        for name, pts in _point_layouts(dim).items():
+            got = basis.design_matrix(pts)
+            want = broadcast_design_matrix(basis, pts)
+            where = f"dim {dim} degree {degree} {name}"
+            assert np.array_equal(got, want), where
+            assert got.flags.c_contiguous == want.flags.c_contiguous, where
+            assert got.flags.f_contiguous == want.flags.f_contiguous, where
+            # BLAS rounds per layout: the product must match too, not just the entries
+            assert np.array_equal(got @ weights, want @ weights), where
+            grad = basis.gradient_tensor(pts)
+            assert np.array_equal(grad, broadcast_gradient_tensor(basis, pts)), where
+            assert grad.flags.c_contiguous, where

@@ -16,7 +16,7 @@ from robustpi.experiments import (
 )
 from robustpi.online_pi import ExplorationNoise, run_online_pi
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, stacked_arm_drift
 
 
 def test_transformed_dynamics_vanish_at_origin():
@@ -217,3 +217,16 @@ def test_conclusions_robust_to_time_constant():
         )
         profile = speed_profile_analysis(rec.trajectory)
         assert profile.peak_count == 1, f"tau_n={tau}"
+
+
+def test_arm_drift_matches_stacked_form_exactly():
+    params = ArmParameters()
+    drift = build_arm_system(params).model.drift
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(64, 2)) * 2.0
+    for x in (np.array([0.3, -1.2]), np.zeros(2), batch, np.asfortranarray(batch), batch[::3]):
+        got = drift(x)
+        want = stacked_arm_drift(params, x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous

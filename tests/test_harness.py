@@ -15,8 +15,10 @@ from robustpi.harness import (
     run_algorithm_1,
     select_invariant_set,
     write_csv,
+    write_json,
 )
 from robustpi.online_pi import ExplorationNoise
+from robustpi.rundiff import relative_gap
 
 
 def _write_cfg(path, body):
@@ -108,6 +110,9 @@ def _assert_rejected(tmp_path, section, key, value):
         ("exploration", "amplitude"),
         ("exploration", "freq_low"),
         ("exploration", "freq_high"),
+        ("pi", "delta_rel"),
+        ("pi", "delta1_rel"),
+        ("sampling", "start"),
     ],
 )
 def test_non_finite_values_raise(tmp_path, section, key, value):
@@ -126,6 +131,12 @@ def test_non_finite_values_raise(tmp_path, section, key, value):
         ("exploration", "freq_low", "0"),
         ("exploration", "freq_low", "-1"),
         ("exploration", "freq_low", "20"),
+        ("pi", "delta_rel", "0"),
+        ("pi", "delta_rel", "-1"),
+        ("pi", "delta1_rel", "-1e-6"),
+        ("sampling", "start", "-1"),
+        ("run", "seed", "-3"),
+        ("exploration", "seed", "-3"),
     ],
 )
 def test_out_of_range_values_raise(tmp_path, section, key, value):
@@ -136,6 +147,13 @@ def test_out_of_range_values_raise(tmp_path, section, key, value):
 def test_non_finite_step_override_raises(tmp_path, scalar_config_path, step):
     out = tmp_path / "out"
     argv = ["run", str(scalar_config_path), "--out-dir", str(out), "--step", step]
+    assert harness.cli(argv) == EXIT_CODES[ConfigParse.category]
+    assert not out.exists()
+
+
+def test_negative_seed_override_raises(tmp_path, scalar_config_path):
+    out = tmp_path / "out"
+    argv = ["run", str(scalar_config_path), "--out-dir", str(out), "--seed", "-3"]
     assert harness.cli(argv) == EXIT_CODES[ConfigParse.category]
     assert not out.exists()
 
@@ -322,3 +340,69 @@ def test_run_config_validation():
         RunConfig(kind="arm", seed=1, out_dir="x", step=-1.0)
     cfg = RunConfig(kind="arm", seed=1, out_dir="x")
     assert cfg.exploration_seed == 2
+
+
+def _run_dir(path, iterations="iteration,value\n0,1.0\n1,0.5\n", info=None, note="ok\n"):
+    path.mkdir()
+    (path / "iterations.csv").write_text(iterations)
+    write_json(path / "run.json", info or {"rho": 9.5, "levels": [1.0, 2.0], "holds": True})
+    (path / "gain_check.txt").write_text(note)
+    return path
+
+
+def test_diff_identical_runs_exit_zero(tmp_path, capsys):
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    assert harness.cli(["diff", str(a), str(b)]) == 0
+    assert "no difference in 3 files" in capsys.readouterr().out
+
+
+def test_diff_reports_largest_relative_difference(tmp_path, capsys):
+    a = _run_dir(tmp_path / "a", iterations="iteration,value\n0,1.0\n1,0.5000001\n")
+    b = _run_dir(tmp_path / "b", info={"rho": 9.5, "levels": [1.0, 2.000002], "holds": True})
+    assert harness.cli(["diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "iterations.csv: largest relative difference 2.000e-07" in out
+    assert "run.json: largest relative difference 1.000e-06" in out
+    assert "gain_check.txt" not in out
+    assert harness.cli(["diff", str(a), str(b), "--rtol", "1e-6"]) == 0
+    assert harness.cli(["diff", str(a), str(b), "--rtol", "5e-7"]) == 1
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"iterations": "iteration,weight\n0,1.0\n1,0.5\n"},  # header
+        {"iterations": "iteration,value\n0,1.0\n"},  # row count
+        {"info": {"rho": 9.5, "levels": [1.0, 2.0], "holds": False}},  # bool
+        {"info": {"rho": 9.5, "levels": [1.0, 2.0]}},  # key
+        {"note": "ok \n"},  # other file, bytes
+    ],
+)
+def test_diff_non_numeric_differences_fail_at_any_rtol(tmp_path, changes):
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b", **changes)
+    assert harness.cli(["diff", str(a), str(b), "--rtol", "1e9"]) == 1
+
+
+def test_diff_needs_the_same_file_names(tmp_path, capsys):
+    a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b")
+    (b / "extra.csv").write_text("x\n1\n")
+    assert harness.cli(["diff", str(a), str(b)]) == 1
+    assert "extra.csv: in one run only" in capsys.readouterr().out
+
+
+def test_diff_bad_arguments_raise_config_parse(tmp_path):
+    a = _run_dir(tmp_path / "a")
+    code = EXIT_CODES[ConfigParse.category]
+    assert harness.cli(["diff", str(a), str(tmp_path / "missing")]) == code
+    assert harness.cli(["diff", str(a), str(a), "--rtol", "-1"]) == code
+    assert harness.cli(["diff", str(a), str(a), "--rtol", "nan"]) == code
+
+
+def test_relative_gap_edge_cases():
+    assert relative_gap(1.0, 1.0) == 0.0
+    assert relative_gap(float("nan"), float("nan")) == 0.0
+    assert relative_gap(float("inf"), float("inf")) == 0.0
+    assert relative_gap(1e-300, 0.0) == float("inf")
+    assert relative_gap(float("nan"), 1.0) == float("inf")
+    assert relative_gap(1.0, float("inf")) == float("inf")
+    assert relative_gap(-2.0, -4.0) == 0.5

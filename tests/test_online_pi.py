@@ -20,7 +20,7 @@ from robustpi.pi_oracle import (
     policy_improvement,
 )
 
-from oracles import SCALAR_OPTIMAL_GAIN, SCALAR_OPTIMAL_P
+from oracles import SCALAR_OPTIMAL_GAIN, SCALAR_OPTIMAL_P, mean_exploration_noise
 
 
 def _window_from_arrays(t, x, u, x_input, interval, count):
@@ -288,3 +288,15 @@ def test_noise_is_seeded_and_bounded():
     assert np.max(np.abs(noise(t))) <= 0.7 + 1e-12
     other = ExplorationNoise(amplitude=0.7, seed=6)
     assert not np.array_equal(noise(t), other(t))
+
+
+def test_exploration_noise_matches_mean_of_sinusoids_exactly():
+    noise = ExplorationNoise(amplitude=0.8, seed=8)
+    h = 1e-3
+    nodes = np.arange(50) * h
+    stage_times = np.concatenate([nodes, nodes + h / 2, nodes + h])  # RK4 stages
+    for t in (0.37, 12.345, np.asarray(2.5), stage_times, stage_times.reshape(3, 50)):
+        got = noise(t)
+        want = mean_exploration_noise(noise, t)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
