@@ -6,6 +6,12 @@ the learning algorithms must never read.  The split is enforced by the
 types: `Trajectory` carries no field derived from w; the full
 `SimulationRecord` (with w) stays on the simulation side and is used
 only for post-hoc audits.
+
+One RK4 kernel steps the stacked state s = [x, z, w]: callbacks get x of
+shape (n,) from `integrate` and (B, n) from `simulate_batch`.  Both share
+the input checks and failure rules: a non-finite derivative at any stage
+or state after a step raises NonFiniteDynamics, and a trajectory whose
+Euclidean norm of s exceeds `blowup` raises StateDivergence.
 """
 
 from __future__ import annotations
@@ -64,10 +70,6 @@ class CostSpec:
     control_weight: float
     margin: float
 
-    def q_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return np.asarray([self.state_cost(x) for x in pts], dtype=float)
-
 
 @dataclass
 class Trajectory:
@@ -116,6 +118,95 @@ def _check_finite(arr, what):
         raise NonFiniteDynamics(f"{what} returned a non-finite value")
 
 
+def _stacked_start(model, uncertainty, x0, z0, w0, lead, *, horizon, step):
+    """Checked initial state [x0, z0, w0] of shape lead + (size,)."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if horizon < step:
+        raise ValueError("horizon must cover at least one step")
+    parts = [np.asarray(x0, dtype=float).reshape(lead + (model.n,))]
+    if model.has_z_channel:
+        if z0 is None:
+            raise ValueError("z-channel plant needs z0")
+        parts.append(np.asarray(z0, dtype=float).reshape(lead + (1,)))
+    if uncertainty is not None:
+        if w0 is None:
+            raise ValueError("uncertain plant needs w0")
+        parts.append(np.asarray(w0, dtype=float).reshape(lead + (uncertainty.p,)))
+    s0 = np.concatenate(parts, axis=-1)
+    if not np.isfinite(s0).all():
+        raise ValueError("initial states must be finite")
+    return s0
+
+
+def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
+    """Classical fixed-step RK4 on the stacked state s = [x, z, w].
+
+    `s0` has shape (size,) or (B, size); the callbacks see x, z and w with
+    the same leading axes.  Returns t, the x, z, w histories and the u,
+    x_input, z_input records (None where a channel is absent).
+    """
+    n = model.n
+    has_z = model.has_z_channel
+    p = uncertainty.p if uncertainty is not None else 0
+    iw = n + (1 if has_z else 0)
+    drift, gain, f1 = model.drift, model.input_gain, model.f1
+    matched = unmatched = w_dynamics = None
+    if uncertainty is not None:
+        matched = uncertainty.matched_disturbance
+        unmatched = uncertainty.unmatched_disturbance
+        w_dynamics = uncertainty.w_dynamics
+
+    def stage(t, s):
+        """Derivative at (t, s), with the u, x_input and z_input behind it."""
+        x = s[..., :n]
+        z = s.T[n] if has_z else None  # a scalar, not a 0-d array, for one trajectory
+        w = s[..., iw:] if p else None
+        u = controller(x, z, t) if has_z else controller(x, t)
+        delta = matched(w, x) if matched else 0.0
+        xin = (z + delta) if has_z else (u + delta)
+        ds = np.empty(s.shape)
+        ds[..., :n] = drift(x) + (gain(x).T * xin).T
+        zin = None
+        if has_z:
+            d1 = unmatched(w, x, z) if unmatched else 0.0
+            zin = u + d1
+            ds[..., n] = f1(x, z) + u + d1
+        if p:
+            ds[..., iw:] = w_dynamics(w, x)
+        _check_finite(ds, "dynamics")
+        return ds, u, xin, zin
+
+    n_steps = int(round(horizon / step))
+    ts = np.arange(n_steps + 1) * step
+    states = np.empty((n_steps + 1,) + s0.shape)
+    rec_shape = (n_steps + 1,) + s0.shape[:-1]
+    u_rec, xin_rec = np.empty(rec_shape), np.empty(rec_shape)
+    zin_rec = np.empty(rec_shape) if has_z else None
+
+    s, h = s0, step
+    for k in range(n_steps + 1):
+        t = k * h
+        k1, u, xin, zin = stage(t, s)
+        states[k], u_rec[k], xin_rec[k] = s, u, xin
+        if has_z:
+            zin_rec[k] = zin
+        if k == n_steps:
+            break
+        k2 = stage(t + h / 2, s + (h / 2) * k1)[0]
+        k3 = stage(t + h / 2, s + (h / 2) * k2)[0]
+        k4 = stage(t + h, s + h * k3)[0]
+        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        _check_finite(s, "state update")
+        if (np.sqrt((s * s).sum(-1)) > blowup).any():
+            raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t + h:.6g} s")
+
+    x = states[..., :n].copy()
+    z = states[..., n].copy() if has_z else None
+    w = states[..., iw:].copy() if p else None
+    return ts, x, z, w, u_rec, xin_rec, zin_rec
+
+
 def integrate(
     model: SystemModel,
     uncertainty: Optional[UncertaintyModel],
@@ -128,102 +219,23 @@ def integrate(
     w0=None,
     blowup: float = DEFAULT_BLOWUP,
 ) -> SimulationRecord:
-    """Integrate the closed loop with classical fixed-step RK4.
+    """Integrate one closed-loop trajectory with classical fixed-step RK4.
 
     The controller is a feedback map, `controller(x, t)` or
-    `controller(x, z, t)` for z-channel plants, evaluated at every RK4
-    substage (continuous feedback, no zero-order hold).  The controller
-    and disturbance maps run once per stage, 4 * n_steps + 1 times in
-    all: the record at a grid node (`u`, `x_input`, `z_input`) reuses the
-    first-stage evaluation there, and the final node evaluates the
-    plant maps too, so a non-finite derivative at the last node raises
-    NonFiniteDynamics.  Divergence past `blowup` raises StateDivergence
-    instead of silently producing NaN.
+    `controller(x, z, t)` for z-channel plants, with x of shape (n,),
+    evaluated at every RK4 substage (continuous feedback, no zero-order
+    hold).  The controller and disturbance maps run once per stage,
+    4 * n_steps + 1 times in all: the record at a grid node (`u`,
+    `x_input`, `z_input`) reuses the first-stage evaluation there.
+    Failures follow the module rules (NonFiniteDynamics at a stage or a
+    step, StateDivergence past `blowup` on |[x, z, w]|).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if horizon < step:
-        raise ValueError("horizon must cover at least one step")
-
-    n = model.n
-    has_z = model.has_z_channel
-    p = uncertainty.p if uncertainty is not None else 0
-    x0 = np.asarray(x0, dtype=float).reshape(n)
-    if has_z and z0 is None:
-        raise ValueError("z-channel plant needs z0")
-    if uncertainty is not None:
-        if w0 is None:
-            raise ValueError("uncertain plant needs w0")
-        w0 = np.asarray(w0, dtype=float).reshape(p)
-    if not np.all(np.isfinite(x0)) or (w0 is not None and not np.all(np.isfinite(w0))):
-        raise ValueError("initial states must be finite")
-
-    n_steps = int(round(horizon / step))
-    size = n + (1 if has_z else 0) + p
-
-    def stage(t, s):
-        """Derivative at (t, s), with the u, x_input and z_input behind it."""
-        x = s[:n]
-        z = s[n] if has_z else None
-        w = s[n + (1 if has_z else 0):] if p else None
-        u = controller(x, z, t) if has_z else controller(x, t)
-        delta = uncertainty.matched_disturbance(w, x) if uncertainty else 0.0
-        xin = (z + delta) if has_z else (u + delta)
-        ds = np.empty(size)
-        ds[:n] = model.drift(x) + model.input_gain(x) * xin
-        zin = None
-        if has_z:
-            d1 = (
-                uncertainty.unmatched_disturbance(w, x, z)
-                if uncertainty is not None and uncertainty.unmatched_disturbance
-                else 0.0
-            )
-            zin = u + d1
-            ds[n] = model.f1(x, z) + u + d1
-        if p:
-            ds[n + (1 if has_z else 0):] = uncertainty.w_dynamics(w, x)
-        _check_finite(ds, "dynamics")
-        return ds, u, xin, zin
-
-    ts = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, size))
-    u_rec = np.empty(n_steps + 1)
-    xin_rec = np.empty(n_steps + 1)
-    zin_rec = np.empty(n_steps + 1) if has_z else None
-
-    s = np.concatenate([x0, [z0] if has_z else [], w0 if p else []])
-    h = step
-    for k in range(n_steps + 1):
-        t = k * h
-        k1, u, xin, zin = stage(t, s)
-        ts[k] = t
-        states[k] = s
-        u_rec[k] = u
-        xin_rec[k] = xin
-        if has_z:
-            zin_rec[k] = zin
-        if k == n_steps:
-            break
-        k2 = stage(t + h / 2, s + (h / 2) * k1)[0]
-        k3 = stage(t + h / 2, s + (h / 2) * k2)[0]
-        k4 = stage(t + h, s + h * k3)[0]
-        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        _check_finite(s, "state update")
-        if np.linalg.norm(s) > blowup:
-            raise StateDivergence(
-                f"|state| exceeded {blowup:g} at t = {t + h:.6g} s"
-            )
-
-    traj = Trajectory(
-        t=ts,
-        x=states[:, :n].copy(),
-        u=u_rec,
-        x_input=xin_rec,
-        z=states[:, n].copy() if has_z else None,
-        z_input=zin_rec,
+    s0 = _stacked_start(model, uncertainty, x0, z0, w0, (), horizon=horizon, step=step)
+    ts, x, z, w, u, xin, zin = _rk4(
+        model, uncertainty, controller, s0, horizon=horizon, step=step, blowup=blowup
     )
-    w_hist = states[:, n + (1 if has_z else 0):].copy() if p else None
-    return SimulationRecord(trajectory=traj, w=w_hist)
+    traj = Trajectory(t=ts, x=x, u=u, x_input=xin, z=z, z_input=zin)
+    return SimulationRecord(trajectory=traj, w=w)
 
 
 def simulate_batch(
@@ -238,85 +250,23 @@ def simulate_batch(
     w0_batch=None,
     blowup: float = DEFAULT_BLOWUP,
 ):
-    """Integrate many independent trajectories in lockstep.
+    """Integrate B independent trajectories in lockstep.
 
-    Vectorized variant for trajectory bundles (region-of-attraction
-    sweeps); all callbacks must accept batched rows: drift/input_gain
-    (B, n) -> (B, n), controller (B, n)[, (B,)] , t -> (B,), disturbance
-    maps likewise.  Returns (t, x, z, w) history arrays.
+    The kernel, input checks and failure rules of `integrate` with a
+    leading batch axis: callbacks get x (B, n), z (B,), w (B, p) and
+    return (B, n) for drift/input_gain, (B,) for the controller and the
+    disturbance maps.  Divergence is judged per trajectory.  Returns the
+    (t, x, z, w) histories, shaped (K,), (K, B, n), (K, B), (K, B, p),
+    None for an absent channel.
     """
-    x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    B, n = x0_batch.shape
-    has_z = model.has_z_channel
-    p = uncertainty.p if uncertainty is not None else 0
-    n_steps = int(round(horizon / step))
-
-    x = x0_batch.copy()
-    z = np.asarray(z0_batch, dtype=float).reshape(B) if has_z else None
-    w = (
-        np.asarray(w0_batch, dtype=float).reshape(B, p)
-        if uncertainty is not None
-        else None
+    x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
+    s0 = _stacked_start(
+        model, uncertainty, x0, z0_batch, w0_batch, x0.shape[:1],
+        horizon=horizon, step=step,
     )
-
-    def rhs(t, x, z, w):
-        u = controller(x, z, t) if has_z else controller(x, t)
-        delta = uncertainty.matched_disturbance(w, x) if uncertainty else 0.0
-        xin = (z + delta) if has_z else (u + delta)
-        dx = model.drift(x) + model.input_gain(x) * xin[:, None]
-        dz = None
-        if has_z:
-            d1 = (
-                uncertainty.unmatched_disturbance(w, x, z)
-                if uncertainty is not None and uncertainty.unmatched_disturbance
-                else 0.0
-            )
-            dz = model.f1(x, z) + u + d1
-        dw = uncertainty.w_dynamics(w, x) if uncertainty is not None else None
-        return dx, dz, dw
-
-    ts = np.arange(n_steps + 1) * step
-    xs = np.empty((n_steps + 1, B, n))
-    zs = np.empty((n_steps + 1, B)) if has_z else None
-    ws = np.empty((n_steps + 1, B, p)) if uncertainty is not None else None
-
-    def axpy(state, k, h):
-        x2 = state[0] + h * k[0]
-        z2 = state[1] + h * k[1] if has_z else None
-        w2 = state[2] + h * k[2] if w is not None else None
-        return x2, z2, w2
-
-    for step_i in range(n_steps + 1):
-        t = step_i * step
-        xs[step_i] = x
-        if has_z:
-            zs[step_i] = z
-        if ws is not None:
-            ws[step_i] = w
-        if step_i == n_steps:
-            break
-        state = (x, z, w)
-        k1 = rhs(t, *state)
-        k2 = rhs(t + step / 2, *axpy(state, k1, step / 2))
-        k3 = rhs(t + step / 2, *axpy(state, k2, step / 2))
-        k4 = rhs(t + step, *axpy(state, k3, step))
-        x = x + (step / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        if has_z:
-            z = z + (step / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if w is not None:
-            w = w + (step / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        norms = np.linalg.norm(x, axis=1)
-        if has_z:
-            norms = norms + np.abs(z)
-        if w is not None:
-            norms = norms + np.linalg.norm(w, axis=1)
-        if not np.all(np.isfinite(norms)):
-            raise NonFiniteDynamics("batched state update non-finite")
-        if np.any(norms > blowup):
-            raise StateDivergence(
-                f"a batched trajectory exceeded {blowup:g} at t = {t + step:.6g} s"
-            )
-    return ts, xs, zs, ws
+    return _rk4(
+        model, uncertainty, controller, s0, horizon=horizon, step=step, blowup=blowup
+    )[:4]
 
 
 class Plant:

@@ -939,13 +939,8 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     record = plant.last_record
     x_end = record.trajectory.x[-1]
     w_end = record.w[-1] if record.w is not None else None
-    controller = (
-        (lambda x, t: final_policy.evaluate(x))
-        if hasattr(final_policy, "evaluate")
-        else (lambda x, t: final_policy(x))
-    )
     engaged = integrate(
-        model, system["uncertainty"], controller, x_end,
+        model, system["uncertainty"], lambda x, t: final_policy(x), x_end,
         horizon=config.sim_horizon, step=config.sim_step,
         w0=w_end, blowup=config.blowup,
     )

@@ -157,7 +157,7 @@ def assemble_regression(
     policy_cols = 2.0 * r * _interval_integrals(phi_u * v[:, None], t, idx)
     theta = np.hstack([delta_phi, policy_cols])
 
-    running = cost.q_many(x) + r * u_i**2
+    running = cost.state_cost(x) + r * u_i**2
     targets = -_interval_integrals(running[:, None], t, idx)[:, 0]
     return RegressionProblem(
         theta=theta,

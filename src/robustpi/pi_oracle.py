@@ -56,9 +56,6 @@ def probe_admissibility(
     the admissibility precondition numerically; it is a sanity check,
     not a proof.
     """
-    controller = (lambda x, t: policy.evaluate(x)) if hasattr(policy, "evaluate") else (
-        lambda x, t: policy(x)
-    )
     for x0 in initial_conditions:
         x = np.asarray(x0, dtype=float)
         t = 0.0
@@ -66,7 +63,8 @@ def probe_admissibility(
         try:
             while t < horizon:
                 rec = integrate(
-                    model, None, controller, x, horizon=chunk, step=step, blowup=blowup
+                    model, None, lambda x, t: policy(x), x,
+                    horizon=chunk, step=step, blowup=blowup,
                 )
                 x = rec.trajectory.x[-1]
                 t += chunk
@@ -111,7 +109,7 @@ def policy_evaluation_collocation(
     g = np.asarray([model.input_gain(x) for x in grid])
     field = f + g * u[:, None]
     rows = np.einsum("pnd,pd->pn", basis_value.gradient_tensor(grid), field)
-    rhs = -(cost.q_many(grid) + cost.control_weight * u**2)
+    rhs = -(cost.state_cost(grid) + cost.control_weight * u**2)
     weights = _lstsq(rows, rhs)
     return Approximant(basis_value, weights)
 
@@ -149,7 +147,7 @@ def hjb_residual(
     gv = np.einsum("pd,pd->p", g, grad)
     res = (
         np.einsum("pd,pd->p", grad, f)
-        + cost.q_many(grid)
+        + cost.state_cost(grid)
         - gv**2 / (4.0 * cost.control_weight)
     )
     return float(np.max(np.abs(res)))

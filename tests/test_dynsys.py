@@ -50,23 +50,39 @@ def test_arm_stays_in_operating_box_under_initial_policy():
     assert np.abs(rec.trajectory.x[:, 1]).max() <= 3.5
 
 
+def _run_batch(model, uncertainty, controller, x0, *, z0=None, w0=None, **kw):
+    """The same run as a one-row bundle through `simulate_batch`."""
+    return simulate_batch(
+        model, uncertainty, controller, [x0],
+        z0_batch=None if z0 is None else [z0],
+        w0_batch=None if w0 is None else [w0],
+        **kw,
+    )
+
+
+# both front-ends of the one RK4 kernel; the tests below loop over them
+FRONT_ENDS = (integrate, _run_batch)
+
+
 def test_finite_escape_raises_state_divergence():
     model = _scalar_model(lambda x: x**2)
-    with pytest.raises(StateDivergence) as err:
-        integrate(
-            model, None, lambda x, t: 0.0, [2.0],
-            horizon=1.0, step=1e-4, blowup=1e3,
-        )
-    # finite escape time for x0=2 is t=0.5
-    assert "t =" in str(err.value)
-    blow_time = float(str(err.value).split("t =")[1].split("s")[0])
-    assert blow_time < 0.5
+    for run in FRONT_ENDS:
+        with pytest.raises(StateDivergence) as err:
+            run(
+                model, None, lambda x, t: 0.0, [2.0],
+                horizon=1.0, step=1e-4, blowup=1e3,
+            )
+        # finite escape time for x0=2 is t=0.5
+        assert "t =" in str(err.value)
+        blow_time = float(str(err.value).split("t =")[1].split("s")[0])
+        assert blow_time < 0.5
 
 
 def test_non_finite_dynamics_detected():
     model = _scalar_model(lambda x: np.where(np.abs(x) > 1.5, np.nan, -x))
-    with pytest.raises(NonFiniteDynamics):
-        integrate(model, None, lambda x, t: 0.0, [2.0], horizon=1.0, step=1e-3)
+    for run in FRONT_ENDS:
+        with pytest.raises(NonFiniteDynamics):
+            run(model, None, lambda x, t: 0.0, [2.0], horizon=1.0, step=1e-3)
 
 
 def test_rk4_order_via_step_halving():
@@ -136,28 +152,6 @@ def test_controller_sampled_at_substages_not_held():
     assert rec.trajectory.x[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_batch_matches_single_trajectories():
-    arm = build_arm_system()
-    x0s = np.array([[0.2, -0.5], [-0.3, 1.0], [0.1, 0.0]])
-    w0s = np.array([[0.5], [-0.2], [0.0]])
-    ts, xs, _, ws = simulate_batch(
-        arm.model,
-        arm.uncertainty,
-        lambda X, t: arm.initial_policy(X),
-        x0s,
-        horizon=1.0,
-        step=1e-3,
-        w0_batch=w0s,
-    )
-    for i in range(3):
-        rec = integrate(
-            arm.model, arm.uncertainty, lambda x, t: arm.initial_policy(x),
-            x0s[i], horizon=1.0, step=1e-3, w0=w0s[i],
-        )
-        assert np.allclose(rec.trajectory.x, xs[:, i, :], atol=1e-12)
-        assert np.allclose(rec.w, ws[:, i, :], atol=1e-12)
-
-
 def _closed_loop(name):
     """(model, uncertainty, controller, integrate keywords) for one plant."""
     if name == "arm":
@@ -183,6 +177,46 @@ def _closed_loop(name):
         lambda x, t: -0.4 * x[0] + 0.2 * np.sin(5.0 * t),
         dict(x0=[1.0]),
     )
+
+
+# three starts per plant, stacked on the batch axis
+BATCH_STARTS = {
+    "arm": dict(x0=[[0.2, -0.5], [-0.3, 1.0], [0.1, 0.0]], w0=[[0.5], [-0.2], [0.0]]),
+    "cascade": dict(x0=[[0.5], [-0.4], [0.1]], z0=[0.2, -0.3, 0.0], w0=[[0.3], [0.0], [-0.5]]),
+    "scalar": dict(x0=[[1.0], [-0.5], [0.25]]),
+}
+
+
+def _batch_matches_single(name):
+    model, uncertainty, controller, _ = _closed_loop(name)
+    if name == "scalar":
+        # the single-trajectory controller reads x[0], a whole row of a batch
+        def controller(x, t):
+            return -0.4 * x[..., 0] + 0.2 * np.sin(5.0 * t)
+
+    starts = BATCH_STARTS[name]
+    ts, xs, zs, ws = simulate_batch(
+        model, uncertainty, controller, starts["x0"], horizon=1.0, step=1e-3,
+        z0_batch=starts.get("z0"), w0_batch=starts.get("w0"),
+    )
+    for i in range(3):
+        rec = integrate(
+            model, uncertainty, controller, starts["x0"][i], horizon=1.0, step=1e-3,
+            **{key: starts[key][i] for key in ("z0", "w0") if key in starts},
+        )
+        assert np.array_equal(ts, rec.trajectory.t)
+        assert np.array_equal(xs[:, i], rec.trajectory.x)
+        assert (zs is None) == (rec.trajectory.z is None)
+        assert zs is None or np.array_equal(zs[:, i], rec.trajectory.z)
+        assert (ws is None) == (rec.w is None)
+        assert ws is None or np.array_equal(ws[:, i], rec.w)
+
+
+def test_batch_matches_single_trajectories():
+    # bit for bit: the matched-only arm, the cascade's z channel with its
+    # unmatched disturbance, and the scalar plant without uncertainty
+    for name in ("arm", "cascade", "scalar"):
+        _batch_matches_single(name)
 
 
 @pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
@@ -217,13 +251,33 @@ def test_controller_runs_once_per_stage(name):
 
 
 def test_invalid_inputs_rejected():
+    for run in FRONT_ENDS:
+        _reject_invalid_inputs(run)
+
+
+def _reject_invalid_inputs(run):
     model = _scalar_model(lambda x: -x)
-    with pytest.raises(ValueError):
-        integrate(model, None, lambda x, t: 0.0, [1.0], horizon=1.0, step=-1e-3)
-    with pytest.raises(ValueError):
-        integrate(model, None, lambda x, t: 0.0, [1.0], horizon=1e-4, step=1e-3)
-    with pytest.raises(ValueError):
-        integrate(model, None, lambda x, t: 0.0, [np.inf], horizon=1.0, step=1e-3)
+    with pytest.raises(ValueError, match="step must be positive"):
+        run(model, None, lambda x, t: 0.0, [1.0], horizon=1.0, step=-1e-3)
+    with pytest.raises(ValueError, match="at least one step"):
+        run(model, None, lambda x, t: 0.0, [1.0], horizon=1e-4, step=1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        run(model, None, lambda x, t: 0.0, [np.inf], horizon=1.0, step=1e-3)
+
+    arm_model, arm_unc, arm_ctrl, arm_kw = _closed_loop("arm")
+    with pytest.raises(ValueError, match="needs w0"):
+        run(arm_model, arm_unc, arm_ctrl, arm_kw["x0"], horizon=1.0, step=1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        run(arm_model, arm_unc, arm_ctrl, arm_kw["x0"], w0=[np.nan], horizon=1.0, step=1e-3)
+
+    cas_model, cas_unc, cas_ctrl, cas_kw = _closed_loop("cascade")
+    with pytest.raises(ValueError, match="needs z0"):
+        run(cas_model, cas_unc, cas_ctrl, cas_kw["x0"], w0=cas_kw["w0"], horizon=1.0, step=1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        run(
+            cas_model, cas_unc, cas_ctrl, cas_kw["x0"], z0=np.nan, w0=cas_kw["w0"],
+            horizon=1.0, step=1e-3,
+        )
 
 
 def test_lipschitz_probe_identity_and_square():
