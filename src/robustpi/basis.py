@@ -50,9 +50,13 @@ def _monomials(pts: np.ndarray, column_sets, exponents: np.ndarray) -> list:
     equals ``np.prod(pts[:, None, :] ** alpha, axis=2)`` bit for bit.  The
     result is F-ordered when that expression's is, i.e. when `pts` has
     column-major strides; it is then built in the transposed frame, where
-    every gather and product stays contiguous.
+    every gather and product stays contiguous.  A 1-D basis needs no table:
+    ``pts ** alpha`` is the same pow per entry, in C order.
     """
     n_points, dim = pts.shape
+    if dim == 1:
+        # one factor per monomial: pow it directly, without a table and a gather
+        return [pts ** columns[0] for columns in column_sets]
     fortran = n_points > 1 and dim > 1 and abs(pts.strides[0]) < abs(pts.strides[1])
     if fortran:
         table, axis = pts.T[:, None, :] ** exponents[:, None], 0  # (dim, K, P)
@@ -209,7 +213,17 @@ class Approximant:
         return np.einsum("pnd,n->pd", self.basis.gradient_tensor(points), self.weights)
 
     def evaluate(self, x) -> float:
-        return float(self.evaluate_many(np.atleast_2d(x))[0])
+        """Value at one point x of shape (dim,): the row of `evaluate_many`,
+        from the same monomials and (1, N) @ w product, without its wrappers."""
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim > 1:
+            return float(self.evaluate_many(pts)[0])
+        pts = pts.reshape(1, -1)
+        basis = self.basis
+        if pts.shape[1] != basis.dim:
+            raise DimensionMismatch(f"points have dim {pts.shape[1]}, basis has dim {basis.dim}")
+        mono = _monomials(pts, (basis._power_columns,), basis._pow_exponents)[0]
+        return float((mono @ self.weights)[0])
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_many(np.atleast_2d(x))[0]

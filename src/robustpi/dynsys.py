@@ -11,11 +11,17 @@ One RK4 kernel steps the stacked state s = [x, z, w]: callbacks get x of
 shape (n,) from `integrate` and (B, n) from `simulate_batch`.  Both share
 the input checks and failure rules: a non-finite derivative at any stage
 or state after a step raises NonFiniteDynamics, and a trajectory whose
-Euclidean norm of s exceeds `blowup` raises StateDivergence.
+Euclidean norm of s exceeds `blowup` raises StateDivergence.  On one
+trajectory the kernel applies the same rules in a cheaper form, on Python
+floats: the finiteness checks scan the derivative at every stage and the
+state after every step as a list, and a sum of squares settles the
+blow-up test unless it is within 0.1% of blowup**2, where the numpy norm
+decides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -114,8 +120,30 @@ class SimulationRecord:
 
 
 def _check_finite(arr, what):
-    if not np.isfinite(arr).all():
+    if arr.ndim == 1:
+        # one trajectory: a short vector, cheaper to scan as Python floats
+        finite = all(map(math.isfinite, arr.tolist()))
+    else:
+        finite = np.isfinite(arr).all()
+    if not finite:
         raise NonFiniteDynamics(f"{what} returned a non-finite value")
+
+
+def _exceeds(s, blowup) -> bool:
+    """Whether some trajectory's Euclidean |s| exceeds `blowup`, as decided
+    by ``(np.sqrt((s * s).sum(-1)) > blowup).any()``.
+
+    For one trajectory a sum of squares in Python floats decides when it
+    lies clearly below blowup**2, where a rounding difference from numpy's
+    sum cannot change the answer; otherwise the numpy expression decides.
+    """
+    if s.ndim == 1 and blowup > 0:
+        total = 0.0
+        for v in s.tolist():
+            total += v * v
+        if total < 0.999 * blowup * blowup:
+            return False
+    return bool((np.sqrt((s * s).sum(-1)) > blowup).any())
 
 
 def _stacked_start(model, uncertainty, x0, z0, w0, lead, *, horizon, step):
@@ -198,7 +226,7 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
         k4 = stage(t + h, s + h * k3)[0]
         s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_finite(s, "state update")
-        if (np.sqrt((s * s).sum(-1)) > blowup).any():
+        if _exceeds(s, blowup):
             raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t + h:.6g} s")
 
     x = states[..., :n].copy()
@@ -228,7 +256,8 @@ def integrate(
     4 * n_steps + 1 times in all: the record at a grid node (`u`,
     `x_input`, `z_input`) reuses the first-stage evaluation there.
     Failures follow the module rules (NonFiniteDynamics at a stage or a
-    step, StateDivergence past `blowup` on |[x, z, w]|).
+    step, StateDivergence past `blowup` on |[x, z, w]|), checked on Python
+    floats here: the same decisions and messages as the batched numpy form.
     """
     s0 = _stacked_start(model, uncertainty, x0, z0, w0, (), horizon=horizon, step=step)
     ts, x, z, w, u, xin, zin = _rk4(

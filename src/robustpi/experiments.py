@@ -4,7 +4,8 @@ The single-joint arm problem plus the linear and synthetic-cascade
 benchmarks, each packaged as builders returning (model, uncertainty,
 cost, policies, region, declared gains).  All callbacks accept both
 single states (n,) and batches (B, n), so they work with either
-integrator front end.
+integrator front end.  A constant input gain is returned at a single
+state as one shared read-only array.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ import scipy.linalg
 from .basis import Approximant
 from .dynsys import CostSpec, SystemModel, Trajectory, UncertaintyModel
 from .robust import BRACKET, ClassKFunction
+
+
+def _constant_gain(values) -> np.ndarray:
+    """A plant's input gain at one state (n,) when it does not depend on the
+    state: built once and read-only, so every call can return it."""
+    gain = np.array(values, dtype=float)
+    gain.flags.writeable = False
+    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +137,33 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
     mgl2 = 2.0 * p.torque_scale
     inertia = p.inertia
 
+    latest = (None, None)  # (bytes of x1, gravity shape) at the latest single state
+
+    def gravity_shape(x1):
+        """_gravity_shape at x1; at a single state it is kept, keyed on the
+        bits of x1, so drift and w_dynamics at one RK4 stage share it."""
+        nonlocal latest
+        if x1.ndim:
+            return _gravity_shape(p, x1)
+        key, value = latest
+        if key != x1.tobytes():
+            value = _gravity_shape(p, x1)
+            latest = (x1.tobytes(), value)
+        return value
+
     def drift(x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         out[..., 0] = x[..., 1]
-        out[..., 1] = -(mgl2 / inertia) * _gravity_shape(p, x[..., 0])
+        out[..., 1] = -(mgl2 / inertia) * gravity_shape(x[..., 0])
         return out
+
+    gain = _constant_gain([0.0, 1.0 / inertia])
 
     def input_gain(x):
         x = np.asarray(x, dtype=float)
+        if x.shape == gain.shape:
+            return gain
         out = np.zeros_like(x)
         out[..., 1] = 1.0 / inertia
         return out
@@ -144,8 +171,8 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
     def w_dynamics(w, x):
         w = np.asarray(w, dtype=float)
         x = np.asarray(x, dtype=float)
-        dw = -p.leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * _gravity_shape(
-            p, x[..., 0]
+        dw = -p.leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * gravity_shape(
+            x[..., 0]
         )
         return dw[..., None] if w.ndim > 1 else np.asarray([dw])
 
@@ -241,8 +268,11 @@ def build_scalar_plant() -> ScalarBenchmark:
     def drift(x):
         return -np.asarray(x, dtype=float)
 
+    gain = _constant_gain([1.0])
+
     def input_gain(x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return gain if x.shape == gain.shape else np.ones_like(x)
 
     def state_cost(x):
         x = np.asarray(x, dtype=float)
@@ -308,9 +338,11 @@ def build_linear_plant(seed: int = 3) -> LinearBenchmark:
         x = np.asarray(x, dtype=float)
         return x @ a.T
 
+    gain = _constant_gain(b)
+
     def input_gain(x):
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(b, x.shape).copy()
+        return gain if x.shape == gain.shape else np.broadcast_to(b, x.shape).copy()
 
     def state_cost(x):
         x = np.asarray(x, dtype=float)
@@ -361,8 +393,11 @@ def build_cascade_system() -> CascadeBenchmark:
     def drift(x):
         return -np.asarray(x, dtype=float)
 
+    gain = _constant_gain([1.0])
+
     def input_gain(x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return gain if x.shape == gain.shape else np.ones_like(x)
 
     def f1(x, z):
         x = np.asarray(x, dtype=float)

@@ -592,7 +592,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
     }
     if config.rho is not None:
         rho_value = float(config.rho)
-        gamma = robust.iss_gain_from_rho(lambda s: np.full_like(np.asarray(s, float), rho_value), margin)
+        gamma = robust.iss_gain_from_rho(robust.ConstantRho(rho_value), margin)
         report = robust.check_small_gain(
             gamma, gains["kappa1"], gains["kappa2"], gains["kappa3"],
             gains["lam_lo"], alpha_lo, alpha_hi, s_max=s_max,
@@ -602,7 +602,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         rho_value, report = robust.select_rho(
             ladder, margin, gain_set, s_max=s_max, relative_margin=config.relative_margin
         )
-    rho_fn = lambda s: np.full_like(np.asarray(s, dtype=float), rho_value)
+    rho_fn = robust.ConstantRho(rho_value)
     policy_ro = robust.robust_redesign(pi_result.final_policy, rho_fn, cost.control_weight, margin)
 
     e_ro = robust.redesign_error(
@@ -673,7 +673,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = config.margin if config.margin is not None else cost.margin
     rho_value = config.rho if config.rho is not None else bench.rho_value
-    rho_fn = lambda s: np.full_like(np.asarray(s, dtype=float), rho_value)
+    rho_fn = robust.ConstantRho(rho_value)
 
     noise = online_pi.ExplorationNoise(
         amplitude=config.exploration_amplitude,

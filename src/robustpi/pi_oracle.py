@@ -105,8 +105,8 @@ def policy_evaluation_collocation(
     if probe_ics is not None:
         probe_admissibility(model, policy, probe_ics, step=probe_step)
     u = policy_values(policy, grid)
-    f = np.asarray([model.drift(x) for x in grid])
-    g = np.asarray([model.input_gain(x) for x in grid])
+    f = model.drift(grid)
+    g = model.input_gain(grid)
     field = f + g * u[:, None]
     rows = np.einsum("pnd,pd->pn", basis_value.gradient_tensor(grid), field)
     rhs = -(cost.state_cost(grid) + cost.control_weight * u**2)
@@ -127,7 +127,7 @@ def policy_improvement(
     residual.
     """
     grid = np.atleast_2d(grid)
-    g = np.asarray([model.input_gain(x) for x in grid])
+    g = model.input_gain(grid)
     grad = value.gradient_many(grid)
     target = -np.einsum("pd,pd->p", g, grad) / (2.0 * cost.control_weight)
     phi = basis_policy.design_matrix(grid)
@@ -141,8 +141,8 @@ def hjb_residual(
 ) -> float:
     """Sup-norm on the grid of the optimality PDE residual for `value`."""
     grid = np.atleast_2d(grid)
-    f = np.asarray([model.drift(x) for x in grid])
-    g = np.asarray([model.input_gain(x) for x in grid])
+    f = model.drift(grid)
+    g = model.input_gain(grid)
     grad = value.gradient_many(grid)
     gv = np.einsum("pd,pd->p", g, grad)
     res = (

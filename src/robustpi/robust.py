@@ -180,6 +180,21 @@ class ClassKFunction:
         return bool(np.all(np.diff(vals) > 0) and vals[0] > 0)
 
 
+@dataclass(frozen=True)
+class ConstantRho:
+    """The constant gain schedule rho(s) = value.
+
+    Called like any rho, it returns `value` in the shape of s.  It is the
+    one marker of a constant rho: `RobustPolicy.evaluate` then computes
+    its scale once instead of from the point.
+    """
+
+    value: float
+
+    def __call__(self, s):
+        return np.full_like(np.asarray(s, dtype=float), self.value)
+
+
 @dataclass
 class RobustPolicy:
     """Gain-scheduled rescaling of a learned policy.
@@ -204,6 +219,11 @@ class RobustPolicy:
         return self.scale_many(points) * self.base_policy.evaluate_many(points)
 
     def evaluate(self, x) -> float:
+        if isinstance(self.rho, ConstantRho):
+            # scale_many's arithmetic on the one value rho takes
+            c = self.rho.value
+            scale = 1.0 + 0.5 * self.control_weight * (c * c)
+            return float(scale * self.base_policy.evaluate(x))
         return float(self.evaluate_many(np.atleast_2d(x))[0])
 
     def __call__(self, x) -> float:
@@ -255,20 +275,22 @@ class SmallGainReport:
         return "\n".join(lines)
 
 
-def _chain_rhs(
-    kappa1: ClassKFunction,
-    kappa3: ClassKFunction,
-    lam_lo: ClassKFunction,
-    alpha_lo: ClassKFunction,
-    alpha_hi: ClassKFunction,
-    ladder: np.ndarray,
-) -> np.ndarray:
-    """kappa1 o lam_lo^-1 o kappa3 o alpha_lo^-1 o alpha_hi on the ladder."""
-    vals = np.asarray(alpha_hi(ladder))
-    vals = alpha_lo.inverse(vals)
-    vals = np.asarray(kappa3(vals))
-    vals = lam_lo.inverse(vals)
-    return np.asarray(kappa1(vals))
+def _small_gain_rhs(gains, ladder: np.ndarray) -> np.ndarray:
+    """max(kappa2, kappa1 o lam_lo^-1 o kappa3 o alpha_lo^-1 o alpha_hi) on the
+    ladder; `gains` maps those names to class-K functions."""
+    vals = np.asarray(gains["alpha_hi"](ladder))
+    vals = gains["alpha_lo"].inverse(vals)
+    vals = np.asarray(gains["kappa3"](vals))
+    vals = gains["lam_lo"].inverse(vals)
+    return np.maximum(np.asarray(gains["kappa2"](ladder)), np.asarray(gains["kappa1"](vals)))
+
+
+def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Smallest lhs - rhs and smallest lhs / rhs - 1 (over rhs > 0) along
+    the last axis."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.min(np.where(rhs > 0, lhs / rhs - 1.0, np.inf), axis=-1)
+    return np.min(lhs - rhs, axis=-1), rel
 
 
 def check_small_gain(
@@ -286,13 +308,12 @@ def check_small_gain(
     """Ladder test of gamma > max(kappa2, chained uncertainty gain)."""
     ladder = log_ladder(s_max, samples)
     lhs = np.asarray(gamma(ladder))
-    rhs = np.maximum(
-        np.asarray(kappa2(ladder)),
-        _chain_rhs(kappa1, kappa3, lam_lo, alpha_lo, alpha_hi, ladder),
+    rhs = _small_gain_rhs(
+        dict(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, lam_lo=lam_lo,
+             alpha_lo=alpha_lo, alpha_hi=alpha_hi),
+        ladder,
     )
-    margin = float(np.min(lhs - rhs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = float(np.min(np.where(rhs > 0, lhs / rhs - 1.0, np.inf)))
+    margin, rel = map(float, _margins(lhs, rhs))
     return SmallGainReport(
         holds=margin > 0,
         margin=margin,
@@ -315,26 +336,31 @@ def select_rho(
     """Smallest constant rho whose gain passes with the relative margin.
 
     `gain_set` carries kappa1, kappa2, kappa3, lam_lo, alpha_lo,
-    alpha_hi.  Returns (rho_value, report); raises CompositionDomain if
-    no ladder entry qualifies.
+    alpha_hi.  The right side of the small-gain test does not depend on
+    rho, so it is computed once and the ladder is scored as one
+    (n_rho, samples) array; each row equals `check_small_gain` for a
+    `ConstantRho` of that entry.  Returns (rho_value, report); raises
+    CompositionDomain if no ladder entry qualifies.
     """
-    for rho_val in np.asarray(rho_ladder, dtype=float):
-        gamma = iss_gain_from_rho(
-            lambda s, c=rho_val: np.full_like(np.asarray(s, dtype=float), c), margin
-        )
-        report = check_small_gain(
-            gamma,
-            gain_set["kappa1"],
-            gain_set["kappa2"],
-            gain_set["kappa3"],
-            gain_set["lam_lo"],
-            gain_set["alpha_lo"],
-            gain_set["alpha_hi"],
-            s_max=s_max,
-            samples=samples,
-        )
-        if report.holds and report.relative_margin >= relative_margin:
-            return float(rho_val), report
+    rhos = np.asarray(rho_ladder, dtype=float).reshape(-1)
+    if rhos.size:
+        ladder = log_ladder(s_max, samples)
+        rhs = _small_gain_rhs(gain_set, ladder)
+        # iss_gain_from_rho's arithmetic, one row per ladder entry
+        lhs = 0.5 * margin * rhos[:, None] * ladder
+        margins, rels = _margins(lhs, rhs)
+        passing = np.flatnonzero((margins > 0) & (rels >= relative_margin))
+        if passing.size:
+            i = passing[0]
+            report = SmallGainReport(
+                holds=True,
+                margin=float(margins[i]),
+                relative_margin=float(rels[i]),
+                ladder=ladder,
+                lhs=lhs[i].copy(),
+                rhs=rhs,
+            )
+            return float(rhos[i]), report
     raise CompositionDomain(
         "no rho on the search ladder satisfies the small-gain condition "
         f"with relative margin {relative_margin:g}"

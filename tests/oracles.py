@@ -218,3 +218,31 @@ def stacked_arm_drift(params, x):
     shape = np.sin(half) * np.sin(half + params.target_angle)
     dx2 = -(2.0 * params.torque_scale / params.inertia) * shape
     return np.stack([x[..., 1], dx2], axis=-1)
+
+
+def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_margin=0.10,
+                             samples=200):
+    """Smallest ladder rho passing the small-gain test, one full
+    `check_small_gain` per candidate with a `full_like` rho: the loop
+    `select_rho` ran before it scored the ladder as one array.  Returns
+    (rho_value, report), or None when no entry qualifies."""
+    from robustpi.robust import check_small_gain, iss_gain_from_rho
+
+    for rho_val in np.asarray(rho_ladder, dtype=float):
+        gamma = iss_gain_from_rho(
+            lambda s, c=rho_val: np.full_like(np.asarray(s, dtype=float), c), margin
+        )
+        report = check_small_gain(
+            gamma,
+            gain_set["kappa1"],
+            gain_set["kappa2"],
+            gain_set["kappa3"],
+            gain_set["lam_lo"],
+            gain_set["alpha_lo"],
+            gain_set["alpha_hi"],
+            s_max=s_max,
+            samples=samples,
+        )
+        if report.holds and report.relative_margin >= relative_margin:
+            return float(rho_val), report
+    return None

@@ -176,3 +176,43 @@ def test_pow_table_matches_broadcast_oracle_exactly(dim, include_constant):
             grad = basis.gradient_tensor(pts)
             assert np.array_equal(grad, broadcast_gradient_tensor(basis, pts)), where
             assert grad.flags.c_contiguous, where
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_single_point_evaluate_matches_batched_row_exactly(dim):
+    rng = np.random.default_rng(40 + dim)
+    big = rng.normal(size=(40, 2 * dim)) * np.array([1.0, 10.0, 0.1, 1e3, 1.0, 3.0])[: 2 * dim]
+    big[0] = 0.0
+    big[1, 0] = -0.0
+    for degree in (1, 2, 5, 11):
+        for include_constant in (False, True):
+            basis = make_polynomial_basis(
+                dim, degree, vanish_at_origin=not include_constant,
+                include_constant=include_constant,
+            )
+            approx = Approximant(basis, rng.normal(size=len(basis)))
+            for row in big:
+                x = row[:dim].copy()
+                want = float(approx.evaluate_many(np.atleast_2d(x))[0])
+                assert approx.evaluate(x) == want
+                assert approx.evaluate(list(x)) == want
+                assert approx.evaluate(x.tolist()) == want
+                assert want == float((broadcast_design_matrix(basis, x) @ approx.weights)[0])
+                strided = row[::2][:dim] if dim > 1 else row[:1]
+                assert approx.evaluate(strided) == float(
+                    approx.evaluate_many(np.atleast_2d(strided))[0]
+                )
+            if dim == 1:
+                # a bare float is a point of a 1-D basis
+                assert approx.evaluate(0.37) == float(approx.evaluate_many([[0.37]])[0])
+            # a (1, dim) row and a batch keep their batched meaning
+            rows = big[:5, :dim]
+            assert approx.evaluate(rows[:1]) == float(approx.evaluate_many(rows[:1])[0])
+            assert approx.evaluate(rows) == float(approx.evaluate_many(rows)[0])
+
+
+def test_single_point_evaluate_checks_dimension():
+    approx = Approximant(make_polynomial_basis(2, 3), np.ones(9))
+    for bad in (np.zeros(3), [0.1], 0.5, np.zeros((1, 3))):
+        with pytest.raises(DimensionMismatch, match="basis has dim 2"):
+            approx.evaluate(bad)

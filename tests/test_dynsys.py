@@ -4,6 +4,7 @@ import pytest
 from robustpi.dynsys import (
     Plant,
     SystemModel,
+    _exceeds,
     integrate,
     lipschitz_probe,
     simulate_batch,
@@ -297,3 +298,65 @@ def test_lipschitz_probe_rejects_bad_domains():
         lipschitz_probe(lambda x: x, [1.0], [1.0])
     with pytest.raises(NonFiniteDynamics):
         lipschitz_probe(lambda x: np.full_like(x, np.nan), [-1.0], [1.0])
+
+
+def _stage_scripted_model(values):
+    """Scalar plant whose drift returns values[j] at its j-th call (0.0
+    after the script): drift runs once per RK4 stage, k1..k4 of step 0
+    being calls 0..3."""
+    calls = []
+
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        j = len(calls)
+        calls.append(j)
+        return np.full_like(x, values[j] if j < len(values) else 0.0)
+
+    model = SystemModel(
+        n=1, drift=drift, input_gain=lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    )
+    return model, calls
+
+
+def test_non_finite_caught_at_every_stage_and_update():
+    for run in FRONT_ENDS:
+        for bad in (np.nan, np.inf, -np.inf):
+            # steps 0 and 1 are clean, then the value appears at stage k of step 2
+            for k in range(4):
+                j = 8 + k
+                model, calls = _stage_scripted_model([0.5] * j + [bad])
+                with pytest.raises(NonFiniteDynamics, match="^dynamics returned a non-finite value$"):
+                    run(model, None, lambda x, t: 0.0, [1.0], horizon=1.0, step=1e-3)
+                assert len(calls) == j + 1, (run, bad, k)
+            # finite stages whose weighted sum overflows: +inf, -inf, and inf - inf = nan
+            for script in ([0.0, 1e308], [0.0, -1e308], [0.0, 1e308, -1e308]):
+                model, calls = _stage_scripted_model([0.5] * 4 + script)
+                with pytest.raises(
+                    NonFiniteDynamics, match="^state update returned a non-finite value$"
+                ), np.errstate(over="ignore", invalid="ignore"):
+                    run(model, None, lambda x, t: 0.0, [1.0], horizon=1.0, step=1e-3)
+                assert len(calls) == 8, (run, script)
+
+
+def test_blowup_decision_matches_numpy_norm():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 5, 9, 17):
+        for _ in range(20):
+            s = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+            norm = np.sqrt((s * s).sum(-1))
+            blowups = [
+                norm,  # at: not exceeded
+                np.nextafter(norm, np.inf),  # norm just below blowup
+                np.nextafter(norm, -np.inf),  # norm just above blowup
+                norm * (1 + 1e-9), norm * (1 - 1e-9), norm * 1.0005, norm / 1.0005,
+                norm * 2.0, norm / 2.0, 1e6, np.inf, 0.0, -1.0,
+            ]
+            for blowup in blowups:
+                want = bool(np.sqrt((s * s).sum(-1)) > blowup)
+                assert _exceeds(s, blowup) == want, (s, blowup)
+                assert _exceeds(s[None, :], blowup) == want, (s, blowup)
+    # squares that overflow a float
+    big = np.array([1e200, 1e200])
+    with np.errstate(over="ignore"):
+        assert _exceeds(big, 1e300) and _exceeds(big, 1e6)
+        assert not _exceeds(big, np.inf)

@@ -230,3 +230,58 @@ def test_arm_drift_matches_stacked_form_exactly():
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous
+
+
+def test_constant_input_gains_are_shared_read_only_arrays():
+    arm = build_arm_system()
+    inertia = arm.params.inertia
+    linear = build_linear_plant()
+    plants = (
+        (arm.model, np.array([0.3, -1.2]), lambda x: np.where(np.arange(2) == 1, 1.0 / inertia, 0.0)),
+        (build_scalar_plant().model, np.array([0.4]), np.ones_like),
+        (build_cascade_system().model, np.array([-0.2]), np.ones_like),
+        (linear.model, np.array([0.1, 0.5]), lambda x: linear.b_vector.copy()),
+    )
+    for model, x, old_form in plants:
+        gain = model.input_gain(x)
+        assert model.input_gain(x + 1.0) is gain
+        assert model.input_gain(list(x)) is gain
+        assert np.array_equal(gain, old_form(x))
+        assert gain.dtype == float and gain.shape == x.shape
+        with pytest.raises(ValueError):
+            gain[0] = 1.0
+        # a batch still gets its own writable (B, n) array
+        batch = np.stack([x, 2.0 * x, -x])
+        rows = model.input_gain(batch)
+        assert rows.shape == batch.shape and rows.flags.writeable
+        assert all(np.array_equal(row, gain) for row in rows)
+    # the zeros_like form the arm used to build at every call
+    old = np.zeros_like(np.array([0.3, -1.2]))
+    old[..., 1] = 1.0 / inertia
+    assert np.array_equal(arm.model.input_gain(np.array([0.3, -1.2])), old)
+
+
+def test_arm_maps_share_gravity_shape_exactly():
+    # drift and w_dynamics at one state compute the gravity shape once; the
+    # kept value must never leak into another state, zero sign and NaN included
+    params = ArmParameters()
+    arm = build_arm_system(params)
+    drift, w_dynamics = arm.model.drift, arm.uncertainty.w_dynamics
+    rng = np.random.default_rng(9)
+    states = [np.array(x) for x in rng.normal(size=(30, 2))]
+    states += [np.array([0.0, 1.0]), np.array([-0.0, 1.0]), np.array([0.0, 1.0]),
+               np.array([np.nan, 0.5]), np.array([np.nan, 0.5]), np.array([0.25, 0.5])]
+    states += [states[3], states[3], states[7]]
+    w = np.array([0.4])
+    for x in states:
+        full = arm_transformed_rhs(params, np.concatenate([w, x]), 0.0)
+        for got, want in (
+            (drift(x), stacked_arm_drift(params, x)),
+            (w_dynamics(w, x), full[:1]),
+            (w_dynamics(w, x.copy()), full[:1]),
+            (drift(x.copy()), stacked_arm_drift(params, x)),
+        ):
+            assert got.tobytes() == want.tobytes(), x
+        # a batch in between goes through the array path
+        batch = np.stack([x, x[::-1]])
+        assert np.array_equal(drift(batch), stacked_arm_drift(params, batch), equal_nan=True)

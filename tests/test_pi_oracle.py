@@ -4,7 +4,12 @@ import pytest
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.dynsys import CostSpec, SystemModel
 from robustpi.errors import InadmissiblePolicy, RankDeficient
-from robustpi.experiments import build_arm_system, build_linear_plant, build_scalar_plant
+from robustpi.experiments import (
+    build_arm_system,
+    build_cascade_system,
+    build_linear_plant,
+    build_scalar_plant,
+)
 from robustpi.pi_oracle import (
     collocation_grid,
     hjb_residual,
@@ -185,3 +190,47 @@ def test_collocation_grid_is_deterministic():
     b = collocation_grid([-1.0, -2.0], [1.0, 2.0], 50)
     assert np.array_equal(a, b)
     assert np.all(a >= [-1.0, -2.0]) and np.all(a <= [1.0, 2.0])
+
+
+def _rowwise(model):
+    """The same plant with drift and input gain evaluated one grid row at a
+    time and stacked: the form the oracle used before it passed the grid."""
+    return SystemModel(
+        n=model.n,
+        drift=lambda pts: np.asarray([model.drift(x) for x in pts]),
+        input_gain=lambda pts: np.asarray([model.input_gain(x) for x in pts]),
+    )
+
+
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
+def test_batched_plant_maps_match_rowwise_loop_exactly(name):
+    if name == "arm":
+        bench = build_arm_system()
+        degree = 6
+    elif name == "cascade":
+        bench = build_cascade_system()
+        degree = 4
+    else:
+        bench = build_scalar_plant()
+        degree = 4
+    model = SystemModel(n=bench.model.n, drift=bench.model.drift, input_gain=bench.model.input_gain)
+    rowwise = _rowwise(model)
+    basis = make_polynomial_basis(model.n, degree)
+    grid = collocation_grid(bench.region_low, bench.region_high, max(8 * len(basis), 160))
+    assert np.array_equal(model.drift(grid), rowwise.drift(grid))
+    assert np.array_equal(model.input_gain(grid), rowwise.input_gain(grid))
+
+    initial = bench.initial_policy if name != "cascade" else bench.initial_virtual_policy
+    runs = [
+        run_policy_iteration(m, bench.cost, initial, basis, basis, grid, max_iter=3, tol=0.0)
+        for m in (model, rowwise)
+    ]
+    assert len(runs[0]) == len(runs[1]) == 3
+    for got, want in zip(*runs):
+        assert np.array_equal(got.value.weights, want.value.weights)
+        assert np.array_equal(got.policy.weights, want.policy.weights)
+        assert got.improvement_residual == want.improvement_residual
+        assert got.value_change == want.value_change or np.isinf(want.value_change)
+        assert hjb_residual(model, bench.cost, got.value, grid) == hjb_residual(
+            rowwise, bench.cost, want.value, grid
+        )

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scalar_bisection_inverse
+from oracles import per_candidate_select_rho, scalar_bisection_inverse
 
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.errors import CompositionDomain
+from robustpi.experiments import build_arm_system
 from robustpi.robust import (
     ClassKFunction,
+    ConstantRho,
     build_chi_pair,
     certify_error_bound,
     check_small_gain,
@@ -344,3 +346,94 @@ def test_monotone_envelope_bounds_linear_map():
         assert env(r) >= 0.44 * r - 1e-9
         assert env(r) <= 0.44 * r * 1.05 + 1e-9
     assert env(0.0) == 0.0
+
+
+@pytest.mark.parametrize("control_weight", [1.0, 0.37])
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.3, 9.560432119])
+def test_constant_rho_scale_matches_scale_many(c, control_weight):
+    rng = np.random.default_rng(int(c * 100))
+    basis = make_polynomial_basis(2, 5)
+    base = Approximant(basis, rng.normal(size=len(basis)))
+    pts = rng.uniform(-2.0, 2.0, size=(1000, 2))
+    pts[0] = 0.0
+    rho = ConstantRho(c)
+    assert np.array_equal(rho(pts[:, 0]), np.full_like(pts[:, 0], c))
+    policy = robust_redesign(base, rho, control_weight, 0.5)
+    scales = policy.scale_many(pts)
+    assert np.all(scales == 1.0 + 0.5 * control_weight * c**2)
+    batched = policy.evaluate_many(pts)
+    # the same scale through a rho that is not a ConstantRho
+    plain = robust_redesign(
+        base, lambda s: np.full_like(np.asarray(s, dtype=float), c), control_weight, 0.5
+    )
+    for x, want in zip(pts, batched):
+        got = policy.evaluate(x)
+        assert got == float(policy.evaluate_many(np.atleast_2d(x))[0])
+        assert got == plain.evaluate(x)
+    assert np.array_equal(batched, plain.evaluate_many(pts))
+
+
+def _arm_like_gain_set():
+    arm = build_arm_system()
+    gains = arm.uncertainty.iss_bounds
+    return {
+        "kappa1": gains["kappa1"],
+        "kappa2": gains["kappa2"],
+        "kappa3": gains["kappa3"],
+        "lam_lo": gains["lam_lo"],
+        "alpha_lo": ClassKFunction.power(0.9, 2.0, 1e7, name="alpha_lo"),
+        "alpha_hi": ClassKFunction.power(3.1, 2.0, 1e7, name="alpha_hi"),
+    }
+
+
+@pytest.mark.parametrize("relative_margin", [0.0, 0.10, 0.5])
+def test_select_rho_matches_per_candidate_loop_exactly(relative_margin):
+    for gain_set, margin, s_max in (
+        (_arm_like_gain_set(), 0.95, 8.0),
+        (
+            {
+                "kappa1": ClassKFunction.linear(0.5, 1e6),
+                "kappa2": ClassKFunction.linear(0.05, 1e6),
+                "kappa3": ClassKFunction.power(0.0625, 2.0, 1e6),
+                "lam_lo": ClassKFunction.power(1.0, 2.0, 1e6),
+                "alpha_lo": ClassKFunction.power(0.4, 2.0, 1e6),
+                "alpha_hi": ClassKFunction.power(0.43, 2.0, 1e6),
+            },
+            0.8,
+            5.0,
+        ),
+    ):
+        for ladder in (np.geomspace(0.1, 50.0, 160), np.geomspace(0.05, 5.0, 80)):
+            want = per_candidate_select_rho(
+                ladder, margin, gain_set, s_max=s_max, relative_margin=relative_margin
+            )
+            if want is None:
+                with pytest.raises(CompositionDomain, match="no rho on the search ladder"):
+                    select_rho(
+                        ladder, margin, gain_set, s_max=s_max,
+                        relative_margin=relative_margin,
+                    )
+                continue
+            rho, report = select_rho(
+                ladder, margin, gain_set, s_max=s_max, relative_margin=relative_margin
+            )
+            rho_want, report_want = want
+            assert rho == rho_want
+            assert report.holds == report_want.holds
+            assert report.margin == report_want.margin
+            assert report.relative_margin == report_want.relative_margin
+            for key in ("ladder", "lhs", "rhs"):
+                assert np.array_equal(getattr(report, key), getattr(report_want, key)), key
+            assert report.table() == report_want.table()
+
+
+def test_select_rho_reports_when_no_entry_passes():
+    gain_set = _arm_like_gain_set()
+    for ladder in (np.geomspace(1e-3, 1e-2, 5), np.array([])):
+        assert per_candidate_select_rho(ladder, 0.95, gain_set, s_max=8.0) is None
+        with pytest.raises(CompositionDomain) as err:
+            select_rho(ladder, 0.95, gain_set, s_max=8.0, relative_margin=0.25)
+        assert str(err.value) == (
+            "no rho on the search ladder satisfies the small-gain condition "
+            "with relative margin 0.25"
+        )

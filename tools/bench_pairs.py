@@ -1,0 +1,124 @@
+"""Paired end-to-end benchmark runs of two source trees.
+
+Runs ``perfbench/run.py --trace 0`` on a parent tree and a change tree in
+alternating pairs, one pair per seed, and starts each pair with the other
+side than the pair before, so a drift in host speed does not favour one
+side.  Each run's end-to-end metrics (`run_ref`, `setup_s`, `peak_rss_mb`)
+are recorded per pair, with each side's median and quartiles, the number of
+pairs the change wins (lower is better for all three) and the line count of
+each tree's `src/`.  Results are merged into the JSON file named by
+``--out`` under ``workloads.<name>``, so one file can hold several
+workloads measured on different seeds.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload arm --seeds 11 12 13 14 15 16 17 18 19 20 --seconds 36 \\
+        --out BENCH.json
+
+Nothing under either tree's `perfbench/` is modified; perfbench writes its
+artifacts to `.perfbench_out/` inside the tree it runs in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("run_ref", "setup_s", "peak_rss_mb")
+SIDES = ("parent", "change")
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of Python under the tree's src/."""
+    return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in `tree`; its metric values and failure count."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: perfbench exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = {name: result["metrics"][name]["value"] for name in METRICS}
+    out["failed"] = result["failed"]
+    out["attempted"] = result["attempted"]
+    return out
+
+
+def summary(values: list) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def measure(parent: Path, change: Path, workload: str, seeds: list, seconds: float) -> dict:
+    trees = {"parent": parent, "change": change}
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(trees[side], workload, seed, seconds)
+        pairs.append(pair)
+        print(
+            f"{workload} seed {seed} ({order[0]} first): run_ref "
+            f"{pair['parent']['run_ref']:.1f} -> {pair['change']['run_ref']:.1f}",
+            flush=True,
+        )
+    report = {"seeds": list(seeds), "seconds": seconds, "pairs": pairs}
+    for name in METRICS:
+        sides = {side: summary([p[side][name] for p in pairs]) for side in SIDES}
+        base = sides["parent"]["median"]
+        sides["change_wins"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
+        sides["relative_change"] = sides["change"]["median"] / base - 1.0 if base else None
+        sides["parent_quartile_spread"] = sides["parent"]["q3"] - sides["parent"]["q1"]
+        report[name] = sides
+    report["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the reference tree")
+    parser.add_argument("--change", type=Path, required=True, help="the tree under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
+    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to merge into")
+    args = parser.parse_args(argv)
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "perfbench" / "run.py").is_file() or not (tree / "src").is_dir():
+            parser.error(f"{side} tree {tree} has no perfbench/run.py or src/")
+    report = measure(trees["parent"], trees["change"], args.workload, args.seeds, args.seconds)
+
+    data = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    data["host"] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+    data.setdefault("workloads", {})[args.workload] = report
+    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    r = report["run_ref"]
+    print(
+        f"{args.workload}: run_ref median {r['parent']['median']:.1f} -> "
+        f"{r['change']['median']:.1f} ({100 * r['relative_change']:+.1f}%), "
+        f"change wins {r['change_wins']}/{len(args.seeds)}, parent quartile spread "
+        f"{r['parent_quartile_spread']:.1f}"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
