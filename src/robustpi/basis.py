@@ -145,15 +145,6 @@ class BasisSet:
             grad[:, :, d] = self._power_columns[d] * mono
         return grad
 
-    def gram_min_eigenvalue(self, points: np.ndarray) -> float:
-        """Smallest eigenvalue of the Gram matrix on a sample cloud.
-
-        Positive value certifies linear independence on that cloud.
-        """
-        phi = self.design_matrix(points)
-        gram = phi.T @ phi / phi.shape[0]
-        return float(np.linalg.eigvalsh(gram)[0])
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,

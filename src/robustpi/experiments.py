@@ -117,13 +117,6 @@ class ArmSystem:
     w_bound: float
     initial_state: np.ndarray  # (w0, x1_0, x2_0)
 
-    def in_operating_box(self, w, x) -> bool:
-        return bool(
-            np.all(np.abs(w) <= self.w_bound)
-            and np.all(np.abs(x[..., 0]) <= self.region_high[0])
-            and np.all(np.abs(x[..., 1]) <= self.region_high[1])
-        )
-
 
 def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
     """Arm as an x-subsystem with a matched hidden integrator channel.

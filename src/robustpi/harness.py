@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import difflib
 import hashlib
 import json
 import shutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .basis import make_polynomial_basis
 from .dynsys import Plant, integrate, lipschitz_probe
 from .errors import EXIT_CODES, ConfigParse, ToolkitError
 from .experiments import (
+    ArmParameters,
     build_arm_system,
     build_cascade_system,
     build_linear_plant,
@@ -48,7 +50,7 @@ KINDS = ("scalar_lqr", "linear_2state", "arm", "cascade")
 class RunConfig:
     kind: str
     seed: int
-    out_dir: str
+    out_dir: str = "runs/latest"
     step: float = 1e-3
     blowup: float = 1e6
     plant: dict = field(default_factory=dict)
@@ -122,116 +124,111 @@ class RunConfig:
                 raise ConfigParse(f"{name} must be nonnegative")
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key) or parser.get(section, key).strip() == "":
-        if required:
-            raise ConfigParse(f"missing required key [{section}] {key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigParse(f"bad value for [{section}] {key}: {raw!r}") from exc
+def _schedule(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.split(",") if v.strip())
+
+
+# Every key a config file may set: (section, key, RunConfig field, cast).
+# A key left out or blank keeps the field's default.  [plant] keys go into
+# the `plant` dict under their own name.
+CONFIG_KEYS = (
+    ("run", "format_version", "format_version", int),
+    ("run", "kind", "kind", str),
+    ("run", "seed", "seed", int),
+    ("output", "dir", "out_dir", str),
+    ("integration", "step", "step", float),
+    ("integration", "blowup", "blowup", float),
+    ("plant", "tau_n", "plant", float),
+    ("plant", "plant_seed", "plant", int),
+    ("exploration", "amplitude", "exploration_amplitude", float),
+    ("exploration", "n_components", "exploration_components", int),
+    ("exploration", "freq_low", "exploration_freq_low", float),
+    ("exploration", "freq_high", "exploration_freq_high", float),
+    ("exploration", "seed", "exploration_seed", int),
+    ("sampling", "interval", "interval", float),
+    ("sampling", "n_intervals", "n_intervals", int),
+    ("sampling", "start", "sample_start", float),
+    ("pi", "value_degree", "value_degree", int),
+    ("pi", "policy_degree", "policy_degree", int),
+    ("pi", "oracle_degree", "oracle_degree", int),
+    ("pi", "delta_rel", "delta_rel", float),
+    ("pi", "delta1_rel", "delta1_rel", float),
+    ("pi", "tol", "tol", float),
+    ("pi", "max_iter", "max_iter", int),
+    ("pi", "schedule", "schedule", _schedule),
+    ("pi", "residual_threshold", "residual_threshold", float),
+    ("robustness", "margin", "margin", float),
+    ("robustness", "rho", "rho", float),
+    ("robustness", "rho_ladder_min", "rho_ladder_min", float),
+    ("robustness", "rho_ladder_max", "rho_ladder_max", float),
+    ("robustness", "rho_ladder_n", "rho_ladder_n", int),
+    ("robustness", "relative_margin", "relative_margin", float),
+    ("robustness", "s_max", "s_max", float),
+    ("robustness", "d_samples", "d_samples", int),
+    ("robustness", "d_ladder_n", "d_ladder_n", int),
+    ("robustness", "sim_step", "sim_step", float),
+    ("robustness", "sim_horizon", "sim_horizon", float),
+)
+_REQUIRED = {"format_version"} | {
+    f.name for f in fields(RunConfig) if f.default is MISSING and f.default_factory is MISSING
+}
+
+
+def _unknown(what: str, name: str, valid) -> ConfigParse:
+    close = difflib.get_close_matches(name, valid, n=1)
+    hint = f" (did you mean {close[0]!r}?)" if close else ""
+    return ConfigParse(f"unknown {what} {name!r}{hint}")
 
 
 def load_config(path) -> RunConfig:
-    """Parse a run configuration file (INI sections, units in comments)."""
+    """Parse a run configuration file (INI sections, units in comments).
+
+    Values are read literally (no `%` interpolation).  A section or key
+    missing from `CONFIG_KEYS`, or any `[DEFAULT]` entry, is rejected.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigParse(f"config file not found: {path}")
     text = path.read_text()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigParse(f"cannot parse {path}: {exc}") from exc
 
-    version = _get(parser, "run", "format_version", int, required=True)
+    if parser.defaults():
+        raise ConfigParse("[DEFAULT] entries are not supported; set each key in its section")
+    keys = {}
+    for section, key, _, _ in CONFIG_KEYS:
+        keys.setdefault(section, []).append(key)
+    for section in parser.sections():
+        if section not in keys:
+            raise _unknown("section", section, keys)
+        for key in parser.options(section):
+            if key not in keys[section]:
+                raise _unknown(f"[{section}] key", key, keys[section])
+
+    values = {"plant": {}}
+    for section, key, name, cast in CONFIG_KEYS:
+        raw = parser.get(section, key, fallback="")
+        if not raw.strip():
+            if name in _REQUIRED:
+                raise ConfigParse(f"missing required key [{section}] {key}")
+            continue
+        try:
+            value = cast(raw)
+        except ValueError as exc:
+            raise ConfigParse(f"bad value for [{section}] {key}: {raw!r}") from exc
+        if name == "plant":
+            values["plant"][key] = value
+        else:
+            values[name] = value
+    version = values.pop("format_version")
     if version != FORMAT_VERSION:
         raise ConfigParse(f"unsupported format_version {version}")
-    kind = _get(parser, "run", "kind", str, required=True)
-    seed = _get(parser, "run", "seed", int, required=True)
-    out_dir = _get(parser, "output", "dir", str, default="runs/latest")
-
-    plant = {}
-    if parser.has_section("plant"):
-        for key, raw in parser.items("plant"):
-            try:
-                plant[key] = float(raw)
-            except ValueError:
-                plant[key] = raw
-
-    schedule = ()
-    raw_schedule = _get(parser, "pi", "schedule", str, default="")
-    if raw_schedule:
-        try:
-            schedule = tuple(int(v) for v in raw_schedule.split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigParse(f"bad schedule: {raw_schedule!r}") from exc
-
-    cfg = RunConfig(
-        kind=kind,
-        seed=seed,
-        out_dir=out_dir,
-        step=_get(parser, "integration", "step", float, default=1e-3),
-        blowup=_get(parser, "integration", "blowup", float, default=1e6),
-        plant=plant,
-        exploration_amplitude=_get(parser, "exploration", "amplitude", float, default=0.5),
-        exploration_components=_get(parser, "exploration", "n_components", int, default=10),
-        exploration_freq_low=_get(parser, "exploration", "freq_low", float, default=0.1),
-        exploration_freq_high=_get(parser, "exploration", "freq_high", float, default=10.0),
-        exploration_seed=_get(parser, "exploration", "seed", int, default=None),
-        interval=_get(parser, "sampling", "interval", float, default=0.1),
-        n_intervals=_get(parser, "sampling", "n_intervals", int, default=None),
-        sample_start=_get(parser, "sampling", "start", float, default=0.0),
-        value_degree=_get(parser, "pi", "value_degree", int, default=2),
-        policy_degree=_get(parser, "pi", "policy_degree", int, default=2),
-        oracle_degree=_get(parser, "pi", "oracle_degree", int, default=0),
-        delta1_rel=_get(parser, "pi", "delta1_rel", float, default=0.0),
-        delta_rel=_get(parser, "pi", "delta_rel", float, default=1e-6),
-        tol=_get(parser, "pi", "tol", float, default=1e-3),
-        max_iter=_get(parser, "pi", "max_iter", int, default=20),
-        schedule=schedule,
-        residual_threshold=_get(parser, "pi", "residual_threshold", float, default=np.inf),
-        robust_enabled=parser.has_section("robustness"),
-        margin=_get(parser, "robustness", "margin", float, default=None)
-        if parser.has_section("robustness")
-        else None,
-        rho=_get(parser, "robustness", "rho", float, default=None)
-        if parser.has_section("robustness")
-        else None,
-        rho_ladder_min=_get(parser, "robustness", "rho_ladder_min", float, default=0.1)
-        if parser.has_section("robustness")
-        else 0.1,
-        rho_ladder_max=_get(parser, "robustness", "rho_ladder_max", float, default=60.0)
-        if parser.has_section("robustness")
-        else 60.0,
-        rho_ladder_n=_get(parser, "robustness", "rho_ladder_n", int, default=160)
-        if parser.has_section("robustness")
-        else 160,
-        relative_margin=_get(parser, "robustness", "relative_margin", float, default=0.10)
-        if parser.has_section("robustness")
-        else 0.10,
-        s_max=_get(parser, "robustness", "s_max", float, default=None)
-        if parser.has_section("robustness")
-        else None,
-        d_samples=_get(parser, "robustness", "d_samples", int, default=4000)
-        if parser.has_section("robustness")
-        else 4000,
-        d_ladder_n=_get(parser, "robustness", "d_ladder_n", int, default=60)
-        if parser.has_section("robustness")
-        else 60,
-        sim_step=_get(parser, "robustness", "sim_step", float, default=5e-4)
-        if parser.has_section("robustness")
-        else 5e-4,
-        sim_horizon=_get(parser, "robustness", "sim_horizon", float, default=5.0)
-        if parser.has_section("robustness")
-        else 5.0,
-        source_text=text,
+    return RunConfig(
+        **values, robust_enabled=parser.has_section("robustness"), source_text=text
     )
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -274,65 +271,6 @@ def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(_to_builtin(payload), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# invariant-set selection
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ObservedRegion:
-    low: np.ndarray
-    high: np.ndarray
-    degenerate: bool
-
-    def contains(self, x) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.all((x >= self.low - 1e-12) & (x <= self.high + 1e-12), axis=1)
-
-
-def select_invariant_set(
-    model,
-    uncertainty,
-    initial_policy,
-    exploration,
-    probe_plan,
-    *,
-    step: float,
-    horizon: float,
-    blowup: float = 1e6,
-    inflation: float = 0.10,
-) -> ObservedRegion:
-    """Bounding box (inflated) of probe trajectories under policy + noise.
-
-    StateDivergence propagates if the initial policy cannot contain a
-    probe.  A (near) zero-volume box is flagged as degenerate: it cannot
-    support persistent excitation.
-    """
-    lows, highs = [], []
-    noise = exploration if exploration is not None else (lambda t: 0.0)
-    for entry in probe_plan:
-        x0 = entry["x0"]
-        w0 = entry.get("w0")
-        rec = integrate(
-            model,
-            uncertainty,
-            lambda x, t: initial_policy(x) + noise(t),
-            x0,
-            horizon=horizon,
-            step=step,
-            w0=w0,
-            blowup=blowup,
-        )
-        lows.append(rec.trajectory.x.min(axis=0))
-        highs.append(rec.trajectory.x.max(axis=0))
-    low = np.min(np.asarray(lows), axis=0)
-    high = np.max(np.asarray(highs), axis=0)
-    span = high - low
-    pad = inflation * np.where(span > 0, span, 1e-12)
-    degenerate = bool(np.any(span < 1e-9))
-    return ObservedRegion(low=low - pad, high=high + pad, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -470,68 +408,54 @@ class LearningRun:
 
 
 def _build_system(config: RunConfig):
+    """The plant of `config.kind` with its cost, initial policy and start."""
+    z0 = None
     if config.kind == "scalar_lqr":
         bench = build_scalar_plant()
-        return {
-            "bench": bench,
-            "model": bench.model,
-            "uncertainty": None,
-            "cost": bench.cost,
-            "initial_policy": bench.initial_policy,
-            "region_low": bench.region_low,
-            "region_high": bench.region_high,
-            "x0": np.array([0.8]),
-            "w0": None,
-            "z0": None,
-        }
-    if config.kind == "linear_2state":
-        bench = build_linear_plant(int(config.plant.get("plant_seed", 3)))
-        return {
-            "bench": bench,
-            "model": bench.model,
-            "uncertainty": None,
-            "cost": bench.cost,
-            "initial_policy": bench.initial_policy,
-            "region_low": bench.region_low,
-            "region_high": bench.region_high,
-            "x0": np.array([0.9, -0.6]),
-            "w0": None,
-            "z0": None,
-        }
-    if config.kind == "arm":
-        from .experiments import ArmParameters
-
-        params = ArmParameters(tau_n=float(config.plant.get("tau_n", 0.1)))
-        bench = build_arm_system(params)
-        return {
-            "bench": bench,
-            "model": bench.model,
-            "uncertainty": bench.uncertainty,
-            "cost": bench.cost,
-            "initial_policy": bench.initial_policy,
-            "region_low": bench.region_low,
-            "region_high": bench.region_high,
-            "x0": bench.initial_state[1:],
-            "w0": bench.initial_state[:1],
-            "z0": None,
-        }
-    bench = build_cascade_system()
+        initial_policy, x0, w0 = bench.initial_policy, np.array([0.8]), None
+    elif config.kind == "linear_2state":
+        bench = build_linear_plant(config.plant.get("plant_seed", 3))
+        initial_policy, x0, w0 = bench.initial_policy, np.array([0.9, -0.6]), None
+    elif config.kind == "arm":
+        bench = build_arm_system(ArmParameters(tau_n=config.plant.get("tau_n", 0.1)))
+        initial_policy = bench.initial_policy
+        x0, w0 = bench.initial_state[1:], bench.initial_state[:1]
+    else:
+        bench = build_cascade_system()
+        initial_policy = bench.initial_virtual_policy
+        x0, w0, z0 = np.array([0.4]), np.array([0.5]), -0.2
     return {
         "bench": bench,
         "model": bench.model,
-        "uncertainty": bench.uncertainty,
+        "uncertainty": getattr(bench, "uncertainty", None),
         "cost": bench.cost,
-        "initial_policy": bench.initial_virtual_policy,
+        "initial_policy": initial_policy,
         "region_low": bench.region_low,
         "region_high": bench.region_high,
-        "x0": np.array([0.4]),
-        "w0": np.array([0.5]),
-        "z0": -0.2,
+        "x0": x0,
+        "w0": w0,
+        "z0": z0,
     }
 
 
+def noise_from_config(config: RunConfig, seed_offset: int = 0):
+    """The exploration signal of `config`, seeded `seed_offset` past its seed."""
+    return online_pi.ExplorationNoise(
+        amplitude=config.exploration_amplitude,
+        seed=config.exploration_seed + seed_offset,
+        n_components=config.exploration_components,
+        freq_low=config.exploration_freq_low,
+        freq_high=config.exploration_freq_high,
+    )
+
+
 def _oracle_reference(system, config, n_online_iterates):
-    """Model-based iterates matching the online indexing, for certification."""
+    """Model-based iterates matching the online indexing, for certification.
+
+    Returns the states and, for the last online iterate i*, the reference
+    value V*_{i*}, the policy u*_{i*} it evaluates (the initial policy when
+    i* = 0) and the improved policy u*_{i*+1}.
+    """
     model, cost = system["model"], system["cost"]
     if model.has_z_channel:
         # phase one treats z as the input: the reference is the x-subsystem
@@ -557,7 +481,9 @@ def _oracle_reference(system, config, n_online_iterates):
         probe_ics=corners,
         probe_step=5e-3,
     )
-    return states, grid
+    i_star = n_online_iterates - 1
+    policy_star = states[i_star - 1].policy if i_star >= 1 else system["initial_policy"]
+    return states, (states[i_star].value, policy_star, states[i_star].policy)
 
 
 def _matched_certification(config, system, pi_result, run: LearningRun):
@@ -566,14 +492,9 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = config.margin if config.margin is not None else cost.margin
 
-    i_star = len(pi_result.iterates) - 1
-    oracle_states, grid = _oracle_reference(system, config, i_star + 1)
-    run.oracle_states = oracle_states
-    value_star = oracle_states[i_star].value
-    policy_star = (
-        oracle_states[i_star - 1].policy if i_star >= 1 else system["initial_policy"]
+    run.oracle_states, (value_star, policy_star, policy_star_next) = _oracle_reference(
+        system, config, len(pi_result.iterates)
     )
-    policy_star_next = oracle_states[i_star].policy
 
     alpha_lo, alpha_hi = robust.radial_envelopes(
         value_star,
@@ -643,8 +564,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         "certified_d": certified.d if certified else None,
         "certified_worst_ratio": certified.worst_ratio if certified else None,
         "sigma_level": roa.level if roa else None,
-        "gain_table": "rho = %r  margin = %r\nholds = %r  abs margin = %r  rel margin = %r\n\n%s\n"
-        % (rho_value, margin, report.holds, report.margin, report.relative_margin, report.table()),
+        "gain_table": report.summary(rho_value, margin),
         "policy": policy_ro,
         "gamma": policy_ro.gamma,
         "value_star": value_star,
@@ -675,13 +595,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     rho_value = config.rho if config.rho is not None else bench.rho_value
     rho_fn = robust.ConstantRho(rho_value)
 
-    noise = online_pi.ExplorationNoise(
-        amplitude=config.exploration_amplitude,
-        seed=config.exploration_seed,
-        n_components=config.exploration_components,
-        freq_low=config.exploration_freq_low,
-        freq_high=config.exploration_freq_high,
-    )
+    noise = noise_from_config(config)
     plant = Plant(
         system["model"], system["uncertainty"], system["x0"],
         step=config.step, z0=system["z0"], w0=system["w0"], blowup=config.blowup,
@@ -703,11 +617,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     xi = phase1.xi
 
     # phase two: fresh window with xi frozen
-    noise2 = online_pi.ExplorationNoise(
-        amplitude=config.exploration_amplitude, seed=config.exploration_seed + 1,
-        n_components=config.exploration_components,
-        freq_low=config.exploration_freq_low, freq_high=config.exploration_freq_high,
-    )
+    noise2 = noise_from_config(config, seed_offset=1)
     drive2 = lambda x, z, t: bench.drive_policy(x, z, t) + noise2(t)
     psi_basis = make_polynomial_basis(2, 2)
     phi_basis = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)
@@ -727,14 +637,9 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     )
 
     # certification against the model-based reference
-    i_star = len(phase1.pi_result.iterates) - 1
-    oracle_states, _ = _oracle_reference(system, config, i_star + 1)
-    run.oracle_states = oracle_states
-    value_star = oracle_states[i_star].value
-    policy_star = (
-        oracle_states[i_star - 1].policy if i_star >= 1 else system["initial_policy"]
+    run.oracle_states, (value_star, policy_star, policy_star_next) = _oracle_reference(
+        system, config, len(phase1.pi_result.iterates)
     )
-    policy_star_next = oracle_states[i_star].policy
 
     composite = backstep.CompositeLyapunov(value_star, xi)
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
@@ -799,8 +704,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         "small_gain_relative_margin": report.relative_margin,
         "certified_d1": certified_d1,
         "certified_worst_ratio": worst,
-        "gain_table": "rho = %r  margin = %r\nholds = %r  abs margin = %r  rel margin = %r\n\n%s\n"
-        % (rho_value, margin, report.holds, report.margin, report.relative_margin, report.table()),
+        "gain_table": report.summary(rho_value, margin),
         "xi": xi,
         "f1_hat": phase2.f1_hat,
         "g1_hat": phase2.g1_hat,
@@ -887,13 +791,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
         return
 
     model, cost = system["model"], system["cost"]
-    noise = online_pi.ExplorationNoise(
-        amplitude=config.exploration_amplitude,
-        seed=config.exploration_seed,
-        n_components=config.exploration_components,
-        freq_low=config.exploration_freq_low,
-        freq_high=config.exploration_freq_high,
-    )
+    noise = noise_from_config(config)
     plant = Plant(
         model, system["uncertainty"], system["x0"],
         step=config.step, w0=system["w0"], blowup=config.blowup,

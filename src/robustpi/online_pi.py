@@ -113,10 +113,6 @@ class RegressionProblem:
     def n_value(self) -> int:
         return len(self.basis_value)
 
-    @property
-    def n_policy(self) -> int:
-        return len(self.basis_policy)
-
 
 def _interval_integrals(dense: np.ndarray, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Trapezoid integrals of dense columns over each sampling interval."""

@@ -117,15 +117,6 @@ class ClassKFunction:
         s = _bisect(lambda mid, idx: self.fn(mid), y, hi, tol=tol, iters=200)
         return float(s) if s.ndim == 0 else s
 
-    def compose(self, inner: "ClassKFunction") -> "ClassKFunction":
-        return ClassKFunction(
-            fn=lambda s: self.fn(np.asarray(inner.fn(np.asarray(s)))),
-            s_max=inner.s_max,
-            strictly_increasing=self.strictly_increasing and inner.strictly_increasing,
-            unbounded=self.unbounded and inner.unbounded,
-            name=f"{self.name or 'f'}o{inner.name or 'g'}",
-        )
-
     @staticmethod
     def maximum(*gains: "ClassKFunction") -> "ClassKFunction":
         s_max = min(g.s_max for g in gains)
@@ -273,6 +264,12 @@ class SmallGainReport:
         for s, a, b in zip(self.ladder, self.lhs, self.rhs):
             lines.append(f"{s:14.6e} {a:15.6e} {b:15.6e} {a - b:15.6e}")
         return "\n".join(lines)
+
+    def summary(self, rho, margin) -> str:
+        """Verdict and ladder table as written to the gain-check files."""
+        return "rho = %r  margin = %r\nholds = %r  abs margin = %r  rel margin = %r\n\n%s\n" % (
+            rho, margin, self.holds, self.margin, self.relative_margin, self.table(),
+        )
 
 
 def _small_gain_rhs(gains, ladder: np.ndarray) -> np.ndarray:

@@ -1,23 +1,25 @@
 import configparser
+import dataclasses
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustpi import harness
-from robustpi.dynsys import SystemModel
-from robustpi.errors import EXIT_CODES, ConfigParse, PEViolation, StateDivergence
+from robustpi.errors import EXIT_CODES, ConfigParse, PEViolation
 from robustpi.harness import (
-    ObservedRegion,
+    CONFIG_KEYS,
     RunConfig,
     load_config,
     run_algorithm_1,
-    select_invariant_set,
     write_csv,
     write_json,
 )
-from robustpi.online_pi import ExplorationNoise
 from robustpi.rundiff import relative_gap
 
 
@@ -79,6 +81,102 @@ def test_bad_values_raise(tmp_path):
     no_seed = MINIMAL.format(out=tmp_path).replace("seed = 3", "")
     with pytest.raises(ConfigParse):
         load_config(_write_cfg(tmp_path / "d.cfg", no_seed))
+
+
+# Every RunConfig field of the bundled configs and MINIMAL, recorded before
+# the loader read CONFIG_KEYS: a changed default or cast shows up here.
+SCALAR_FIELDS = {
+    "kind": "scalar_lqr", "seed": 7, "out_dir": "runs/scalar_lqr", "step": 0.001,
+    "blowup": 1000000.0, "plant": {}, "exploration_amplitude": 0.8,
+    "exploration_components": 10, "exploration_freq_low": 0.1, "exploration_freq_high": 10.0,
+    "exploration_seed": 8, "interval": 0.1, "n_intervals": 40, "sample_start": 0.0,
+    "value_degree": 2, "policy_degree": 2, "oracle_degree": 0, "delta_rel": 1e-06,
+    "delta1_rel": 0.0, "tol": 0.0001, "max_iter": 16, "schedule": (),
+    "residual_threshold": float("inf"), "robust_enabled": False, "margin": None, "rho": None,
+    "rho_ladder_min": 0.1, "rho_ladder_max": 60.0, "rho_ladder_n": 160,
+    "relative_margin": 0.1, "s_max": None, "d_samples": 4000, "d_ladder_n": 60,
+    "sim_step": 0.0005, "sim_horizon": 5.0,
+}
+EXPECTED_FIELDS = {
+    "scalar_lqr.cfg": SCALAR_FIELDS,
+    "MINIMAL": {
+        **SCALAR_FIELDS, "seed": 3, "out_dir": "OUT", "exploration_seed": 4, "max_iter": 12,
+    },
+    "arm.cfg": {
+        **SCALAR_FIELDS, "kind": "arm", "out_dir": "runs/arm", "plant": {"tau_n": 0.1},
+        "exploration_amplitude": 2.0, "exploration_freq_low": 0.02,
+        "exploration_freq_high": 1.0, "exploration_seed": 9, "n_intervals": 160,
+        "value_degree": 5, "policy_degree": 5, "oracle_degree": 11, "delta_rel": 1e-12,
+        "tol": 0.001, "robust_enabled": True, "margin": 0.95, "rho_ladder_min": 0.5,
+        "s_max": 3.55, "sim_step": 0.00025,
+    },
+    "cascade_unmatched.cfg": {
+        **SCALAR_FIELDS, "kind": "cascade", "seed": 11, "out_dir": "runs/cascade",
+        "step": 0.0005, "exploration_amplitude": 1.0, "exploration_seed": 12,
+        "delta1_rel": 1e-11, "robust_enabled": True, "margin": 0.8, "rho": 0.5,
+        "s_max": 3.0, "sim_step": 0.001, "sim_horizon": 8.0,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FIELDS))
+def test_loaded_fields_keep_their_values(tmp_path, name):
+    if name == "MINIMAL":
+        path = _write_cfg(tmp_path / "minimal.cfg", MINIMAL.format(out="OUT"))
+    else:
+        path = Path(harness.__file__).parent / "configs" / name
+    loaded = dataclasses.asdict(load_config(path))
+    assert loaded.pop("source_text") == path.read_text()
+    expected = EXPECTED_FIELDS[name]
+    assert loaded == expected
+    assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n_intervals = 40", "n_interval = 40", "did you mean 'n_intervals'"),
+        ("[pi]", "[pii]", "unknown section 'pii' (did you mean 'pi'?)"),
+        ("[output]", "[plant]\nmass = 2.0\n\n[output]", "unknown [plant] key 'mass'"),
+        ("[run]", "[DEFAULT]\nseed = 5\n\n[run]", "[DEFAULT]"),
+    ],
+)
+def test_unknown_names_raise(tmp_path, old, new, message):
+    text = MINIMAL.format(out=tmp_path / "out")
+    assert old in text
+    path = _write_cfg(tmp_path / "unknown.cfg", text.replace(old, new))
+    with pytest.raises(ConfigParse, match=re.escape(message)):
+        load_config(path)
+    assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entry=st.sampled_from(CONFIG_KEYS),
+    value=st.text(st.characters(blacklist_categories=("Cs",))),
+)
+def test_any_value_loads_or_raises_config_parse(entry, value):
+    section, key = entry[:2]
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(MINIMAL.format(out="out"))
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser.set(section, key, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        with path.open("w") as fh:
+            parser.write(fh)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except ConfigParse:
+            pass
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(rows) == sorted((section, key) for section, key, _, _ in CONFIG_KEYS)
 
 
 def _assert_rejected(tmp_path, section, key, value):
@@ -262,53 +360,6 @@ def test_cli_oracle_writes_reference(tmp_path, scalar_config_path):
     payload = json.loads((out / "oracle_final.json").read_text())
     assert payload["iterations"] <= 8
     assert (out / "oracle_iterations.csv").is_file()
-
-
-def _stable_scalar_model():
-    return SystemModel(
-        n=1,
-        drift=lambda x: -np.asarray(x, dtype=float),
-        input_gain=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    )
-
-
-def test_select_invariant_set_contains_later_trajectories():
-    model = _stable_scalar_model()
-    noise = ExplorationNoise(amplitude=0.3, seed=1)
-    region = select_invariant_set(
-        model, None, lambda x: -0.5 * np.asarray(x, dtype=float)[..., 0], noise,
-        [{"x0": [0.5]}, {"x0": [-0.5]}],
-        step=1e-3, horizon=8.0,
-    )
-    assert not region.degenerate
-    from robustpi.dynsys import integrate
-
-    other = ExplorationNoise(amplitude=0.3, seed=2)
-    rec = integrate(
-        model, None,
-        lambda x, t: -0.5 * x[0] + other(t), [0.25],
-        horizon=8.0, step=1e-3,
-    )
-    assert np.all(region.contains(rec.trajectory.x))
-
-
-def test_select_invariant_set_flags_divergence_and_degeneracy():
-    model = SystemModel(
-        n=1,
-        drift=lambda x: np.asarray(x, dtype=float),
-        input_gain=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-    )
-    with pytest.raises(StateDivergence):
-        select_invariant_set(
-            model, None, lambda x: np.asarray(x, dtype=float)[..., 0], None,
-            [{"x0": [1.0]}], step=1e-3, horizon=30.0,
-        )
-    stable = _stable_scalar_model()
-    region = select_invariant_set(
-        stable, None, lambda x: 0.0 * np.asarray(x, dtype=float)[..., 0], None,
-        [{"x0": [0.0]}], step=1e-3, horizon=2.0,
-    )
-    assert region.degenerate
 
 
 def test_box_audit_flags_violations(tmp_path, scalar_config_path):

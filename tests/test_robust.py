@@ -87,10 +87,9 @@ def test_array_inverse_matches_scalar_calls(name):
     assert isinstance(gain.inverse(np.asarray(ys[0, 3])), float)
 
 
-def test_composition_and_maximum():
+def test_maximum():
     f = ClassKFunction.linear(2.0, 100.0)
     g = ClassKFunction.power(1.0, 2.0, 100.0)
-    assert f.compose(g)(3.0) == pytest.approx(18.0)
     m = ClassKFunction.maximum(f, g)
     assert m(0.5) == pytest.approx(1.0)  # max(1.0, 0.25)
     assert m(3.0) == pytest.approx(9.0)  # max(6.0, 9.0)
