@@ -19,11 +19,11 @@ import numpy as np
 
 from .basis import Approximant, BasisSet
 from .dynsys import CostSpec, Plant, SystemModel
-from .errors import PEViolation
 from .online_pi import (
     OnlinePIResult,
     SampleWindow,
     _interval_integrals,
+    guarded_solve,
     run_online_pi,
 )
 from .robust import ClassKFunction, RobustPolicy, check_small_gain, robust_redesign
@@ -34,8 +34,10 @@ def make_rho1(rho: Callable) -> Callable:
     return lambda s: 2.0 * np.asarray(rho(0.5 * np.asarray(s, dtype=float)))
 
 
-def finite_difference_gradient(fn: Callable, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar map, certification-side only."""
+def finite_difference_gradient(fn: Callable, x) -> np.ndarray:
+    """Central-difference gradient (step 1e-6) of a scalar map,
+    certification-side only."""
+    h = 1e-6
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for d in range(x.size):
@@ -111,14 +113,14 @@ def phase_one(
     tol: float = 1e-3,
     max_iter: int = 20,
     start: float = 0.0,
-    s_max: float = 10.0,
 ) -> PhaseOneResult:
     """Learn the x-subsystem policy with z as its input, then robustify.
 
     Identical mechanics to the matched learner: the x-channel composite
     signal already carries z plus the disturbance, so the same
     regression applies verbatim.  The returned xi is frozen before any
-    phase-two data are collected.
+    phase-two data are collected; its rho is checked and its gain built
+    on [0, 10].
     """
     result = run_online_pi(
         plant,
@@ -135,7 +137,7 @@ def phase_one(
         start=start,
         drive=drive,
     )
-    xi = robust_redesign(result.final_policy, rho, cost.control_weight, margin, s_max)
+    xi = robust_redesign(result.final_policy, rho, cost.control_weight, margin, 10.0)
     return PhaseOneResult(pi_result=result, xi=xi)
 
 
@@ -204,20 +206,7 @@ def solve_phase_two(
     problem: PhaseTwoRegression, delta_rel: float = 1e-6
 ) -> PhaseTwoResult:
     """SVD least squares for the zeta-dynamics weights, with PE guard."""
-    theta = problem.theta
-    l, cols = theta.shape
-    if l < cols:
-        raise PEViolation(f"{l} intervals cannot excite {cols} unknowns")
-    svals = np.linalg.svd(theta, compute_uv=False)
-    scaled = svals**2 / l
-    problem.min_singular_value = float(scaled[-1])
-    if svals[0] == 0.0 or scaled[-1] < delta_rel * scaled[0]:
-        raise PEViolation(
-            "persistent-excitation check failed in phase two: eigenvalue ratio "
-            f"{0 if svals[0] == 0 else scaled[-1] / scaled[0]:.3e} below {delta_rel:g}"
-        )
-    beta, *_ = np.linalg.lstsq(theta, problem.targets, rcond=None)
-    problem.residuals = theta @ beta - problem.targets
+    beta = guarded_solve(problem, delta_rel, "phase two")
     n3 = len(problem.psi_basis)
     # theta carries +integral(phi * delta * zeta); the model subtracts the
     # g-term, so those weights come out negated
@@ -284,7 +273,7 @@ class BacksteppedPolicy:
 def backstepped_redesign_error(
     f1_true: Callable,
     f1_hat: Approximant,
-    policy_true_next,
+    policy_true_next: Approximant,
     policy_hat_next: Approximant,
     g1_true: Callable,
     g1_hat: Approximant,
@@ -305,10 +294,7 @@ def backstepped_redesign_error(
         xz = np.hstack([x, z[:, None]])
         f_true = np.asarray([f1_true(xi_, zi) for xi_, zi in zip(x, z)])
         g_true = np.asarray([g1_true(xi_) for xi_ in x])
-        if hasattr(policy_true_next, "evaluate_many"):
-            u_true = policy_true_next.evaluate_many(x)
-        else:
-            u_true = np.asarray([policy_true_next(xi_) for xi_ in x])
+        u_true = policy_true_next.evaluate_many(x)
         aug_sq = np.sum(x**2, axis=1) + zeta**2
         rho1_sq = np.asarray(rho1(aug_sq)) ** 2
         return (
@@ -387,7 +373,6 @@ def check_small_gain_cascade(
     alpha1_hi: ClassKFunction,
     *,
     s_max: float,
-    samples: int = 200,
 ):
     """Ladder test of the augmented-loop gain inequality."""
     kappa1_eff, kappa2_eff = cascade_effective_gains(
@@ -402,5 +387,4 @@ def check_small_gain_cascade(
         alpha1_lo,
         alpha1_hi,
         s_max=s_max,
-        samples=samples,
     )

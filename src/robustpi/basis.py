@@ -228,3 +228,12 @@ class Approximant:
     @classmethod
     def from_dict(cls, data: dict) -> "Approximant":
         return cls(BasisSet.from_dict(data["basis"]), np.asarray(data["weights"]))
+
+
+def policy_values(policy, points: np.ndarray) -> np.ndarray:
+    """Values of `policy` at the rows of `points` (P, n) -> (P,): the one
+    batch adapter.  An object with `evaluate_many` takes the whole batch;
+    a plain callable, such as a plant's initial policy, is called per row."""
+    if hasattr(policy, "evaluate_many"):
+        return policy.evaluate_many(points)
+    return np.asarray([policy(x) for x in points], dtype=float)

@@ -39,6 +39,9 @@ from .rundiff import compare_runs
 
 FORMAT_VERSION = 1
 KINDS = ("scalar_lqr", "linear_2state", "arm", "cascade")
+# run.json values of the robust and cascade blocks that are None when no
+# level certifies: written as null so the keys do not depend on the outcome
+NULLABLE_RESULTS = ("certified_d", "certified_d1", "certified_worst_ratio", "sigma_level")
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,9 @@ class RunConfig:
             ("oracle_degree", 0),
             ("exploration_components", 1),
             ("max_iter", 1),
+            ("rho_ladder_n", 1),
+            ("d_ladder_n", 1),
+            ("d_samples", 1),
         ):
             if getattr(self, name) < least:
                 raise ConfigParse(f"{name} must be at least {least}")
@@ -113,14 +119,22 @@ class RunConfig:
         # NaN fails every comparison, so a NaN delta_rel would switch off the PE guard
         if not np.isfinite(self.delta_rel) or self.delta_rel <= 0:
             raise ConfigParse("delta_rel must be positive and finite")
-        for name in ("delta1_rel", "sample_start"):
+        for name in ("delta1_rel", "sample_start", "relative_margin"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ConfigParse(f"{name} must be nonnegative and finite")
+        # a [plant] key is read from the plant dict, the others from fields
+        for name in ("margin", "rho", "s_max", "tau_n"):
+            value = getattr(self, name, self.plant.get(name))
+            if value is not None and (not np.isfinite(value) or value <= 0):
+                raise ConfigParse(f"{name} must be positive and finite")
+        low, high = self.rho_ladder_min, self.rho_ladder_max
+        if not (np.isfinite(low) and np.isfinite(high) and 0 < low <= high):
+            raise ConfigParse("rho ladder needs finite 0 < rho_ladder_min <= rho_ladder_max")
         if self.exploration_seed is None:
             self.exploration_seed = self.seed + 1
-        for name in ("seed", "exploration_seed"):
-            if getattr(self, name) < 0:
+        for name in ("seed", "exploration_seed", "plant_seed"):
+            if getattr(self, name, self.plant.get(name, 0)) < 0:
                 raise ConfigParse(f"{name} must be nonnegative")
 
 
@@ -273,6 +287,15 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _json_results(report: dict) -> dict:
+    """A report's JSON-valued entries, with None NULLABLE_RESULTS as null."""
+    json_types = (int, float, bool, str, dict, list)
+    return {
+        k: v for k, v in report.items()
+        if isinstance(v, json_types) or (v is None and k in NULLABLE_RESULTS)
+    }
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 # ---------------------------------------------------------------------------
@@ -307,16 +330,8 @@ class LearningRun:
             "analysis": {
                 k: v for k, v in self.analysis.items() if not isinstance(v, np.ndarray)
             },
-            "robust": {
-                k: v
-                for k, v in self.robust_report.items()
-                if isinstance(v, (int, float, bool, str, dict, list))
-            },
-            "cascade": {
-                k: v
-                for k, v in self.cascade_report.items()
-                if isinstance(v, (int, float, bool, str, dict, list))
-            },
+            "robust": _json_results(self.robust_report),
+            "cascade": _json_results(self.cascade_report),
         }
         if self.pi_result is not None:
             info["converged_iteration"] = self.pi_result.converged_iteration
@@ -602,7 +617,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     )
     basis_v = make_polynomial_basis(1, config.value_degree)
     basis_u = make_polynomial_basis(1, config.policy_degree)
-    n_intervals = config.n_intervals or 4 * (len(basis_v) + len(basis_u))
+    n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
     drive = lambda x, z, t: bench.drive_policy(x, z, t) + noise(t)
 
     phase1 = backstep.phase_one(
@@ -621,7 +636,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     drive2 = lambda x, z, t: bench.drive_policy(x, z, t) + noise2(t)
     psi_basis = make_polynomial_basis(2, 2)
     phi_basis = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)
-    n2 = config.n_intervals or 4 * (len(psi_basis) + len(phi_basis))
+    n2 = config.n_intervals or online_pi.default_intervals(psi_basis, phi_basis)
     traj2 = plant.observe(drive2, config.sample_start + config.interval * n2)
     window2 = online_pi.SampleWindow.from_trajectory(
         traj2, config.interval, n2, config.sample_start
@@ -812,7 +827,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     else:
         basis_v = make_polynomial_basis(model.n, config.value_degree)
         basis_u = make_polynomial_basis(model.n, config.policy_degree)
-        n_intervals = config.n_intervals or 4 * (len(basis_v) + len(basis_u))
+        n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
         result = online_pi.run_online_pi(
             plant, system["initial_policy"], noise, basis_v, basis_u, cost,
             interval=config.interval, n_intervals=n_intervals,

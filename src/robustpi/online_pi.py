@@ -17,9 +17,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .basis import Approximant, BasisSet
+from .basis import Approximant, BasisSet, policy_values
 from .dynsys import CostSpec, Plant, Trajectory
 from .errors import EmptyInterval, PEViolation, ScheduleExhausted
+
+# the excitation-failure message of each guarded solve, by stage
+PE_MESSAGES = {
+    "policy iteration": "persistent-excitation check failed: "
+    "min/max eigenvalue ratio {ratio:.3e} below delta_rel = {delta_rel:g}",
+    "phase two": "persistent-excitation check failed in phase two: "
+    "eigenvalue ratio {ratio:.3e} below {delta_rel:g}",
+}
 
 
 @dataclass
@@ -114,6 +122,11 @@ class RegressionProblem:
         return len(self.basis_value)
 
 
+def default_intervals(*bases: BasisSet) -> int:
+    """Sampling intervals a window gets when none is set: 4 per unknown weight."""
+    return 4 * sum(len(basis) for basis in bases)
+
+
 def _interval_integrals(dense: np.ndarray, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Trapezoid integrals of dense columns over each sampling interval."""
     cum = cumulative_trapezoid(dense, t, axis=0, initial=0.0)
@@ -139,10 +152,7 @@ def assemble_regression(
     x = traj.x
     t = traj.t
 
-    if hasattr(current_policy, "evaluate_many"):
-        u_i = current_policy.evaluate_many(x)
-    else:
-        u_i = np.asarray([current_policy(xk) for xk in x], dtype=float)
+    u_i = policy_values(current_policy, x)
     v = traj.x_input - u_i
 
     phi_v = basis_value.design_matrix(x)
@@ -172,12 +182,13 @@ class PIStepResult:
     min_singular_value: float
 
 
-def solve_pi_step(problem: RegressionProblem, delta_rel: float = 1e-6) -> PIStepResult:
-    """Minimum-norm SVD solve of one regression, with the PE guard.
+def guarded_solve(problem, delta_rel: float, stage: str) -> np.ndarray:
+    """Minimum-norm least-squares weights for problem.theta, problem.targets.
 
-    The guard compares the smallest eigenvalue of (1/l) Theta^T Theta to
-    `delta_rel` times the largest; failing it means the excitation did
-    not span the basis and raises PEViolation.
+    The persistent-excitation (PE) guard compares the smallest eigenvalue
+    of (1/l) Theta^T Theta (stored as `problem.min_singular_value`) to
+    `delta_rel` times the largest; failing it means the excitation did not
+    span the basis and raises PEViolation with the `stage` message.
     """
     theta = problem.theta
     l, cols = theta.shape
@@ -187,19 +198,21 @@ def solve_pi_step(problem: RegressionProblem, delta_rel: float = 1e-6) -> PIStep
     scaled = svals**2 / l
     problem.min_singular_value = float(scaled[-1])
     if svals[0] == 0.0 or scaled[-1] < delta_rel * scaled[0]:
-        raise PEViolation(
-            "persistent-excitation check failed: "
-            f"min/max eigenvalue ratio {0 if svals[0] == 0 else scaled[-1] / scaled[0]:.3e}"
-            f" below delta_rel = {delta_rel:g}"
-        )
+        ratio = 0 if svals[0] == 0 else scaled[-1] / scaled[0]
+        raise PEViolation(PE_MESSAGES[stage].format(ratio=ratio, delta_rel=delta_rel))
     weights, *_ = np.linalg.lstsq(theta, problem.targets, rcond=None)
     problem.residuals = theta @ weights - problem.targets
-    residual_rms = float(np.sqrt(np.mean(problem.residuals**2)))
+    return weights
+
+
+def solve_pi_step(problem: RegressionProblem, delta_rel: float = 1e-6) -> PIStepResult:
+    """Minimum-norm SVD solve of one regression, with the PE guard."""
+    weights = guarded_solve(problem, delta_rel, "policy iteration")
     n1 = problem.n_value
     return PIStepResult(
         value=Approximant(problem.basis_value, weights[:n1]),
         policy=Approximant(problem.basis_policy, weights[n1:]),
-        residual_rms=residual_rms,
+        residual_rms=float(np.sqrt(np.mean(problem.residuals**2))),
         min_singular_value=problem.min_singular_value,
     )
 
@@ -248,7 +261,6 @@ def run_online_pi(
     max_iter: int = 20,
     start: float = 0.0,
     drive: Optional[Callable] = None,
-    window: Optional[SampleWindow] = None,
 ) -> OnlinePIResult:
     """Collect one excited window, then iterate regression solves on it.
 
@@ -258,13 +270,11 @@ def run_online_pi(
     plants must supply one since their input channel differs from the
     learned virtual policy.
     """
-    if window is None:
-        if drive is None:
-            noise = exploration if exploration is not None else (lambda t: 0.0)
-            drive = lambda x, t: initial_policy(x) + noise(t)
-        horizon = start + interval * n_intervals
-        traj = plant.observe(drive, horizon)
-        window = SampleWindow.from_trajectory(traj, interval, n_intervals, start)
+    if drive is None:
+        noise = exploration if exploration is not None else (lambda t: 0.0)
+        drive = lambda x, t: initial_policy(x) + noise(t)
+    traj = plant.observe(drive, start + interval * n_intervals)
+    window = SampleWindow.from_trajectory(traj, interval, n_intervals, start)
 
     iterates = []
     policy = initial_policy
@@ -319,18 +329,17 @@ def two_loop_optimize(
     residual_threshold: float,
     *,
     interval: float,
-    intervals_factor: int = 4,
     delta_rel: float = 1e-6,
     tol: float = 1e-3,
     max_iter: int = 20,
     start: float = 0.0,
-    drive: Optional[Callable] = None,
 ) -> TwoLoopResult:
     """Grow the bases along `schedule` until the residual threshold is met.
 
     Inner loop: `run_online_pi`.  Outer loop: on failure, move to the
-    next (larger) basis pair and recollect data sized to it.  Raises
-    ScheduleExhausted (carrying the best attempt) if nothing qualifies.
+    next (larger) basis pair and recollect data sized to it
+    (`default_intervals`).  Raises ScheduleExhausted (carrying the best
+    attempt) if nothing qualifies.
     """
     sizes = [len(bv) + len(bu) for bv, bu in schedule]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -338,7 +347,7 @@ def two_loop_optimize(
     history = []
     best = None
     for k, (basis_value, basis_policy) in enumerate(schedule):
-        n_intervals = intervals_factor * (len(basis_value) + len(basis_policy))
+        n_intervals = default_intervals(basis_value, basis_policy)
         result = run_online_pi(
             plant,
             initial_policy,
@@ -352,7 +361,6 @@ def two_loop_optimize(
             tol=tol,
             max_iter=max_iter,
             start=start,
-            drive=drive,
         )
         residual = result.iterates[-1].residual_rms
         entry = TwoLoopResult(

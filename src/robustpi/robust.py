@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import Approximant
+from .basis import Approximant, policy_values
 from .errors import CompositionDomain
 
 LADDER_DECADES = 8.0
@@ -100,7 +100,7 @@ class ClassKFunction:
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
 
-    def inverse(self, y, tol: float = 1e-12):
+    def inverse(self, y):
         """Elementwise inverse of an array (a float for a scalar y)."""
         y = np.asarray(y, dtype=float)
         label = self.name or "gain"
@@ -114,7 +114,7 @@ class ClassKFunction:
                     "s_max too small for the declared bounds"
                 )
         hi = np.where(y == 0.0, 0.0, self.s_max)
-        s = _bisect(lambda mid, idx: self.fn(mid), y, hi, tol=tol, iters=200)
+        s = _bisect(lambda mid, idx: self.fn(mid), y, hi, tol=1e-12, iters=200)
         return float(s) if s.ndim == 0 else s
 
     @staticmethod
@@ -161,13 +161,13 @@ class ClassKFunction:
 
         return cls(fn=fn, s_max=BRACKET, unbounded=tail_slope > 0, name=name)
 
-    def check_basic(self, samples: int = 60) -> bool:
-        """f(0) = 0 and strict increase along a log ladder."""
+    def check_basic(self) -> bool:
+        """f(0) = 0 and strict increase along a 60-point log ladder."""
         if abs(float(self.fn(np.asarray(0.0)))) > 1e-12:
             return False
+        vals = self.fn(log_ladder(self.s_max, 60))
         if self.positive_definite_only:
-            return bool(np.all(self.fn(log_ladder(self.s_max, samples)) > 0))
-        vals = self.fn(log_ladder(self.s_max, samples))
+            return bool(np.all(vals > 0))
         return bool(np.all(np.diff(vals) > 0) and vals[0] > 0)
 
 
@@ -328,20 +328,19 @@ def select_rho(
     *,
     s_max: float,
     relative_margin: float = 0.10,
-    samples: int = 200,
 ) -> tuple:
     """Smallest constant rho whose gain passes with the relative margin.
 
     `gain_set` carries kappa1, kappa2, kappa3, lam_lo, alpha_lo,
     alpha_hi.  The right side of the small-gain test does not depend on
     rho, so it is computed once and the ladder is scored as one
-    (n_rho, samples) array; each row equals `check_small_gain` for a
+    (n_rho, 200) array; each row equals `check_small_gain` for a
     `ConstantRho` of that entry.  Returns (rho_value, report); raises
     CompositionDomain if no ladder entry qualifies.
     """
     rhos = np.asarray(rho_ladder, dtype=float).reshape(-1)
     if rhos.size:
-        ladder = log_ladder(s_max, samples)
+        ladder = log_ladder(s_max)
         rhs = _small_gain_rhs(gain_set, ladder)
         # iss_gain_from_rho's arithmetic, one row per ladder entry
         lhs = 0.5 * margin * rhos[:, None] * ladder
@@ -366,7 +365,7 @@ def select_rho(
 
 def redesign_error(
     learned_policy: Approximant,
-    oracle_policy_now: Approximant,
+    oracle_policy_now,
     oracle_policy_next: Approximant,
     rho: Callable,
     control_weight: float,
@@ -375,7 +374,8 @@ def redesign_error(
 
     e(x) = (r/2) rho^2(|x|^2) [learned - oracle_next] + learned -
     oracle_now; used only at certification time, when oracle iterates
-    are available.
+    are available.  `oracle_policy_now` may be a plain callable (the
+    plant's initial policy when the learner stopped after one iterate).
     """
 
     def e_ro(points: np.ndarray) -> np.ndarray:
@@ -386,7 +386,7 @@ def redesign_error(
         return (
             scale * (learned - oracle_policy_next.evaluate_many(pts))
             + learned
-            - oracle_policy_now.evaluate_many(pts)
+            - policy_values(oracle_policy_now, pts)
         )
 
     return e_ro
@@ -441,22 +441,20 @@ def radial_envelopes(
     dim: int,
     s_max: float,
     *,
-    n_radii: int = 32,
-    n_dirs: int = 64,
-    safety: float = 0.02,
     clip_low=None,
     clip_high=None,
 ) -> tuple:
     """Quadratic class-K envelopes of a positive-definite function.
 
     Returns (alpha_lo, alpha_hi) with alpha_lo(|x|) <= V(x) <=
-    alpha_hi(|x|) on the sampled set: the ball of radius s_max, clipped
-    to [clip_low, clip_high] when given (the region where the function
-    is trusted).  Coefficients are the extreme values of V(x)/|x|^2
-    widened by `safety`, which absorbs the direction-sampling gap; both
-    envelopes are genuine class-K-infinity quadratics.
+    alpha_hi(|x|) on the sampled set: 32 radii times 64 directions in the
+    ball of radius s_max, clipped to [clip_low, clip_high] when given (the
+    region where the function is trusted).  Coefficients are the extreme
+    values of V(x)/|x|^2 widened by 2%, which absorbs the direction-sampling
+    gap; both envelopes are genuine class-K-infinity quadratics.
     """
-    dirs = _directions(dim, n_dirs, seed=0)
+    n_radii = 32
+    dirs = _directions(dim, 64, seed=0)
     radii = np.linspace(s_max / n_radii, s_max, n_radii)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
     if clip_low is not None and clip_high is not None:
@@ -475,13 +473,14 @@ def radial_envelopes(
             "shrink s_max for the envelope construction"
         )
     return (
-        ClassKFunction.power(c_lo * (1.0 - safety), 2.0, BRACKET, name="alpha_lo"),
-        ClassKFunction.power(c_hi * (1.0 + safety), 2.0, BRACKET, name="alpha_hi"),
+        ClassKFunction.power(c_lo * (1.0 - 0.02), 2.0, BRACKET, name="alpha_lo"),
+        ClassKFunction.power(c_hi * (1.0 + 0.02), 2.0, BRACKET, name="alpha_hi"),
     )
 
 
-def boundary_minimum(value: Callable, low, high, n: int = 200) -> float:
-    """Smallest value of V on the faces of the box [low, high].
+def boundary_minimum(value: Callable, low, high) -> float:
+    """Smallest value of V at 200 seeded points on each face of the box
+    [low, high].
 
     Capping a sublevel set below this keeps it inside the box.
     """
@@ -492,7 +491,7 @@ def boundary_minimum(value: Callable, low, high, n: int = 200) -> float:
     faces = []
     for d in range(dim):
         for bound in (low[d], high[d]):
-            pts = rng.uniform(low, high, size=(n, dim))
+            pts = rng.uniform(low, high, size=(200, dim))
             pts[:, d] = bound
             faces.append(pts)
     pts = np.vstack(faces)
@@ -504,27 +503,25 @@ def monotone_envelope(
     fn_abs: Callable,
     dim: int,
     s_max: float,
-    *,
-    n_radii: int = 64,
-    n_dirs: int = 64,
-    safety: float = 0.02,
 ) -> ClassKFunction:
-    """Class-K upper envelope of |f| over spheres of growing radius.
+    """Class-K upper envelope of |f| over 64 spheres of growing radius.
 
-    `safety` widens the envelope to absorb the direction-sampling gap.
+    Each sphere is sampled in 64 directions; the envelope is widened by 2%
+    to absorb the direction-sampling gap.
     """
-    dirs = _directions(dim, n_dirs, seed=1)
+    n_radii = 64
+    dirs = _directions(dim, 64, seed=1)
     radii = np.linspace(s_max / n_radii, s_max, n_radii)
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
     peaks = np.abs(fn_abs.evaluate_many(pts)).reshape(n_radii, -1).max(axis=1)
-    peaks = np.maximum.accumulate(peaks) * (1.0 + safety)
+    peaks = np.maximum.accumulate(peaks) * (1.0 + 0.02)
     # tiny slope keeps the tabulated envelope strictly increasing
     peaks = peaks + 1e-12 * peaks[-1] * (radii / s_max)
     return ClassKFunction.from_samples(radii, peaks, name="envelope")
 
 
 def interconnection_sigma(
-    chi1: ClassKFunction, chi2: ClassKFunction, s_max: float, samples: int = 200
+    chi1: ClassKFunction, chi2: ClassKFunction, s_max: float
 ) -> ClassKFunction:
     """Level-shaping function strictly between chi2 and the inverse of chi1.
 
@@ -533,7 +530,7 @@ def interconnection_sigma(
     contraction), then sigma = geometric mean of chi2 and chi_hat,
     monotonized by cumulative max.
     """
-    ladder = log_ladder(s_max, samples)
+    ladder = log_ladder(s_max)
     chi2_vals = np.asarray(chi2(ladder))
     chi1_inv = chi1.inverse(ladder)
     if np.any(chi2_vals >= chi1_inv):
@@ -586,16 +583,17 @@ class RegionEstimate:
         ww = float(self.lyapunov_w(np.asarray(w, dtype=float)))
         return max(float(self.sigma(np.asarray(vx))), ww) <= self.level
 
-    def w_bound(self, w_max_search: float = 1e6) -> float:
-        """Largest |w| admitted (scalar hidden state), by bisection."""
+    def w_bound(self) -> float:
+        """Largest |w| admitted (scalar hidden state), by bisection on [0, 1e6]."""
         w_of = lambda r, idx: self.lyapunov_w(r[:, None])
-        return float(_radius_to_level(w_of, self.level, 1, w_max_search, iters=200)[0])
+        return float(_radius_to_level(w_of, self.level, 1, 1e6, iters=200)[0])
 
-    def boundary_points(self, dim: int, n: int = 72, r_max: float = 1e3) -> np.ndarray:
-        """Radial sample of the x-slice boundary {V(x) = d} (w = 0)."""
+    def boundary_points(self, dim: int, n: int = 72) -> np.ndarray:
+        """Radial sample of the x-slice boundary {V(x) = d} (w = 0), searched
+        out to radius 1e3."""
         dirs = _directions(dim, n, seed=2)
         v_of = lambda r, idx: self.value.evaluate_many(r[:, None] * dirs[idx])
-        radii = _radius_to_level(v_of, self.d, len(dirs), r_max, iters=100)
+        radii = _radius_to_level(v_of, self.d, len(dirs), 1e3, iters=100)
         return radii[:, None] * dirs
 
 

@@ -211,6 +211,13 @@ def _assert_rejected(tmp_path, section, key, value):
         ("pi", "delta_rel"),
         ("pi", "delta1_rel"),
         ("sampling", "start"),
+        ("plant", "tau_n"),
+        ("robustness", "rho_ladder_min"),
+        ("robustness", "rho_ladder_max"),
+        ("robustness", "relative_margin"),
+        ("robustness", "margin"),
+        ("robustness", "rho"),
+        ("robustness", "s_max"),
     ],
 )
 def test_non_finite_values_raise(tmp_path, section, key, value):
@@ -235,6 +242,19 @@ def test_non_finite_values_raise(tmp_path, section, key, value):
         ("sampling", "start", "-1"),
         ("run", "seed", "-3"),
         ("exploration", "seed", "-3"),
+        ("plant", "tau_n", "0"),
+        ("plant", "tau_n", "-0.1"),
+        ("plant", "plant_seed", "-1"),
+        ("robustness", "rho_ladder_n", "0"),
+        ("robustness", "d_ladder_n", "0"),
+        ("robustness", "d_samples", "0"),
+        ("robustness", "rho_ladder_min", "0"),
+        ("robustness", "rho_ladder_min", "100"),
+        ("robustness", "rho_ladder_max", "-1"),
+        ("robustness", "relative_margin", "-0.1"),
+        ("robustness", "margin", "0"),
+        ("robustness", "rho", "-1"),
+        ("robustness", "s_max", "0"),
     ],
 )
 def test_out_of_range_values_raise(tmp_path, section, key, value):
@@ -314,6 +334,19 @@ def test_cli_overrides_change_the_run(tmp_path, scalar_config_path):
     assert code == 0
     info = json.loads((out / "run.json").read_text())
     assert info["n_iterations"] == 1
+
+
+def test_cli_one_iteration_cascade_completes(tmp_path, cascade_config_path):
+    # with one online iterate the certification reference is the plant's
+    # initial policy, a plain callable; no level certifies, and the cascade
+    # block still carries its result keys, as null
+    out = tmp_path / "one_iteration"
+    argv = ["run", str(cascade_config_path), "--out-dir", str(out), "--max-iter", "1"]
+    assert harness.cli(argv) == 0
+    info = json.loads((out / "run.json").read_text())
+    assert info["error"] is None and info["n_iterations"] == 1
+    assert info["cascade"]["certified_d1"] is None
+    assert info["cascade"]["certified_worst_ratio"] is None
 
 
 def test_cli_replay_is_byte_identical(tmp_path, scalar_config_path):

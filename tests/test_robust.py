@@ -212,6 +212,23 @@ def test_redesign_error_closed_forms():
     assert gap(x)[0] == pytest.approx(a.evaluate_many(x)[0] - b.evaluate_many(x)[0])
 
 
+def test_redesign_error_takes_a_plain_callable_reference():
+    # with one online iterate the reference policy u*_0 is the plant's initial
+    # policy, a lambda that takes batches; it must act as the same Approximant
+    initial = build_arm_system().initial_policy
+    as_approximant = Approximant(make_polynomial_basis(2, 1), np.array([-0.5, -0.5]))
+    rng = np.random.default_rng(4)
+    basis = make_polynomial_basis(2, 3)
+    learned = Approximant(basis, rng.normal(size=len(basis)))
+    following = Approximant(basis, rng.normal(size=len(basis)))
+    pts = rng.uniform(-1.0, 1.0, size=(300, 2))
+    errors = [
+        redesign_error(learned, now, following, ConstantRho(2.0), 1.0)(pts)
+        for now in (initial, as_approximant)
+    ]
+    np.testing.assert_array_equal(errors[0], errors[1])
+
+
 def test_certify_error_bound_levels():
     basis = BasisSet(dim=1, indices=((2,),))
     value = Approximant(basis, np.array([1.0]))

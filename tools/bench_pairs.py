@@ -5,8 +5,9 @@ alternating pairs, one pair per seed, and starts each pair with the other
 side than the pair before, so a drift in host speed does not favour one
 side.  Each run's end-to-end metrics (`run_ref`, `setup_s`, `peak_rss_mb`)
 are recorded per pair, with each side's median and quartiles, the number of
-pairs the change wins (lower is better for all three) and the line count of
-each tree's `src/`.  Results are merged into the JSON file named by
+pairs the change wins (lower is better for all three), and for each tree's
+`src/` its line count and its number of function parameters with a default
+(`src_defaults`, the options the code offers).  Results are merged into the JSON file named by
 ``--out`` under ``workloads.<name>``, so one file can hold several
 workloads measured on different seeds.
 
@@ -21,6 +22,7 @@ artifacts to `.perfbench_out/` inside the tree it runs in.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -36,6 +38,18 @@ SIDES = ("parent", "change")
 def src_lines(tree: Path) -> int:
     """Lines of Python under the tree's src/."""
     return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
+
+
+def src_defaults(tree: Path) -> int:
+    """Parameters with a default value over the `def`s under the tree's src/
+    (lambdas not counted), read with `ast`."""
+    count = 0
+    for path in sorted((tree / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -108,6 +122,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
     }
     data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+    data["src_defaults"] = {side: src_defaults(tree) for side, tree in trees.items()}
     data.setdefault("workloads", {})[args.workload] = report
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     r = report["run_ref"]
