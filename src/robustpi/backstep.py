@@ -56,7 +56,6 @@ def cascade_gain_from_rho(rho: Callable, margin: float, s_max: float) -> ClassKF
         * np.asarray(rho(0.5 * np.asarray(s) ** 2))
         * np.asarray(s),
         s_max=s_max,
-        unbounded=True,
         name="gamma1",
     )
 

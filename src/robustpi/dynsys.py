@@ -34,17 +34,21 @@ DEFAULT_BLOWUP = 1e6
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Control-affine plant: dx/dt = drift(x) + input_gain(x) * (input)."""
+    """Control-affine plant: dx/dt = drift(x) + input_gain(x) * (input).
+
+    A plant with `f1` has a z channel between the control and the x
+    subsystem: dz/dt = f1(x, z) + u, and z is the input of the x
+    subsystem.
+    """
 
     n: int
     drift: Callable[[np.ndarray], np.ndarray]
     input_gain: Callable[[np.ndarray], np.ndarray]
-    has_z_channel: bool = False
     f1: Optional[Callable[[np.ndarray, float], float]] = None
 
-    def __post_init__(self):
-        if self.has_z_channel and self.f1 is None:
-            raise ValueError("z-channel plants need f1(x, z)")
+    @property
+    def has_z_channel(self) -> bool:
+        return self.f1 is not None
 
 
 @dataclass(frozen=True)

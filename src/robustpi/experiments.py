@@ -434,9 +434,7 @@ def build_cascade_system() -> CascadeBenchmark:
         iss_bounds=gains,
     )
     return CascadeBenchmark(
-        model=SystemModel(
-            n=1, drift=drift, input_gain=input_gain, has_z_channel=True, f1=f1
-        ),
+        model=SystemModel(n=1, drift=drift, input_gain=input_gain, f1=f1),
         uncertainty=uncertainty,
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.8),
         initial_virtual_policy=lambda x, t=None: 0.0

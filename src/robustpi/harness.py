@@ -16,7 +16,7 @@ import hashlib
 import json
 import shutil
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -42,6 +42,7 @@ KINDS = ("scalar_lqr", "linear_2state", "arm", "cascade")
 # run.json values of the robust and cascade blocks that are None when no
 # level certifies: written as null so the keys do not depend on the outcome
 NULLABLE_RESULTS = ("certified_d", "certified_d1", "certified_worst_ratio", "sigma_level")
+TABLE_CHUNK_ROWS = 256  # rows of a CSV artifact converted to Python numbers at a time
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,10 @@ class RunConfig:
         ):
             if getattr(self, name) < least:
                 raise ConfigParse(f"{name} must be at least {least}")
+        if any(degree < 1 for degree in self.schedule):
+            raise ConfigParse("schedule degrees must be at least 1")
+        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
+            raise ConfigParse("schedule degrees must be strictly increasing")
         if self.n_intervals is not None and self.n_intervals < 1:
             raise ConfigParse("n_intervals must be at least 1")
         # NaN fails every comparison, so a NaN delta_rel would switch off the PE guard
@@ -250,40 +255,31 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def write_table(path: Path, table: dict) -> None:
+    """Write an ordered {header: column} table as CSV.
 
-
-def write_csv(path: Path, header, columns) -> None:
-    columns = [np.asarray(c) for c in columns]
-    rows = columns[0].shape[0]
+    Each cell is converted once with `tolist()`, so an int cell prints as
+    `str(int)` and a float cell as `repr(float)` (a bool cell would print
+    as `True`; no artifact has a bool column).  Rows are converted
+    `TABLE_CHUNK_ROWS` at a time, so a long trajectory never exists as
+    Python floats all at once.
+    """
+    columns = [np.asarray(c) for c in table.values()]
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.write(",".join(table) + "\n")
+        for start in range(0, len(columns[0]), TABLE_CHUNK_ROWS):
+            chunk = [c[start:start + TABLE_CHUNK_ROWS].tolist() for c in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*chunk))
 
 
-def _to_builtin(obj):
-    if isinstance(obj, dict):
-        return {k: _to_builtin(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_builtin(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_builtin(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _columns(prefix: str, array) -> dict:
+    """The columns of a 2-D array as {prefix1: col, prefix2: col, ...}."""
+    return {f"{prefix}{i + 1}": col for i, col in enumerate(np.asarray(array).T)}
 
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(_to_builtin(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -308,7 +304,6 @@ class LearningRun:
     config: RunConfig
     pi_result: online_pi.OnlinePIResult = None
     learning_record: object = None
-    oracle_states: list = None
     robust_report: dict = field(default_factory=dict)
     cascade_report: dict = field(default_factory=dict)
     engaged_record: object = None
@@ -334,21 +329,36 @@ class LearningRun:
             "cascade": _json_results(self.cascade_report),
         }
         if self.pi_result is not None:
+            its = self.pi_result.iterates
             info["converged_iteration"] = self.pi_result.converged_iteration
-            info["n_iterations"] = len(self.pi_result.iterates)
-            info["final_residual_rms"] = self.pi_result.iterates[-1].residual_rms
+            info["n_iterations"] = len(its)
+            info["final_residual_rms"] = its[-1].residual_rms
             info["final_value_weights"] = self.pi_result.final_value.to_dict()
             info["final_policy_weights"] = self.pi_result.final_policy.to_dict()
-            self._write_iterations(out / "iterations.csv")
-        if self.learning_record is not None:
-            self._write_trajectory(out / "trajectory_learning.csv", self.learning_record)
-        if self.engaged_record is not None:
-            self._write_trajectory(out / "trajectory_engaged.csv", self.engaged_record)
-        if self.movement_record is not None:
-            self._write_trajectory(out / "trajectory_movement.csv", self.movement_record)
-            self._write_speed_profile(out / "speed_profile.csv")
+            write_table(out / "iterations.csv", {
+                "iteration": [it.iteration for it in its],
+                "residual_rms": [it.residual_rms for it in its],
+                "min_singular_value": [it.min_singular_value for it in its],
+                "weight_change": [it.weight_change for it in its],
+                **_columns("c_", [it.value.weights for it in its]),
+                **_columns("w_", [it.policy.weights for it in its]),
+            })
+        for name in ("learning", "engaged", "movement"):
+            record = getattr(self, f"{name}_record")
+            if record is not None:
+                write_table(out / f"trajectory_{name}.csv", _trajectory_table(record))
+        movement = self.movement_record
+        if movement is not None and movement.trajectory.x.shape[1] >= 2:
+            traj = movement.trajectory
+            write_table(out / "speed_profile.csv", {
+                "time_s": traj.t, "position": traj.x[:, 0], "speed": np.abs(traj.x[:, 1]),
+            })
         if "surface_points" in self.analysis:
-            self._write_surface(out / "value_surface.csv")
+            write_table(out / "value_surface.csv", {
+                **_columns("x", self.analysis["surface_points"]),
+                "value_initial": self.analysis["surface_initial"],
+                "value_final": self.analysis["surface_final"],
+            })
         if "gain_table" in self.robust_report:
             (out / "gain_check.txt").write_text(self.robust_report["gain_table"])
         if "gain_table" in self.cascade_report:
@@ -356,70 +366,27 @@ class LearningRun:
                 self.cascade_report["gain_table"]
             )
         if "roa_boundary" in self.robust_report:
-            pts = np.asarray(self.robust_report["roa_boundary"])
-            headers = [f"x{i + 1}" for i in range(pts.shape[1] - 1)] + ["w_max"]
-            write_csv(out / "roa_boundary.csv", headers, [pts[:, i] for i in range(pts.shape[1])])
+            pts = self.robust_report["roa_boundary"]
+            write_table(
+                out / "roa_boundary.csv", {**_columns("x", pts[:, :-1]), "w_max": pts[:, -1]}
+            )
         write_json(out / "run.json", info)
         return out
 
-    def _write_iterations(self, path: Path) -> None:
-        its = self.pi_result.iterates
-        n1 = len(its[0].value.weights)
-        n2 = len(its[0].policy.weights)
-        header = (
-            ["iteration", "residual_rms", "min_singular_value", "weight_change"]
-            + [f"c_{j + 1}" for j in range(n1)]
-            + [f"w_{j + 1}" for j in range(n2)]
-        )
-        cols = [
-            np.asarray([it.iteration for it in its]),
-            np.asarray([it.residual_rms for it in its]),
-            np.asarray([it.min_singular_value for it in its]),
-            np.asarray([it.weight_change for it in its]),
-        ]
-        for j in range(n1):
-            cols.append(np.asarray([it.value.weights[j] for it in its]))
-        for j in range(n2):
-            cols.append(np.asarray([it.policy.weights[j] for it in its]))
-        write_csv(path, header, cols)
 
-    def _write_trajectory(self, path: Path, record) -> None:
-        traj = record.trajectory
-        header = ["time_s"]
-        cols = [traj.t]
-        for i in range(traj.x.shape[1]):
-            header.append(f"x{i + 1}")
-            cols.append(traj.x[:, i])
-        if traj.z is not None:
-            header.append("z")
-            cols.append(traj.z)
-        if record.w is not None:
-            for i in range(record.w.shape[1]):
-                header.append(f"w{i + 1}")
-                cols.append(record.w[:, i])
-        header += ["u", "x_input"]
-        cols += [traj.u, traj.x_input]
-        if traj.z_input is not None:
-            header.append("z_input")
-            cols.append(traj.z_input)
-        write_csv(path, header, cols)
-
-    def _write_speed_profile(self, path: Path) -> None:
-        traj = self.movement_record.trajectory
-        if traj.x.shape[1] < 2:
-            return
-        write_csv(
-            path,
-            ["time_s", "position", "speed"],
-            [traj.t, traj.x[:, 0], np.abs(traj.x[:, 1])],
-        )
-
-    def _write_surface(self, path: Path) -> None:
-        pts = self.analysis["surface_points"]
-        header = [f"x{i + 1}" for i in range(pts.shape[1])] + ["value_initial", "value_final"]
-        cols = [pts[:, i] for i in range(pts.shape[1])]
-        cols += [self.analysis["surface_initial"], self.analysis["surface_final"]]
-        write_csv(path, header, cols)
+def _trajectory_table(record) -> dict:
+    """The CSV columns of a simulation record: time, states, inputs."""
+    traj = record.trajectory
+    table = {"time_s": traj.t, **_columns("x", traj.x)}
+    if traj.z is not None:
+        table["z"] = traj.z
+    if record.w is not None:
+        table.update(_columns("w", record.w))
+    table["u"] = traj.u
+    table["x_input"] = traj.x_input
+    if traj.z_input is not None:
+        table["z_input"] = traj.z_input
+    return table
 
 
 def _build_system(config: RunConfig):
@@ -507,7 +474,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = config.margin if config.margin is not None else cost.margin
 
-    run.oracle_states, (value_star, policy_star, policy_star_next) = _oracle_reference(
+    _, (value_star, policy_star, policy_star_next) = _oracle_reference(
         system, config, len(pi_result.iterates)
     )
 
@@ -581,13 +548,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         "sigma_level": roa.level if roa else None,
         "gain_table": report.summary(rho_value, margin),
         "policy": policy_ro,
-        "gamma": policy_ro.gamma,
         "value_star": value_star,
-        "policy_star": policy_star,
-        "policy_star_next": policy_star_next,
-        "alpha_lo": alpha_lo,
-        "alpha_hi": alpha_hi,
-        "e_ro": e_ro,
         "sigma": sigma,
         "roa": roa,
         "chi1": chi1,
@@ -652,7 +613,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     )
 
     # certification against the model-based reference
-    run.oracle_states, (value_star, policy_star, policy_star_next) = _oracle_reference(
+    _, (value_star, policy_star, policy_star_next) = _oracle_reference(
         system, config, len(phase1.pi_result.iterates)
     )
 
@@ -724,15 +685,8 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         "f1_hat": phase2.f1_hat,
         "g1_hat": phase2.g1_hat,
         "policy": final_policy,
-        "gamma1": gamma1,
-        "value_star": value_star,
         "composite": composite,
-        "alpha1_lo": alpha1_lo,
-        "alpha1_hi": alpha1_hi,
-        "kappa8": kappa8,
-        "sigma1": sigma1,
         "roa1": roa1,
-        "e_ro1": e_ro1,
     }
 
     # engage the backstepped policy from the end of the learning window
@@ -785,15 +739,19 @@ def _box_audit(record, system, z_bound=None, w_bound=None) -> dict:
 def run_algorithm_1(config: RunConfig) -> LearningRun:
     """Execute the full pipeline for one configuration.
 
-    On a toolkit error the partial run (with the error record) is still
-    serialized to the output directory before the exception propagates.
+    On any exception the partial run is still serialized to the output
+    directory before the exception propagates.  Its error record carries
+    a toolkit error's category and message, or `Internal` and the type
+    and message of any other exception.
     """
     run = LearningRun(config=config)
-    system = _build_system(config)
     try:
-        _run_pipeline(config, system, run)
-    except ToolkitError as exc:
-        run.error = {"category": exc.category, "message": str(exc)}
+        _run_pipeline(config, _build_system(config), run)
+    except Exception as exc:
+        if isinstance(exc, ToolkitError):
+            run.error = {"category": exc.category, "message": str(exc)}
+        else:
+            run.error = {"category": "Internal", "message": f"{type(exc).__name__}: {exc}"}
         run.save(config.out_dir)
         raise
     run.save(config.out_dir)
@@ -877,13 +835,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     run.movement_record = movement
     if model.n >= 2:
         profile = speed_profile_analysis(movement.trajectory)
-        run.analysis["speed_profile"] = {
-            "peak_count": profile.peak_count,
-            "peak_time": profile.peak_time,
-            "symmetry_index": profile.symmetry_index,
-            "duration": profile.duration,
-            "peak_speed": profile.peak_speed,
-        }
+        run.analysis["speed_profile"] = asdict(profile)
 
     surface = cost_surface_compare(
         result.iterates[0].value, result.final_value,
@@ -928,13 +880,11 @@ def _cmd_oracle(args) -> int:
     states, _ = _oracle_reference(system, config, config.max_iter)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["iteration", "value_change", "improvement_residual"]
-    cols = [
-        np.asarray([s.iteration for s in states]),
-        np.asarray([0.0 if np.isinf(s.value_change) else s.value_change for s in states]),
-        np.asarray([s.improvement_residual for s in states]),
-    ]
-    write_csv(out / "oracle_iterations.csv", header, cols)
+    write_table(out / "oracle_iterations.csv", {
+        "iteration": [s.iteration for s in states],
+        "value_change": [0.0 if np.isinf(s.value_change) else s.value_change for s in states],
+        "improvement_residual": [s.improvement_residual for s in states],
+    })
     write_json(
         out / "oracle_final.json",
         {

@@ -113,7 +113,6 @@ class RegressionProblem:
     targets: np.ndarray
     basis_value: BasisSet
     basis_policy: BasisSet
-    control_weight: float
     residuals: Optional[np.ndarray] = None
     min_singular_value: Optional[float] = None
 
@@ -170,7 +169,6 @@ def assemble_regression(
         targets=targets,
         basis_value=basis_value,
         basis_policy=basis_policy,
-        control_weight=r,
     )
 
 

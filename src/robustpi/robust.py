@@ -92,8 +92,6 @@ class ClassKFunction:
 
     fn: Callable
     s_max: float
-    strictly_increasing: bool = True
-    unbounded: bool = False
     positive_definite_only: bool = False
     name: str = ""
 
@@ -123,13 +121,12 @@ class ClassKFunction:
         return ClassKFunction(
             fn=lambda s: np.max([g.fn(np.asarray(s)) for g in gains], axis=0),
             s_max=s_max,
-            unbounded=any(g.unbounded for g in gains),
             name="max(" + ",".join(g.name or "?" for g in gains) + ")",
         )
 
     @classmethod
     def linear(cls, slope: float, s_max: float, name: str = "") -> "ClassKFunction":
-        return cls(fn=lambda s: slope * s, s_max=s_max, unbounded=True, name=name)
+        return cls(fn=lambda s: slope * s, s_max=s_max, name=name)
 
     @classmethod
     def power(
@@ -138,7 +135,6 @@ class ClassKFunction:
         return cls(
             fn=lambda s: coefficient * np.asarray(s) ** exponent,
             s_max=s_max,
-            unbounded=True,
             name=name,
         )
 
@@ -159,7 +155,7 @@ class ClassKFunction:
                 out = np.where(beyond, values[-1] + tail_slope * (q - s[-1]), out)
             return out
 
-        return cls(fn=fn, s_max=BRACKET, unbounded=tail_slope > 0, name=name)
+        return cls(fn=fn, s_max=BRACKET, name=name)
 
     def check_basic(self) -> bool:
         """f(0) = 0 and strict increase along a 60-point log ladder."""
@@ -228,7 +224,6 @@ def iss_gain_from_rho(rho: Callable, margin: float, s_max: float = BRACKET) -> C
     return ClassKFunction(
         fn=lambda s: 0.5 * margin * np.asarray(rho(np.asarray(s) ** 2)) * np.asarray(s),
         s_max=s_max,
-        unbounded=True,
         name="gamma",
     )
 

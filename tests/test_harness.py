@@ -17,8 +17,8 @@ from robustpi.harness import (
     RunConfig,
     load_config,
     run_algorithm_1,
-    write_csv,
     write_json,
+    write_table,
 )
 from robustpi.rundiff import relative_gap
 
@@ -255,6 +255,9 @@ def test_non_finite_values_raise(tmp_path, section, key, value):
         ("robustness", "margin", "0"),
         ("robustness", "rho", "-1"),
         ("robustness", "s_max", "0"),
+        ("pi", "schedule", "0,2"),
+        ("pi", "schedule", "2,2"),
+        ("pi", "schedule", "3,2"),
     ],
 )
 def test_out_of_range_values_raise(tmp_path, section, key, value):
@@ -316,6 +319,20 @@ def test_zero_amplitude_aborts_with_diagnostics(tmp_path, scalar_config_path):
         run_algorithm_1(cfg)
     info = json.loads((Path(cfg.out_dir) / "run.json").read_text())
     assert info["error"]["category"] == "PEViolation"
+
+
+def test_internal_error_writes_its_record(tmp_path, scalar_config_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("surface broke")
+
+    monkeypatch.setattr(harness, "cost_surface_compare", broken)
+    cfg = load_config(scalar_config_path)
+    cfg.out_dir = str(tmp_path / "internal")
+    with pytest.raises(ValueError, match="surface broke"):
+        run_algorithm_1(cfg)
+    info = json.loads((Path(cfg.out_dir) / "run.json").read_text())
+    assert info["error"] == {"category": "Internal", "message": "ValueError: surface broke"}
+    assert (Path(cfg.out_dir) / "iterations.csv").is_file()
 
 
 def test_cli_run_and_exit_codes(tmp_path, scalar_config_path):
@@ -406,15 +423,21 @@ def test_box_audit_flags_violations(tmp_path, scalar_config_path):
     assert audit["contained"] is False
 
 
-def test_write_csv_is_deterministic(tmp_path):
-    cols = [np.array([1.0, 2.5e-7, -3.125]), np.array([4, 5, 6])]
+def test_write_table_is_deterministic(tmp_path):
+    table = {"x": np.array([1.0, 2.5e-7, -3.125, np.inf]), "n": np.array([4, 5, 6, 7])}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(p1, ["x", "n"], cols)
-    write_csv(p2, ["x", "n"], cols)
+    write_table(p1, table)
+    write_table(p2, table)
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text().splitlines()
     assert text[0] == "x,n"
     assert text[1] == "1.0,4"
+    # floats print as repr(float) and ints as str(int)
+    assert text[2:] == ["2.5e-07,5", "-3.125,6", "inf,7"]
+    # rows are converted in chunks; a table of several chunks reads the same
+    long = np.linspace(0.0, 1.0, 2 * harness.TABLE_CHUNK_ROWS + 3)
+    write_table(p1, {"t": long, "k": np.arange(long.size)})
+    assert p1.read_text().splitlines()[1:] == [f"{float(v)!r},{k}" for k, v in enumerate(long)]
 
 
 def test_run_config_validation():

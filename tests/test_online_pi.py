@@ -76,7 +76,6 @@ def test_orthonormal_rows_solve_exactly():
     targets = np.array([1.0, -2.0, 0.0, 0.0])
     problem = RegressionProblem(
         theta=theta, targets=targets, basis_value=basis_v, basis_policy=basis_u,
-        control_weight=1.0,
     )
     step = solve_pi_step(problem)
     assert step.min_singular_value == pytest.approx(1.0)
@@ -90,7 +89,6 @@ def test_duplicate_rows_violate_excitation():
     theta = np.tile([1.0, 2.0], (6, 1))
     problem = RegressionProblem(
         theta=theta, targets=np.ones(6), basis_value=basis_v, basis_policy=basis_u,
-        control_weight=1.0,
     )
     with pytest.raises(PEViolation):
         solve_pi_step(problem)
@@ -101,7 +99,7 @@ def test_underdetermined_is_an_excitation_failure():
     basis_u = make_polynomial_basis(1, 2)
     problem = RegressionProblem(
         theta=np.ones((2, 4)), targets=np.ones(2),
-        basis_value=basis_v, basis_policy=basis_u, control_weight=1.0,
+        basis_value=basis_v, basis_policy=basis_u,
     )
     with pytest.raises(PEViolation):
         solve_pi_step(problem)

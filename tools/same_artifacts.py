@@ -1,0 +1,100 @@
+"""Check that two source trees write the same artifacts.
+
+Runs ``robustpi run`` on the three bundled configs and ``robustpi oracle``
+on ``scalar_lqr.cfg`` in a parent tree and a change tree, each with
+``--out-dir`` under a temporary directory, then compares each pair of
+output directories with `rundiff.compare_runs` and byte for byte.  A file
+differs when it is in one run only, when a number differs by more than
+``--rtol`` relative, or, at ``--rtol 0`` (the default), when its bytes
+differ at all.  The exit codes of the two sides must also match.
+
+    python3 tools/same_artifacts.py --parent ../parent --change . [--rtol R]
+
+Exits 0 when nothing differs and 1 otherwise.  Each tree runs from its own
+`src/`; the comparison uses this tree's `robustpi.rundiff`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from robustpi.rundiff import compare_runs  # noqa: E402
+
+CASES = (
+    ("run", "arm.cfg"),
+    ("run", "cascade_unmatched.cfg"),
+    ("run", "scalar_lqr.cfg"),
+    ("oracle", "scalar_lqr.cfg"),
+)
+CLI = "import sys; from robustpi.harness import cli; sys.exit(cli(sys.argv[1:]))"
+
+
+def run_case(tree: Path, command: str, config: str, out: Path) -> int:
+    """`robustpi COMMAND CONFIG --out-dir OUT` on the tree's own src/; its exit code."""
+    cfg = tree / "src" / "robustpi" / "configs" / config
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    argv = [sys.executable, "-c", CLI, command, str(cfg), "--out-dir", str(out)]
+    return subprocess.run(argv, env=env, capture_output=True).returncode
+
+
+def differing_files(out_a: Path, out_b: Path, rtol: float) -> dict:
+    """{file name: reason} for the files of two output directories that differ."""
+    if not (out_a.is_dir() and out_b.is_dir()):
+        return {} if out_a.is_dir() == out_b.is_dir() else {"(directory)": "in one run only"}
+    found = {}
+    for name, gap in compare_runs(out_a, out_b).items():
+        if gap is None:
+            found[name] = "in one run only"
+        elif gap > rtol:
+            found[name] = f"largest relative difference {gap:.3e}"
+        elif rtol == 0 and (out_a / name).read_bytes() != (out_b / name).read_bytes():
+            found[name] = "bytes differ"
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the reference tree")
+    parser.add_argument("--change", type=Path, required=True, help="the tree under test")
+    parser.add_argument(
+        "--rtol", type=float, default=0.0,
+        help="relative tolerance on numbers (default 0: byte-identical files)",
+    )
+    args = parser.parse_args(argv)
+    if not args.rtol >= 0:
+        parser.error("rtol must be nonnegative")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "src" / "robustpi").is_dir():
+            parser.error(f"{side} tree {tree} has no src/robustpi")
+
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
+        for command, config in CASES:
+            label = f"{command} {config}"
+            outs, codes = {}, {}
+            for side, tree in trees.items():
+                outs[side] = Path(tmp) / side / f"{command}_{Path(config).stem}"
+                codes[side] = run_case(tree, command, config, outs[side])
+            found = differing_files(outs["change"], outs["parent"], args.rtol)
+            if codes["parent"] != codes["change"]:
+                found["(exit code)"] = f"parent {codes['parent']}, change {codes['change']}"
+            for name, reason in found.items():
+                print(f"{label}: {name}: {reason}")
+            n_files = len(list(outs["parent"].iterdir())) if outs["parent"].is_dir() else 0
+            status = "DIFFERS" if found else "same"
+            print(f"{label}: {status} ({n_files} files, exit {codes['parent']})", flush=True)
+            failed += bool(found)
+    print(f"{failed} of {len(CASES)} cases differ (rtol {args.rtol:g})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
