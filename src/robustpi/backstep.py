@@ -111,7 +111,6 @@ def phase_one(
     delta_rel: float = 1e-6,
     tol: float = 1e-3,
     max_iter: int = 20,
-    start: float = 0.0,
 ) -> PhaseOneResult:
     """Learn the x-subsystem policy with z as its input, then robustify.
 
@@ -133,7 +132,6 @@ def phase_one(
         delta_rel=delta_rel,
         tol=tol,
         max_iter=max_iter,
-        start=start,
         drive=drive,
     )
     xi = robust_redesign(result.final_policy, rho, cost.control_weight, margin, 10.0)

@@ -27,7 +27,6 @@ from .basis import make_polynomial_basis
 from .dynsys import Plant, integrate, lipschitz_probe
 from .errors import EXIT_CODES, ConfigParse, ToolkitError
 from .experiments import (
-    ArmParameters,
     build_arm_system,
     build_cascade_system,
     build_linear_plant,
@@ -43,6 +42,8 @@ KINDS = ("scalar_lqr", "linear_2state", "arm", "cascade")
 # level certifies: written as null so the keys do not depend on the outcome
 NULLABLE_RESULTS = ("certified_d", "certified_d1", "certified_worst_ratio", "sigma_level")
 TABLE_CHUNK_ROWS = 256  # rows of a CSV artifact converted to Python numbers at a time
+RHO_LADDER = np.geomspace(0.5, 60.0, 160)  # constant rho values a matched plant searches
+D_LADDER_N = 60  # candidate levels d of each error-bound certification
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,12 @@ class RunConfig:
     seed: int
     out_dir: str = "runs/latest"
     step: float = 1e-3
-    blowup: float = 1e6
-    plant: dict = field(default_factory=dict)
     exploration_amplitude: float = 0.5
-    exploration_components: int = 10
     exploration_freq_low: float = 0.1
     exploration_freq_high: float = 10.0
     exploration_seed: Optional[int] = None
     interval: float = 0.1
     n_intervals: Optional[int] = None
-    sample_start: float = 0.0
     value_degree: int = 2
     policy_degree: int = 2
     oracle_degree: int = 0  # 0 -> same as value_degree
@@ -75,16 +72,7 @@ class RunConfig:
     max_iter: int = 20
     schedule: tuple = ()
     residual_threshold: float = np.inf
-    robust_enabled: bool = False
-    margin: Optional[float] = None
-    rho: Optional[float] = None  # None -> ladder search
-    rho_ladder_min: float = 0.1
-    rho_ladder_max: float = 60.0
-    rho_ladder_n: int = 160
-    relative_margin: float = 0.10
     s_max: Optional[float] = None
-    d_samples: int = 4000
-    d_ladder_n: int = 60
     sim_step: float = 5e-4
     sim_horizon: float = 5.0
     source_text: str = ""
@@ -92,10 +80,15 @@ class RunConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigParse(f"unknown plant kind {self.kind!r}")
-        for name in ("step", "interval", "tol", "blowup", "sim_step", "sim_horizon"):
+        for name in ("step", "interval", "tol", "sim_step", "sim_horizon"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ConfigParse(f"{name} must be positive and finite")
+        if self.step > self.interval:
+            raise ConfigParse("step must not exceed the sampling interval")
+        # the engaged run steps by sim_step and the movement replay by step
+        if max(self.step, self.sim_step) > self.sim_horizon:
+            raise ConfigParse("sim_horizon must cover at least one step and one sim_step")
         for name in ("exploration_amplitude", "exploration_freq_low", "exploration_freq_high"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigParse(f"{name} must be finite")
@@ -107,11 +100,7 @@ class RunConfig:
             ("value_degree", 1),
             ("policy_degree", 1),
             ("oracle_degree", 0),
-            ("exploration_components", 1),
             ("max_iter", 1),
-            ("rho_ladder_n", 1),
-            ("d_ladder_n", 1),
-            ("d_samples", 1),
         ):
             if getattr(self, name) < least:
                 raise ConfigParse(f"{name} must be at least {least}")
@@ -124,22 +113,14 @@ class RunConfig:
         # NaN fails every comparison, so a NaN delta_rel would switch off the PE guard
         if not np.isfinite(self.delta_rel) or self.delta_rel <= 0:
             raise ConfigParse("delta_rel must be positive and finite")
-        for name in ("delta1_rel", "sample_start", "relative_margin"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ConfigParse(f"{name} must be nonnegative and finite")
-        # a [plant] key is read from the plant dict, the others from fields
-        for name in ("margin", "rho", "s_max", "tau_n"):
-            value = getattr(self, name, self.plant.get(name))
-            if value is not None and (not np.isfinite(value) or value <= 0):
-                raise ConfigParse(f"{name} must be positive and finite")
-        low, high = self.rho_ladder_min, self.rho_ladder_max
-        if not (np.isfinite(low) and np.isfinite(high) and 0 < low <= high):
-            raise ConfigParse("rho ladder needs finite 0 < rho_ladder_min <= rho_ladder_max")
+        if not np.isfinite(self.delta1_rel) or self.delta1_rel < 0:
+            raise ConfigParse("delta1_rel must be nonnegative and finite")
+        if self.s_max is not None and (not np.isfinite(self.s_max) or self.s_max <= 0):
+            raise ConfigParse("s_max must be positive and finite")
         if self.exploration_seed is None:
             self.exploration_seed = self.seed + 1
-        for name in ("seed", "exploration_seed", "plant_seed"):
-            if getattr(self, name, self.plant.get(name, 0)) < 0:
+        for name in ("seed", "exploration_seed"):
+            if getattr(self, name) < 0:
                 raise ConfigParse(f"{name} must be nonnegative")
 
 
@@ -148,25 +129,19 @@ def _schedule(raw: str) -> tuple:
 
 
 # Every key a config file may set: (section, key, RunConfig field, cast).
-# A key left out or blank keeps the field's default.  [plant] keys go into
-# the `plant` dict under their own name.
+# A key left out or blank keeps the field's default.
 CONFIG_KEYS = (
     ("run", "format_version", "format_version", int),
     ("run", "kind", "kind", str),
     ("run", "seed", "seed", int),
     ("output", "dir", "out_dir", str),
     ("integration", "step", "step", float),
-    ("integration", "blowup", "blowup", float),
-    ("plant", "tau_n", "plant", float),
-    ("plant", "plant_seed", "plant", int),
     ("exploration", "amplitude", "exploration_amplitude", float),
-    ("exploration", "n_components", "exploration_components", int),
     ("exploration", "freq_low", "exploration_freq_low", float),
     ("exploration", "freq_high", "exploration_freq_high", float),
     ("exploration", "seed", "exploration_seed", int),
     ("sampling", "interval", "interval", float),
     ("sampling", "n_intervals", "n_intervals", int),
-    ("sampling", "start", "sample_start", float),
     ("pi", "value_degree", "value_degree", int),
     ("pi", "policy_degree", "policy_degree", int),
     ("pi", "oracle_degree", "oracle_degree", int),
@@ -176,15 +151,7 @@ CONFIG_KEYS = (
     ("pi", "max_iter", "max_iter", int),
     ("pi", "schedule", "schedule", _schedule),
     ("pi", "residual_threshold", "residual_threshold", float),
-    ("robustness", "margin", "margin", float),
-    ("robustness", "rho", "rho", float),
-    ("robustness", "rho_ladder_min", "rho_ladder_min", float),
-    ("robustness", "rho_ladder_max", "rho_ladder_max", float),
-    ("robustness", "rho_ladder_n", "rho_ladder_n", int),
-    ("robustness", "relative_margin", "relative_margin", float),
     ("robustness", "s_max", "s_max", float),
-    ("robustness", "d_samples", "d_samples", int),
-    ("robustness", "d_ladder_n", "d_ladder_n", int),
     ("robustness", "sim_step", "sim_step", float),
     ("robustness", "sim_horizon", "sim_horizon", float),
 )
@@ -227,7 +194,7 @@ def load_config(path) -> RunConfig:
             if key not in keys[section]:
                 raise _unknown(f"[{section}] key", key, keys[section])
 
-    values = {"plant": {}}
+    values = {}
     for section, key, name, cast in CONFIG_KEYS:
         raw = parser.get(section, key, fallback="")
         if not raw.strip():
@@ -238,16 +205,11 @@ def load_config(path) -> RunConfig:
             value = cast(raw)
         except ValueError as exc:
             raise ConfigParse(f"bad value for [{section}] {key}: {raw!r}") from exc
-        if name == "plant":
-            values["plant"][key] = value
-        else:
-            values[name] = value
+        values[name] = value
     version = values.pop("format_version")
     if version != FORMAT_VERSION:
         raise ConfigParse(f"unsupported format_version {version}")
-    return RunConfig(
-        **values, robust_enabled=parser.has_section("robustness"), source_text=text
-    )
+    return RunConfig(**values, source_text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +358,10 @@ def _build_system(config: RunConfig):
         bench = build_scalar_plant()
         initial_policy, x0, w0 = bench.initial_policy, np.array([0.8]), None
     elif config.kind == "linear_2state":
-        bench = build_linear_plant(config.plant.get("plant_seed", 3))
+        bench = build_linear_plant()
         initial_policy, x0, w0 = bench.initial_policy, np.array([0.9, -0.6]), None
     elif config.kind == "arm":
-        bench = build_arm_system(ArmParameters(tau_n=config.plant.get("tau_n", 0.1)))
+        bench = build_arm_system()
         initial_policy = bench.initial_policy
         x0, w0 = bench.initial_state[1:], bench.initial_state[:1]
     else:
@@ -425,7 +387,6 @@ def noise_from_config(config: RunConfig, seed_offset: int = 0):
     return online_pi.ExplorationNoise(
         amplitude=config.exploration_amplitude,
         seed=config.exploration_seed + seed_offset,
-        n_components=config.exploration_components,
         freq_low=config.exploration_freq_low,
         freq_high=config.exploration_freq_high,
     )
@@ -472,7 +433,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
     cost = system["cost"]
     gains = system["uncertainty"].iss_bounds
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
-    margin = config.margin if config.margin is not None else cost.margin
+    margin = cost.margin
 
     _, (value_star, policy_star, policy_star_next) = _oracle_reference(
         system, config, len(pi_result.iterates)
@@ -493,18 +454,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         "alpha_lo": alpha_lo,
         "alpha_hi": alpha_hi,
     }
-    if config.rho is not None:
-        rho_value = float(config.rho)
-        gamma = robust.iss_gain_from_rho(robust.ConstantRho(rho_value), margin)
-        report = robust.check_small_gain(
-            gamma, gains["kappa1"], gains["kappa2"], gains["kappa3"],
-            gains["lam_lo"], alpha_lo, alpha_hi, s_max=s_max,
-        )
-    else:
-        ladder = np.geomspace(config.rho_ladder_min, config.rho_ladder_max, config.rho_ladder_n)
-        rho_value, report = robust.select_rho(
-            ladder, margin, gain_set, s_max=s_max, relative_margin=config.relative_margin
-        )
+    rho_value, report = robust.select_rho(RHO_LADDER, margin, gain_set, s_max=s_max)
     rho_fn = robust.ConstantRho(rho_value)
     policy_ro = robust.robust_redesign(pi_result.final_policy, rho_fn, cost.control_weight, margin)
 
@@ -517,15 +467,13 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         float(alpha_lo(np.asarray(s_max))),
         robust.boundary_minimum(value_star, system["region_low"], system["region_high"]),
     )
-    d_ladder = np.geomspace(d_top * 1e-3, d_top, config.d_ladder_n)
     certified = robust.certify_error_bound(
         e_ro,
         policy_ro.gamma,
         value_star,
-        d_ladder=d_ladder,
+        d_ladder=np.geomspace(d_top * 1e-3, d_top, D_LADDER_N),
         sample_low=system["region_low"],
         sample_high=system["region_high"],
-        n_samples=config.d_samples,
         seed=config.seed + 17,
     )
     chi1, chi2 = robust.build_chi_pair(
@@ -567,14 +515,14 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     cost = system["cost"]
     gains = bench.gains
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
-    margin = config.margin if config.margin is not None else cost.margin
-    rho_value = config.rho if config.rho is not None else bench.rho_value
+    margin = cost.margin
+    rho_value = bench.rho_value
     rho_fn = robust.ConstantRho(rho_value)
 
     noise = noise_from_config(config)
     plant = Plant(
         system["model"], system["uncertainty"], system["x0"],
-        step=config.step, z0=system["z0"], w0=system["w0"], blowup=config.blowup,
+        step=config.step, z0=system["z0"], w0=system["w0"],
     )
     basis_v = make_polynomial_basis(1, config.value_degree)
     basis_u = make_polynomial_basis(1, config.policy_degree)
@@ -586,7 +534,6 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         rho_fn, margin,
         interval=config.interval, n_intervals=n_intervals,
         delta_rel=config.delta_rel, tol=config.tol, max_iter=config.max_iter,
-        start=config.sample_start,
     )
     run.pi_result = phase1.pi_result
     run.learning_record = plant.last_record
@@ -598,10 +545,8 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     psi_basis = make_polynomial_basis(2, 2)
     phi_basis = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)
     n2 = config.n_intervals or online_pi.default_intervals(psi_basis, phi_basis)
-    traj2 = plant.observe(drive2, config.sample_start + config.interval * n2)
-    window2 = online_pi.SampleWindow.from_trajectory(
-        traj2, config.interval, n2, config.sample_start
-    )
+    traj2 = plant.observe(drive2, config.interval * n2)
+    window2 = online_pi.SampleWindow.from_trajectory(traj2, config.interval, n2)
     problem2 = backstep.assemble_phase_two(window2, psi_basis, phi_basis, xi)
     phase2 = backstep.solve_phase_two(
         problem2, delta_rel=config.delta1_rel or config.delta_rel
@@ -648,10 +593,9 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         ),
         gamma1,
         composite,
-        d_ladder=np.geomspace(d_top * 1e-3, d_top, config.d_ladder_n),
+        d_ladder=np.geomspace(d_top * 1e-3, d_top, D_LADDER_N),
         sample_low=-ball,
         sample_high=ball,
-        n_samples=config.d_samples,
         seed=config.seed + 23,
     )
     certified_d1 = certified.d if certified else None
@@ -671,7 +615,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         roa1 = robust.estimate_roa(composite, gains["W"], certified_d1, sigma1)
 
     run.cascade_report = {
-        "rho": float(rho_value),
+        "rho": rho_value,
         "margin": margin,
         "phase2_residual_rms": phase2.residual_rms,
         "phase2_min_singular_value": phase2.min_singular_value,
@@ -698,7 +642,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         system["model"], system["uncertainty"],
         lambda x, z, t: final_policy(x, z), x_end,
         horizon=config.sim_horizon, step=config.sim_step,
-        z0=z_end, w0=w_end, blowup=config.blowup,
+        z0=z_end, w0=w_end,
     )
     run.engaged_record = engaged
     run.audit = _box_audit(run.learning_record, system, bench.z_bound, bench.w_bound)
@@ -767,7 +711,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     noise = noise_from_config(config)
     plant = Plant(
         model, system["uncertainty"], system["x0"],
-        step=config.step, w0=system["w0"], blowup=config.blowup,
+        step=config.step, w0=system["w0"],
     )
     if config.schedule and len(config.schedule) > 1:
         schedule = [
@@ -778,7 +722,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
             plant, system["initial_policy"], noise, cost, schedule,
             config.residual_threshold,
             interval=config.interval, delta_rel=config.delta_rel,
-            tol=config.tol, max_iter=config.max_iter, start=config.sample_start,
+            tol=config.tol, max_iter=config.max_iter,
         )
         result = two_loop.result
         run.analysis["schedule_index"] = two_loop.schedule_index
@@ -790,7 +734,6 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
             plant, system["initial_policy"], noise, basis_v, basis_u, cost,
             interval=config.interval, n_intervals=n_intervals,
             delta_rel=config.delta_rel, tol=config.tol, max_iter=config.max_iter,
-            start=config.sample_start,
         )
     run.pi_result = result
     run.learning_record = plant.last_record
@@ -803,7 +746,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     )
 
     final_policy = result.final_policy
-    if config.robust_enabled and system["uncertainty"] is not None:
+    if system["uncertainty"] is not None:
         final_policy = _matched_certification(config, system, result, run)
 
     # terminate the noise and engage the final policy from where learning ended
@@ -813,7 +756,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     engaged = integrate(
         model, system["uncertainty"], lambda x, t: final_policy(x), x_end,
         horizon=config.sim_horizon, step=config.sim_step,
-        w0=w_end, blowup=config.blowup,
+        w0=w_end,
     )
     run.engaged_record = engaged
     roa = run.robust_report.get("roa")
@@ -830,7 +773,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
         model, system["uncertainty"],
         lambda x, t: learned.evaluate(x), system["x0"],
         horizon=config.sim_horizon, step=config.step,
-        w0=system["w0"], blowup=config.blowup,
+        w0=system["w0"],
     )
     run.movement_record = movement
     if model.n >= 2:
@@ -921,12 +864,17 @@ def _cmd_replay(args) -> int:
     if not cfg_path.is_file():
         raise ConfigParse(f"no config.cfg in {run_dir}")
     config = load_config(cfg_path)
-    out_dir = args.out_dir or str(run_dir) + "_replay"
-    if Path(out_dir).exists():
-        shutil.rmtree(out_dir)
-    config.out_dir = out_dir
+    out = Path(args.out_dir or f"{run_dir}_replay")
+    if out.exists():
+        # only an earlier run's output is replaced, and never the run replayed
+        if run_dir.resolve().is_relative_to(out.resolve()):
+            raise ConfigParse(f"replay output {out} would replace the run {run_dir}")
+        if not (out / "run.json").is_file():
+            raise ConfigParse(f"replay output {out} exists and holds no run.json")
+        shutil.rmtree(out)
+    config.out_dir = str(out)
     run_algorithm_1(config)
-    for path in sorted(Path(out_dir).iterdir()):
+    for path in sorted(out.iterdir()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.name}")
     return 0

@@ -89,14 +89,13 @@ class SampleWindow:
 
     @classmethod
     def from_trajectory(
-        cls, trajectory: Trajectory, interval: float, count: int, start: float = 0.0
+        cls, trajectory: Trajectory, interval: float, count: int
     ) -> "SampleWindow":
         step = trajectory.step
         stride = int(round(interval / step))
         if stride < 1:
             raise EmptyInterval("interval shorter than the integration step")
-        first = int(round(start / step))
-        idx = first + stride * np.arange(count + 1)
+        idx = stride * np.arange(count + 1)
         if idx[-1] >= trajectory.t.size:
             raise ValueError(
                 f"window needs {idx[-1] + 1} dense points, trajectory has "
@@ -257,7 +256,6 @@ def run_online_pi(
     delta_rel: float = 1e-6,
     tol: float = 1e-3,
     max_iter: int = 20,
-    start: float = 0.0,
     drive: Optional[Callable] = None,
 ) -> OnlinePIResult:
     """Collect one excited window, then iterate regression solves on it.
@@ -271,8 +269,8 @@ def run_online_pi(
     if drive is None:
         noise = exploration if exploration is not None else (lambda t: 0.0)
         drive = lambda x, t: initial_policy(x) + noise(t)
-    traj = plant.observe(drive, start + interval * n_intervals)
-    window = SampleWindow.from_trajectory(traj, interval, n_intervals, start)
+    traj = plant.observe(drive, interval * n_intervals)
+    window = SampleWindow.from_trajectory(traj, interval, n_intervals)
 
     iterates = []
     policy = initial_policy
@@ -330,7 +328,6 @@ def two_loop_optimize(
     delta_rel: float = 1e-6,
     tol: float = 1e-3,
     max_iter: int = 20,
-    start: float = 0.0,
 ) -> TwoLoopResult:
     """Grow the bases along `schedule` until the residual threshold is met.
 
@@ -358,7 +355,6 @@ def two_loop_optimize(
             delta_rel=delta_rel,
             tol=tol,
             max_iter=max_iter,
-            start=start,
         )
         residual = result.iterates[-1].residual_rms
         entry = TwoLoopResult(

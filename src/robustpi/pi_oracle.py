@@ -56,7 +56,7 @@ def probe_admissibility(
             while t < 20.0:
                 rec = integrate(
                     model, None, lambda x, t: policy(x), x,
-                    horizon=chunk, step=step, blowup=1e6,
+                    horizon=chunk, step=step,
                 )
                 x = rec.trajectory.x[-1]
                 t += chunk

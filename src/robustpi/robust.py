@@ -446,7 +446,9 @@ def radial_envelopes(
     ball of radius s_max, clipped to [clip_low, clip_high] when given (the
     region where the function is trusted).  Coefficients are the extreme
     values of V(x)/|x|^2 widened by 2%, which absorbs the direction-sampling
-    gap; both envelopes are genuine class-K-infinity quadratics.
+    gap; both envelopes are genuine class-K-infinity quadratics.  Raises
+    CompositionDomain when the clip box leaves fewer than 4 sampled points
+    or V is not positive on them.
     """
     n_radii = 32
     dirs = _directions(dim, 64, seed=0)
@@ -458,12 +460,12 @@ def radial_envelopes(
         keep = np.all((pts >= lo) & (pts <= hi), axis=1)
         pts = pts[keep]
         if pts.shape[0] < 4:
-            raise ValueError("clip box excludes almost the whole sampled ball")
+            raise CompositionDomain("clip box excludes almost the whole sampled ball")
     vals = value.evaluate_many(pts)
     ratio = vals / np.sum(pts**2, axis=1)
     c_lo, c_hi = float(np.min(ratio)), float(np.max(ratio))
     if c_lo <= 0:
-        raise ValueError(
+        raise CompositionDomain(
             "function is not positive definite on the sampled set; "
             "shrink s_max for the envelope construction"
         )

@@ -59,7 +59,6 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.seed == 3
     assert cfg.exploration_amplitude == 0.8
     assert cfg.n_intervals == 40
-    assert not cfg.robust_enabled
 
 
 def test_missing_config_raises():
@@ -87,15 +86,11 @@ def test_bad_values_raise(tmp_path):
 # the loader read CONFIG_KEYS: a changed default or cast shows up here.
 SCALAR_FIELDS = {
     "kind": "scalar_lqr", "seed": 7, "out_dir": "runs/scalar_lqr", "step": 0.001,
-    "blowup": 1000000.0, "plant": {}, "exploration_amplitude": 0.8,
-    "exploration_components": 10, "exploration_freq_low": 0.1, "exploration_freq_high": 10.0,
-    "exploration_seed": 8, "interval": 0.1, "n_intervals": 40, "sample_start": 0.0,
+    "exploration_amplitude": 0.8, "exploration_freq_low": 0.1, "exploration_freq_high": 10.0,
+    "exploration_seed": 8, "interval": 0.1, "n_intervals": 40,
     "value_degree": 2, "policy_degree": 2, "oracle_degree": 0, "delta_rel": 1e-06,
     "delta1_rel": 0.0, "tol": 0.0001, "max_iter": 16, "schedule": (),
-    "residual_threshold": float("inf"), "robust_enabled": False, "margin": None, "rho": None,
-    "rho_ladder_min": 0.1, "rho_ladder_max": 60.0, "rho_ladder_n": 160,
-    "relative_margin": 0.1, "s_max": None, "d_samples": 4000, "d_ladder_n": 60,
-    "sim_step": 0.0005, "sim_horizon": 5.0,
+    "residual_threshold": float("inf"), "s_max": None, "sim_step": 0.0005, "sim_horizon": 5.0,
 }
 EXPECTED_FIELDS = {
     "scalar_lqr.cfg": SCALAR_FIELDS,
@@ -103,18 +98,16 @@ EXPECTED_FIELDS = {
         **SCALAR_FIELDS, "seed": 3, "out_dir": "OUT", "exploration_seed": 4, "max_iter": 12,
     },
     "arm.cfg": {
-        **SCALAR_FIELDS, "kind": "arm", "out_dir": "runs/arm", "plant": {"tau_n": 0.1},
+        **SCALAR_FIELDS, "kind": "arm", "out_dir": "runs/arm",
         "exploration_amplitude": 2.0, "exploration_freq_low": 0.02,
         "exploration_freq_high": 1.0, "exploration_seed": 9, "n_intervals": 160,
         "value_degree": 5, "policy_degree": 5, "oracle_degree": 11, "delta_rel": 1e-12,
-        "tol": 0.001, "robust_enabled": True, "margin": 0.95, "rho_ladder_min": 0.5,
-        "s_max": 3.55, "sim_step": 0.00025,
+        "tol": 0.001, "s_max": 3.55, "sim_step": 0.00025,
     },
     "cascade_unmatched.cfg": {
         **SCALAR_FIELDS, "kind": "cascade", "seed": 11, "out_dir": "runs/cascade",
         "step": 0.0005, "exploration_amplitude": 1.0, "exploration_seed": 12,
-        "delta1_rel": 1e-11, "robust_enabled": True, "margin": 0.8, "rho": 0.5,
-        "s_max": 3.0, "sim_step": 0.001, "sim_horizon": 8.0,
+        "delta1_rel": 1e-11, "s_max": 3.0, "sim_step": 0.001, "sim_horizon": 8.0,
     },
 }
 
@@ -137,7 +130,7 @@ def test_loaded_fields_keep_their_values(tmp_path, name):
     [
         ("n_intervals = 40", "n_interval = 40", "did you mean 'n_intervals'"),
         ("[pi]", "[pii]", "unknown section 'pii' (did you mean 'pi'?)"),
-        ("[output]", "[plant]\nmass = 2.0\n\n[output]", "unknown [plant] key 'mass'"),
+        ("[output]", "[plant]\nmass = 2.0\n\n[output]", "unknown section 'plant'"),
         ("[run]", "[DEFAULT]\nseed = 5\n\n[run]", "[DEFAULT]"),
     ],
 )
@@ -179,7 +172,7 @@ def test_readme_lists_every_config_key():
     assert sorted(rows) == sorted((section, key) for section, key, _, _ in CONFIG_KEYS)
 
 
-def _assert_rejected(tmp_path, section, key, value):
+def _assert_rejected(tmp_path, section, key, value, match=None):
     """`load_config` and `robustpi run` both reject MINIMAL with one key set."""
     parser = configparser.ConfigParser()
     parser.read_string(MINIMAL.format(out=tmp_path / "out"))
@@ -189,12 +182,40 @@ def _assert_rejected(tmp_path, section, key, value):
     path = tmp_path / "rejected.cfg"
     with path.open("w") as fh:
         parser.write(fh)
-    with pytest.raises(ConfigParse):
+    with pytest.raises(ConfigParse, match=match):
         load_config(path)
     assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
     assert not (tmp_path / "out").exists()
 
 
+# Keys that once carried one value in every config and are now constants,
+# with the values the bundled configs gave them ([plant] plant_seed was
+# never set; 3 was its default).  A config that still sets one is
+# rejected by name, so it never runs differently without notice.
+FOLDED_KEYS = [
+    ("integration", "blowup", "1.0e6"),
+    ("plant", "tau_n", "0.1"),
+    ("plant", "plant_seed", "3"),
+    ("exploration", "n_components", "10"),
+    ("sampling", "start", "0.0"),
+    ("robustness", "margin", "0.95"),
+    ("robustness", "rho", "0.5"),
+    ("robustness", "rho_ladder_min", "0.5"),
+    ("robustness", "rho_ladder_max", "60.0"),
+    ("robustness", "rho_ladder_n", "160"),
+    ("robustness", "relative_margin", "0.10"),
+    ("robustness", "d_samples", "4000"),
+    ("robustness", "d_ladder_n", "60"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", FOLDED_KEYS)
+def test_folded_keys_are_rejected_by_name(tmp_path, section, key, value):
+    name = "section 'plant'" if section == "plant" else f"[{section}] key {key!r}"
+    _assert_rejected(tmp_path, section, key, value, re.escape(f"unknown {name}"))
+
+
+# The cases of keys in FOLDED_KEYS hold because those keys are rejected by name.
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "section, key",
@@ -258,6 +279,10 @@ def test_non_finite_values_raise(tmp_path, section, key, value):
         ("pi", "schedule", "0,2"),
         ("pi", "schedule", "2,2"),
         ("pi", "schedule", "3,2"),
+        ("integration", "step", "0.5"),  # longer than the sampling interval
+        ("integration", "step", "5.0"),  # also longer than sim_horizon
+        ("robustness", "sim_horizon", "0.0001"),
+        ("robustness", "sim_step", "10"),
     ],
 )
 def test_out_of_range_values_raise(tmp_path, section, key, value):
@@ -377,6 +402,25 @@ def test_cli_replay_is_byte_identical(tmp_path, scalar_config_path):
     assert files1 == files2
     for name in files1:
         assert (r1 / name).read_bytes() == (r2 / name).read_bytes(), name
+
+
+def test_cli_replay_replaces_only_an_earlier_run(tmp_path, scalar_config_path):
+    out = tmp_path / "orig"
+    assert harness.cli(["run", str(scalar_config_path), "--out-dir", str(out)]) == 0
+    (out / "note.txt").write_text("keep\n")
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "note.txt").write_text("keep\n")
+    code = EXIT_CODES[ConfigParse.category]
+    for target in (out, tmp_path / "other" / ".." / "orig", tmp_path, other):
+        assert harness.cli(["replay", str(out), "--out-dir", str(target)]) == code
+    assert (out / "note.txt").read_text() == "keep\n"
+    assert (out / "run.json").is_file()
+    assert (other / "note.txt").read_text() == "keep\n"
+    # an earlier replay is replaced
+    again = tmp_path / "again"
+    for _ in range(2):
+        assert harness.cli(["replay", str(out), "--out-dir", str(again)]) == 0
 
 
 def test_cli_check_gains(tmp_path, cascade_config_path, capsys):

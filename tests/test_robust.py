@@ -350,8 +350,12 @@ def test_radial_envelopes_sandwich_quadratic():
 def test_radial_envelopes_reject_indefinite():
     basis = make_polynomial_basis(2, 2)
     value = Approximant(basis, np.array([0.0, 0.0, 1.0, 0.0, -1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(CompositionDomain, match="not positive definite"):
         radial_envelopes(value, 2, 1.0)
+    # a clip box that holds none of the sampled ball
+    definite = Approximant(basis, np.array([0.0, 0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(CompositionDomain, match="clip box"):
+        radial_envelopes(definite, 2, 1.0, clip_low=[2.0, 2.0], clip_high=[3.0, 3.0])
 
 
 def test_monotone_envelope_bounds_linear_map():

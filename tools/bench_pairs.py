@@ -6,8 +6,9 @@ side than the pair before, so a drift in host speed does not favour one
 side.  Each run's end-to-end metrics (`run_ref`, `setup_s`, `peak_rss_mb`)
 are recorded per pair, with each side's median and quartiles, the number of
 pairs the change wins (lower is better for all three), and for each tree's
-`src/` its line count and its number of function parameters with a default
-(`src_defaults`, the options the code offers).  Results are merged into the JSON file named by
+`src/` its line count, its number of function parameters with a default
+(`src_defaults`, the options the code offers) and its number of config keys
+(`config_keys`, the rows of `harness.CONFIG_KEYS`).  Results are merged into the JSON file named by
 ``--out`` under ``workloads.<name>``, so one file can hold several
 workloads measured on different seeds.
 
@@ -50,6 +51,17 @@ def src_defaults(tree: Path) -> int:
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
     return count
+
+
+def config_keys(tree: Path) -> int:
+    """Rows of `CONFIG_KEYS` in the tree's `src/robustpi/harness.py`, read with `ast`."""
+    module = ast.parse((tree / "src" / "robustpi" / "harness.py").read_text())
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CONFIG_KEYS" for t in node.targets
+        ):
+            return len(node.value.elts)
+    raise SystemExit(f"{tree}: no CONFIG_KEYS in src/robustpi/harness.py")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -123,6 +135,7 @@ def main(argv=None) -> int:
     }
     data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     data["src_defaults"] = {side: src_defaults(tree) for side, tree in trees.items()}
+    data["config_keys"] = {side: config_keys(tree) for side, tree in trees.items()}
     data.setdefault("workloads", {})[args.workload] = report
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     r = report["run_ref"]
