@@ -26,26 +26,15 @@ from .online_pi import (
     guarded_solve,
     run_online_pi,
 )
-from .robust import ClassKFunction, RobustPolicy, check_small_gain, robust_redesign
+from .robust import ClassKFunction, ConstantRho, RobustPolicy, check_small_gain, robust_redesign
 
 
 def make_rho1(rho: Callable) -> Callable:
-    """Companion scaling for the augmented state: rho1(s) = 2 rho(s/2)."""
+    """Companion scaling for the augmented state: rho1(s) = 2 rho(s/2),
+    a `ConstantRho` of twice the value when rho is one."""
+    if isinstance(rho, ConstantRho):
+        return ConstantRho(2.0 * rho.value)
     return lambda s: 2.0 * np.asarray(rho(0.5 * np.asarray(s, dtype=float)))
-
-
-def finite_difference_gradient(fn: Callable, x) -> np.ndarray:
-    """Central-difference gradient (step 1e-6) of a scalar map,
-    certification-side only."""
-    h = 1e-6
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for d in range(x.size):
-        hi, lo = x.copy(), x.copy()
-        hi[d] += h
-        lo[d] -= h
-        grad[d] = (fn(hi) - fn(lo)) / (2.0 * h)
-    return grad
 
 
 def cascade_gain_from_rho(rho: Callable, margin: float, s_max: float) -> ClassKFunction:
@@ -264,7 +253,22 @@ class BacksteppedPolicy:
         )
 
     def __call__(self, x, z) -> float:
-        return float(self.evaluate_many(np.atleast_2d(x), [z])[0])
+        if not isinstance(self.rho, ConstantRho):
+            return float(self.evaluate_many(np.atleast_2d(x), [z])[0])
+        # evaluate_many's arithmetic, term for term, at one point
+        zeta = z - self.xi.evaluate(x)
+        eps2 = self.margin**2
+        rho_sq = self.rho.value * self.rho.value
+        rho1_sq = self.rho1.value * self.rho1.value
+        g_hat = self.g1_hat.evaluate(x)
+        return float(
+            -self.f1_hat.evaluate(np.append(x, z))
+            + 2.0 * self.control_weight * self.learned_policy.evaluate(x)
+            - g_hat * g_hat * rho1_sq * zeta / 4.0
+            - eps2 * zeta
+            - rho1_sq * zeta / 4.0
+            - eps2 * rho_sq * zeta / (2.0 * rho_sq)
+        )
 
 
 def backstepped_redesign_error(
@@ -278,7 +282,8 @@ def backstepped_redesign_error(
     xi: RobustPolicy,
     control_weight: float,
 ) -> Callable:
-    """Certification-time gap of the backstepped law, on (x, zeta) points.
+    """Certification-time gap of the backstepped law, on (x, zeta) points;
+    `f1_true` and `g1_true` take the whole batch, as `cascade_truth` gives them.
 
     Needs the true transformed dynamics and oracle policy, so it exists
     only where a model-based reference is available.
@@ -289,8 +294,8 @@ def backstepped_redesign_error(
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         z = zeta + xi.evaluate_many(x)
         xz = np.hstack([x, z[:, None]])
-        f_true = np.asarray([f1_true(xi_, zi) for xi_, zi in zip(x, z)])
-        g_true = np.asarray([g1_true(xi_) for xi_ in x])
+        f_true = f1_true(x, z)
+        g_true = g1_true(x)
         u_true = policy_true_next.evaluate_many(x)
         aug_sq = np.sum(x**2, axis=1) + zeta**2
         rho1_sq = np.asarray(rho1(aug_sq)) ** 2
@@ -304,23 +309,23 @@ def backstepped_redesign_error(
     return error
 
 
-def cascade_truth(model: SystemModel, xi: RobustPolicy, xi_gradient: Callable):
-    """Ground-truth transformed dynamics from the model and grad(xi).
+def cascade_truth(model: SystemModel, xi: RobustPolicy):
+    """Ground-truth transformed dynamics from the model and the exact
+    grad(xi) (`RobustPolicy.gradient_many`, for a constant rho), on
+    states x (P, n) and z (P,).
 
     Used only to build certification references; the learner never forms
     these derivatives.
     """
 
     def f1_bar(x, z):
-        x = np.asarray(x, dtype=float)
-        grad = np.asarray(xi_gradient(x), dtype=float)
-        return float(
-            model.f1(x, z) - grad @ (model.drift(x) + model.input_gain(x) * z)
-        )
+        x, z = np.atleast_2d(x), np.asarray(z, dtype=float)
+        flow = model.drift(x) + model.input_gain(x) * z[:, None]
+        return model.f1(x, z) - np.sum(xi.gradient_many(x) * flow, axis=1)
 
     def g1_bar(x):
-        x = np.asarray(x, dtype=float)
-        return float(np.asarray(xi_gradient(x), dtype=float) @ model.input_gain(x))
+        x = np.atleast_2d(x)
+        return np.sum(xi.gradient_many(x) * model.input_gain(x), axis=1)
 
     return f1_bar, g1_bar
 

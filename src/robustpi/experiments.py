@@ -162,17 +162,14 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
         out[..., 1] = 1.0 / inertia
         return out
 
+    leak_rate = p.leak_rate
+
+    # w and x are float arrays here, as the RK4 stage passes them
     def w_dynamics(w, x):
-        w = np.asarray(w, dtype=float)
-        x = np.asarray(x, dtype=float)
-        dw = -p.leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * gravity_shape(
-            x[..., 0]
-        )
+        dw = -leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * gravity_shape(x[..., 0])
         return dw[..., None]
 
     def matched(w, x):
-        w = np.asarray(w, dtype=float)
-        x = np.asarray(x, dtype=float)
         return w[..., 0] + inertia * x[..., 1]
 
     def state_cost(x):

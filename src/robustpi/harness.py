@@ -572,8 +572,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         alpha1_lo, alpha1_hi, s_max=s_max,
     )
 
-    xi_grad = lambda x: backstep.finite_difference_gradient(xi, x)
-    f1_bar, g1_bar = backstep.cascade_truth(system["model"], xi, xi_grad)
+    f1_bar, g1_bar = backstep.cascade_truth(system["model"], xi)
     e_ro1 = backstep.backstepped_redesign_error(
         f1_bar, phase2.f1_hat, policy_star_next, phase1.pi_result.final_policy,
         g1_bar, phase2.g1_hat, backstep.make_rho1(rho_fn), xi, cost.control_weight,

@@ -205,6 +205,16 @@ class RobustPolicy:
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.scale_many(points) * self.base_policy.evaluate_many(points)
 
+    def gradient_many(self, points: np.ndarray) -> np.ndarray:
+        """Exact gradient rows where rho is constant: the scale times the base
+        gradient.  rho is nondecreasing, so equal values at 0 and beyond every
+        point's |x|^2 prove it constant there; a varying rho is refused."""
+        pts = np.atleast_2d(points)
+        ends = np.asarray(self.rho(np.asarray([0.0, 1.0 + 2.0 * (pts**2).sum(axis=1).max()])))
+        if ends[0] != ends[1]:
+            raise ValueError("the gradient of xi needs a rho constant over the points")
+        return self.scale_many(pts)[:, None] * self.base_policy.gradient_many(pts)
+
     def evaluate(self, x) -> float:
         if isinstance(self.rho, ConstantRho):
             # scale_many's arithmetic on the one value rho takes

@@ -265,19 +265,16 @@ def test_phase_two_identification(cascade_run):
     gain = cascade_run.pi_result.final_policy.weights[0]
     assert abs(gain - SCALAR_OPTIMAL_GAIN) / abs(SCALAR_OPTIMAL_GAIN) <= 1e-3
 
-    # ground truth from the model and the frozen xi (linear up to the
-    # learned quadratic residue, so finite differences are exact enough)
-    from robustpi.backstep import cascade_truth, finite_difference_gradient
+    # ground truth from the model and the frozen xi's exact gradient
+    from robustpi.backstep import cascade_truth
 
-    f1_bar, g1_bar = cascade_truth(
-        bench.model, xi, lambda x: finite_difference_gradient(xi, x)
-    )
+    f1_bar, g1_bar = cascade_truth(bench.model, xi)
     rng = np.random.default_rng(5)
     pts = rng.uniform([-1.0, -1.0], [1.0, 1.0], size=(300, 2))
-    f_true = np.asarray([f1_bar(p[:1], p[1]) for p in pts])
+    f_true = f1_bar(pts[:, :1], pts[:, 1])
     f_hat = cr["f1_hat"].evaluate_many(pts)
     rel_f = np.linalg.norm(f_hat - f_true) / np.linalg.norm(f_true)
-    g_true = np.asarray([g1_bar(p[:1]) for p in pts])
+    g_true = g1_bar(pts[:, :1])
     g_hat = cr["g1_hat"].evaluate_many(pts[:, :1])
     rel_g = np.linalg.norm(g_hat - g_true) / np.linalg.norm(g_true)
     assert rel_f <= 1e-3, rel_f

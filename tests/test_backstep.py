@@ -10,7 +10,6 @@ from robustpi.backstep import (
     cascade_gain_from_rho,
     cascade_truth,
     check_small_gain_cascade,
-    finite_difference_gradient,
     make_rho1,
     solve_phase_two,
 )
@@ -18,7 +17,7 @@ from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.dynsys import Trajectory
 from robustpi.errors import PEViolation
 from robustpi.online_pi import SampleWindow
-from robustpi.robust import ClassKFunction, robust_redesign
+from robustpi.robust import ClassKFunction, ConstantRho, robust_redesign
 
 
 def _const_rho(c):
@@ -42,9 +41,7 @@ def test_linear_xi_construction_is_exact():
     xi = _linear_xi(-0.44)
     xs = np.linspace(-2, 2, 11)[:, None]
     assert np.allclose(xi.evaluate_many(xs), -0.44 * xs[:, 0], atol=1e-14)
-    assert finite_difference_gradient(xi, np.array([0.3]))[0] == pytest.approx(
-        -0.44, abs=1e-8
-    )
+    assert xi.gradient_many(np.array([[0.3]]))[0, 0] == pytest.approx(-0.44, abs=1e-15)
 
 
 def test_composite_lyapunov_zeta_consistency():
@@ -226,6 +223,51 @@ def test_backstepped_policy_zero_at_origin():
     assert policy(np.array([0.0]), 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [ConstantRho(0.5), ConstantRho(0.3), lambda s: 0.5 + np.asarray(s)],
+    ids=["constant_0.5", "constant_0.3", "varying"],
+)
+def test_backstepped_policy_single_point_matches_batched_row_exactly(rho):
+    # the reference is a one-row batch, what the call computed before; a row
+    # of a larger batch may differ in the last bits through the BLAS product.
+    # With rho = 0.5, rho1 = 1 and its products are exact, so 0.3 is run too:
+    # there a reordered term shows.
+    rng = np.random.default_rng(17)
+    psi = make_polynomial_basis(2, 2)
+    phi = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)
+    deg5 = make_polynomial_basis(1, 5)
+    xi = robust_redesign(Approximant(deg5, rng.normal(size=len(deg5))), rho, 1.0, 0.8)
+    policy = BacksteppedPolicy(
+        Approximant(psi, rng.normal(size=len(psi))),
+        Approximant(phi, rng.normal(size=len(phi))),
+        Approximant(deg5, rng.normal(size=len(deg5))),
+        xi, rho, 0.8, 1.0,
+    )
+    xs = rng.uniform(-2.0, 2.0, size=(200, 1))
+    zs = rng.uniform(-2.0, 2.0, size=200)
+    for x, z in zip(xs, zs):
+        assert policy(x, z) == float(policy.evaluate_many(x[None], [z])[0])
+
+
+def test_rho1_of_constant_rho_is_constant_with_the_same_values():
+    for c in (0.5, 0.3, 1.7e-3, 2.0 / 3.0):
+        rho1 = make_rho1(ConstantRho(c))
+        assert isinstance(rho1, ConstantRho)
+        s = np.array([0.0, 1e-9, 0.25, 3.0, 1e6])
+        old = 2.0 * np.asarray(ConstantRho(c)(0.5 * np.asarray(s, dtype=float)))
+        assert rho1(s).tobytes() == old.tobytes()
+
+
+def test_xi_gradient_needs_a_constant_rho():
+    xi = robust_redesign(
+        Approximant(BasisSet(dim=1, indices=((1,), (3,))), np.array([-0.4, 0.1])),
+        lambda s: 0.5 + np.asarray(s), 1.0, 0.5,
+    )
+    with pytest.raises(ValueError, match="constant"):
+        xi.gradient_many(np.array([[0.3]]))
+
+
 def test_backstepped_policy_zeta_terms_cancel():
     xi = _linear_xi(-0.5)
     psi = make_polynomial_basis(2, 2)
@@ -274,13 +316,12 @@ def test_cascade_truth_matches_hand_derivation():
 
     bench = build_cascade_system()
     xi = _linear_xi(-0.466)
-    grad = lambda x: finite_difference_gradient(xi, x)
-    f1_bar, g1_bar = cascade_truth(bench.model, xi, grad)
+    f1_bar, g1_bar = cascade_truth(bench.model, xi)
     x, z = 0.5, -0.3
     # f1 - xi'*(f + g z) with f = -x, g = 1
     expected = x * z - (-0.466) * (-x) - (-0.466) * z
-    assert f1_bar(np.array([x]), z) == pytest.approx(expected, abs=1e-6)
-    assert g1_bar(np.array([x])) == pytest.approx(-0.466, abs=1e-6)
+    assert f1_bar(np.array([[x]]), np.array([z]))[0] == pytest.approx(expected, abs=1e-15)
+    assert g1_bar(np.array([[x]]))[0] == pytest.approx(-0.466, abs=1e-15)
 
 
 def _lin(slope):

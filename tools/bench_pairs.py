@@ -8,9 +8,13 @@ are recorded per pair, with each side's median and quartiles, the number of
 pairs the change wins (lower is better for all three), and for each tree's
 `src/` its line count, its number of function parameters with a default
 (`src_defaults`, the options the code offers) and its number of config keys
-(`config_keys`, the rows of `harness.CONFIG_KEYS`).  Results are merged into the JSON file named by
-``--out`` under ``workloads.<name>``, so one file can hold several
-workloads measured on different seeds.
+(`config_keys`, the rows of `harness.CONFIG_KEYS`).  After the pairs, one
+``--trace 1`` run per side on the first seed records the per-unit layer
+figures `basis.design_matrix.calls`, `dynsys.integrate.steps` and
+`dynsys.integrate.steps_per_s` under ``per_layer.{parent,change}``; the
+end-to-end figures come from the untraced runs only.  Results are merged
+into the JSON file named by ``--out`` under ``workloads.<name>``, so one
+file can hold several workloads measured on different seeds.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload arm --seeds 11 12 13 14 15 16 17 18 19 20 --seconds 36 \\
@@ -33,6 +37,10 @@ import sys
 from pathlib import Path
 
 METRICS = ("run_ref", "setup_s", "peak_rss_mb")
+LAYER_METRICS = ("basis.design_matrix.calls", "dynsys.integrate.steps", "dynsys.integrate.steps_per_s")
+# perfbench runs at least one unit, and the counts per unit do not depend on
+# how many run, so the traced run asks for as little time as it can
+TRACE_SECONDS = 1.0
 SIDES = ("parent", "change")
 
 
@@ -64,16 +72,21 @@ def config_keys(tree: Path) -> int:
     raise SystemExit(f"{tree}: no CONFIG_KEYS in src/robustpi/harness.py")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in `tree`; its metric values and failure count."""
+def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The JSON result of one perfbench run in `tree`."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: perfbench exited {proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in `tree`; its metric values and failure count."""
+    result = perfbench(tree, workload, seed, seconds, 0)
     out = {name: result["metrics"][name]["value"] for name in METRICS}
     out["failed"] = result["failed"]
     out["attempted"] = result["attempted"]
@@ -108,6 +121,11 @@ def measure(parent: Path, change: Path, workload: str, seeds: list, seconds: flo
         sides["parent_quartile_spread"] = sides["parent"]["q3"] - sides["parent"]["q1"]
         report[name] = sides
     report["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    report["per_layer"] = {}
+    for side in SIDES:
+        metrics = perfbench(trees[side], workload, seeds[0], TRACE_SECONDS, 1)["metrics"]
+        report["per_layer"][side] = {name: metrics[name]["value"] for name in LAYER_METRICS}
+        print(f"{workload} {side} per unit: {report['per_layer'][side]}", flush=True)
     return report
 
 
