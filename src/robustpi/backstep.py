@@ -262,7 +262,7 @@ class BacksteppedPolicy:
         rho1_sq = self.rho1.value * self.rho1.value
         g_hat = self.g1_hat.evaluate(x)
         return float(
-            -self.f1_hat.evaluate(np.append(x, z))
+            -self.f1_hat.evaluate([*np.asarray(x).tolist(), z])
             + 2.0 * self.control_weight * self.learned_policy.evaluate(x)
             - g_hat * g_hat * rho1_sq * zeta / 4.0
             - eps2 * zeta

@@ -204,17 +204,21 @@ class Approximant:
         return np.einsum("pnd,n->pd", self.basis.gradient_tensor(points), self.weights)
 
     def evaluate(self, x) -> float:
-        """Value at one point x of shape (dim,): the row of `evaluate_many`,
-        from the same monomials and (1, N) @ w product, without its wrappers."""
+        """Value at one point x (dim,): the row of `evaluate_many`, bit for bit,
+        on 1-D rows.  The pow table stays numpy `**`: numpy's float64 pow may
+        come from a SIMD library and differ from Python's `**` in the last bit."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim > 1:
             return float(self.evaluate_many(pts)[0])
-        pts = pts.reshape(1, -1)
+        pts = pts.reshape(-1)
         basis = self.basis
-        if pts.shape[1] != basis.dim:
-            raise DimensionMismatch(f"points have dim {pts.shape[1]}, basis has dim {basis.dim}")
-        mono = _monomials(pts, (basis._power_columns,), basis._pow_exponents)[0]
-        return float((mono @ self.weights)[0])
+        if pts.shape[0] != basis.dim:
+            raise DimensionMismatch(f"points have dim {pts.shape[0]}, basis has dim {basis.dim}")
+        table = pts[:, None] ** basis._pow_exponents
+        mono = table[0][basis._power_columns[0]]
+        for d in range(1, basis.dim):
+            mono *= table[d][basis._power_columns[d]]
+        return float(np.dot(mono, self.weights))
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_many(np.atleast_2d(x))[0]

@@ -11,12 +11,12 @@ One RK4 kernel steps the stacked state s = [x, z, w]: callbacks get x of
 shape (n,) from `integrate` and (B, n) from `simulate_batch`.  Both share
 the input checks and failure rules: a non-finite derivative at any stage
 or state after a step raises NonFiniteDynamics, and a trajectory whose
-Euclidean norm of s exceeds `blowup` raises StateDivergence.  On one
-trajectory the kernel applies the same rules in a cheaper form, on Python
-floats: the finiteness checks scan the derivative at every stage and the
-state after every step as a list, and a sum of squares settles the
-blow-up test unless it is within 0.1% of blowup**2, where the numpy norm
-decides.
+Euclidean norm of s exceeds `blowup` raises StateDivergence.  One
+trajectory is stepped as a list of Python floats in numpy's order of
+operations, s + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each float has the
+bits of the array form; the finiteness checks scan that list, and a sum
+of squares settles the blow-up test unless it is within 0.1% of
+blowup**2, where the numpy norm decides.
 """
 
 from __future__ import annotations
@@ -123,12 +123,8 @@ class SimulationRecord:
         return self.trajectory
 
 
-def _check_finite(arr, what):
-    if arr.ndim == 1:
-        # one trajectory: a short vector, cheaper to scan as Python floats
-        finite = all(map(math.isfinite, arr.tolist()))
-    else:
-        finite = np.isfinite(arr).all()
+def _check_finite(s, what):
+    finite = all(map(math.isfinite, s)) if isinstance(s, list) else np.isfinite(s).all()
     if not finite:
         raise NonFiniteDynamics(f"{what} returned a non-finite value")
 
@@ -137,16 +133,14 @@ def _exceeds(s, blowup) -> bool:
     """Whether some trajectory's Euclidean |s| exceeds `blowup`, as decided
     by ``(np.sqrt((s * s).sum(-1)) > blowup).any()``.
 
-    For one trajectory a sum of squares in Python floats decides when it
-    lies clearly below blowup**2, where a rounding difference from numpy's
-    sum cannot change the answer; otherwise the numpy expression decides.
+    For one trajectory, a list of floats, a Python sum of squares decides
+    when it lies clearly below blowup**2, where numpy's rounding cannot
+    change the answer; otherwise the numpy expression decides.
     """
-    if s.ndim == 1 and blowup > 0:
-        total = 0.0
-        for v in s.tolist():
-            total += v * v
-        if total < 0.999 * blowup * blowup:
+    if isinstance(s, list):
+        if blowup > 0 and sum([v * v for v in s]) < 0.999 * blowup * blowup:
             return False
+        s = np.array(s)
     return bool((np.sqrt((s * s).sum(-1)) > blowup).any())
 
 
@@ -182,6 +176,7 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
     has_z = model.has_z_channel
     p = uncertainty.p if uncertainty is not None else 0
     iw = n + (1 if has_z else 0)
+    one = s0.ndim == 1
     drift, gain, f1 = model.drift, model.input_gain, model.f1
     matched = unmatched = w_dynamics = None
     if uncertainty is not None:
@@ -191,23 +186,37 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
 
     def stage(t, s):
         """Derivative at (t, s), with the u, x_input and z_input behind it."""
-        x = s[..., :n]
-        z = s.T[n] if has_z else None  # a scalar, not a 0-d array, for one trajectory
-        w = s[..., iw:] if p else None
+        x = np.array(s[:n]) if one else s[..., :n]
+        z = (s[n] if one else s.T[n]) if has_z else None
+        w = (np.array(s[iw:]) if one else s[..., iw:]) if p else None
         u = controller(x, z, t) if has_z else controller(x, t)
+        u = float(u) if one else u
         delta = matched(w, x) if matched else 0.0
         xin = (z + delta) if has_z else (u + delta)
-        ds = np.empty(s.shape)
-        ds[..., :n] = drift(x) + (gain(x).T * xin).T
-        zin = None
+        dx, gx = drift(x), gain(x)
+        zin = dz = dw = None
         if has_z:
             d1 = unmatched(w, x, z) if unmatched else 0.0
             zin = u + d1
-            ds[..., n] = f1(x, z) + u + d1
+            dz = f1(x, z) + u + d1
         if p:
-            ds[..., iw:] = w_dynamics(w, x)
+            dw = w_dynamics(w, x)
+        if one:
+            ds = [d + g * xin for d, g in zip(dx.tolist(), gx.tolist())]
+            ds += ([dz] if has_z else []) + (dw.tolist() if p else [])
+        else:
+            ds = np.empty(s.shape)
+            ds[..., :n] = dx + (gx.T * xin).T
+            if has_z:
+                ds[..., n] = dz
+            if p:
+                ds[..., iw:] = dw
         _check_finite(ds, "dynamics")
         return ds, u, xin, zin
+
+    def ahead(s, a, k):
+        """s + a * k, for a list s as for an array."""
+        return [v + a * d for v, d in zip(s, k)] if one else s + a * k
 
     n_steps = int(round(horizon / step))
     ts = np.arange(n_steps + 1) * step
@@ -216,7 +225,7 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
     u_rec, xin_rec = np.empty(rec_shape), np.empty(rec_shape)
     zin_rec = np.empty(rec_shape) if has_z else None
 
-    s, h = s0, step
+    s, h = (s0.tolist() if one else s0), step
     for k in range(n_steps + 1):
         t = k * h
         k1, u, xin, zin = stage(t, s)
@@ -225,10 +234,14 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
             zin_rec[k] = zin
         if k == n_steps:
             break
-        k2 = stage(t + h / 2, s + (h / 2) * k1)[0]
-        k3 = stage(t + h / 2, s + (h / 2) * k2)[0]
-        k4 = stage(t + h, s + h * k3)[0]
-        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = stage(t + h / 2, ahead(s, h / 2, k1))[0]
+        k3 = stage(t + h / 2, ahead(s, h / 2, k2))[0]
+        k4 = stage(t + h, ahead(s, h, k3))[0]
+        if one:
+            slope = [b1 + 2 * b2 + 2 * b3 + b4 for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
+        else:
+            slope = k1 + 2 * k2 + 2 * k3 + k4
+        s = ahead(s, h / 6, slope)
         _check_finite(s, "state update")
         if _exceeds(s, blowup):
             raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t + h:.6g} s")
@@ -260,8 +273,8 @@ def integrate(
     4 * n_steps + 1 times in all: the record at a grid node (`u`,
     `x_input`, `z_input`) reuses the first-stage evaluation there.
     Failures follow the module rules (NonFiniteDynamics at a stage or a
-    step, StateDivergence past `blowup` on |[x, z, w]|), checked on Python
-    floats here: the same decisions and messages as the batched numpy form.
+    step, StateDivergence past `blowup` on |[x, z, w]|).  The state steps
+    as a list of Python floats, with the bits of the batched numpy form.
     """
     s0 = _stacked_start(model, uncertainty, x0, z0, w0, (), horizon=horizon, step=step)
     ts, x, z, w, u, xin, zin = _rk4(

@@ -10,6 +10,7 @@ state as one shared read-only array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -74,6 +75,10 @@ class ArmParameters:
 
 
 def _gravity_shape(params: ArmParameters, x1):
+    if isinstance(x1, float) and math.isfinite(x1):
+        # math.sin has np.sin's bits at a finite float (checked by the tests)
+        half = 0.5 * x1
+        return math.sin(half) * math.sin(half + params.target_angle)
     half = 0.5 * np.asarray(x1, dtype=float)
     return np.sin(half) * np.sin(half + params.target_angle)
 
@@ -131,25 +136,13 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
     mgl2 = 2.0 * p.torque_scale
     inertia = p.inertia
 
-    latest = (None, None)  # (bytes of x1, gravity shape) at the latest single state
-
-    def gravity_shape(x1):
-        """_gravity_shape at x1; at a single state it is kept, keyed on the
-        bits of x1, so drift and w_dynamics at one RK4 stage share it."""
-        nonlocal latest
-        if x1.ndim:
-            return _gravity_shape(p, x1)
-        key, value = latest
-        if key != x1.tobytes():
-            value = _gravity_shape(p, x1)
-            latest = (x1.tobytes(), value)
-        return value
-
     def drift(x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array([x.item(1), -(mgl2 / inertia) * _gravity_shape(p, x.item(0))])
         out = np.empty(x.shape)
         out[..., 0] = x[..., 1]
-        out[..., 1] = -(mgl2 / inertia) * gravity_shape(x[..., 0])
+        out[..., 1] = -(mgl2 / inertia) * _gravity_shape(p, x[..., 0])
         return out
 
     gain = _constant_gain([0.0, 1.0 / inertia])
@@ -166,10 +159,15 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
 
     # w and x are float arrays here, as the RK4 stage passes them
     def w_dynamics(w, x):
-        dw = -leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * gravity_shape(x[..., 0])
+        if x.ndim == 1:
+            gs = _gravity_shape(p, x.item(0))
+            return np.array([-leak_rate * (w.item(0) + inertia * x.item(1)) + mgl2 * gs])
+        dw = -leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * _gravity_shape(p, x[..., 0])
         return dw[..., None]
 
     def matched(w, x):
+        if x.ndim == 1:
+            return w.item(0) + inertia * x.item(1)
         return w[..., 0] + inertia * x[..., 1]
 
     def state_cost(x):
@@ -377,7 +375,8 @@ def build_cascade_system() -> CascadeBenchmark:
     """
 
     def drift(x):
-        return -np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return np.array([-x.item(0)]) if x.ndim == 1 else -x
 
     gain = _constant_gain([1.0])
 
@@ -385,21 +384,21 @@ def build_cascade_system() -> CascadeBenchmark:
         x = np.asarray(x, dtype=float)
         return gain if x.shape == gain.shape else np.ones_like(x)
 
+    # x and w are float arrays here, as the RK4 stage passes them
     def f1(x, z):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0] * np.asarray(z, dtype=float)
+        return x.item(0) * z if x.ndim == 1 else x[..., 0] * np.asarray(z, dtype=float)
 
     def w_dynamics(w, x):
-        w = np.asarray(w, dtype=float)
-        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.array([-2.0 * w.item(0) + 0.25 * x.item(0)])
         dw = -2.0 * w[..., 0] + 0.25 * x[..., 0]
         return dw[..., None]
 
     def matched(w, x):
-        return 0.5 * np.asarray(w, dtype=float)[..., 0]
+        return 0.5 * w.item(0) if w.ndim == 1 else 0.5 * w[..., 0]
 
     def unmatched(w, x, z):
-        return 0.2 * np.asarray(w, dtype=float)[..., 0]
+        return 0.2 * w.item(0) if w.ndim == 1 else 0.2 * w[..., 0]
 
     def state_cost(x):
         x = np.asarray(x, dtype=float)

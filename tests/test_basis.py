@@ -199,13 +199,16 @@ def test_single_point_evaluate_matches_batched_row_exactly(dim):
                 assert approx.evaluate(list(x)) == want
                 assert approx.evaluate(x.tolist()) == want
                 assert want == float((broadcast_design_matrix(basis, x) @ approx.weights)[0])
-                strided = row[::2][:dim] if dim > 1 else row[:1]
+                strided = row[::2][:dim]  # a (dim,) view with stride 2
                 assert approx.evaluate(strided) == float(
                     approx.evaluate_many(np.atleast_2d(strided))[0]
                 )
             if dim == 1:
-                # a bare float is a point of a 1-D basis
-                assert approx.evaluate(0.37) == float(approx.evaluate_many([[0.37]])[0])
+                # a bare float and a 0-d np.float64 are points of a 1-D basis
+                want = float(approx.evaluate_many([[0.37]])[0])
+                assert approx.evaluate(0.37) == want
+                assert approx.evaluate(np.float64(0.37)) == want
+                assert approx.evaluate(np.array(0.37)) == want
             # a (1, dim) row and a batch keep their batched meaning
             rows = big[:5, :dim]
             assert approx.evaluate(rows[:1]) == float(approx.evaluate_many(rows[:1])[0])

@@ -353,10 +353,13 @@ def test_blowup_decision_matches_numpy_norm():
             ]
             for blowup in blowups:
                 want = bool(np.sqrt((s * s).sum(-1)) > blowup)
+                # one trajectory steps as a list of Python floats
+                assert _exceeds(s.tolist(), blowup) == want, (s, blowup)
                 assert _exceeds(s, blowup) == want, (s, blowup)
                 assert _exceeds(s[None, :], blowup) == want, (s, blowup)
     # squares that overflow a float
     big = np.array([1e200, 1e200])
     with np.errstate(over="ignore"):
-        assert _exceeds(big, 1e300) and _exceeds(big, 1e6)
-        assert not _exceeds(big, np.inf)
+        for form in (big, big.tolist()):
+            assert _exceeds(form, 1e300) and _exceeds(form, 1e6)
+            assert not _exceeds(form, np.inf)

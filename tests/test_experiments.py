@@ -262,8 +262,9 @@ def test_constant_input_gains_are_shared_read_only_arrays():
 
 
 def test_arm_maps_share_gravity_shape_exactly():
-    # drift and w_dynamics at one state compute the gravity shape once; the
-    # kept value must never leak into another state, zero sign and NaN included
+    # drift and w_dynamics at one state compute the gravity shape on Python
+    # floats, each call afresh; every state, repeated or alternating with
+    # others, must give the numpy form's bits, zero sign and NaN included
     params = ArmParameters()
     arm = build_arm_system(params)
     drift, w_dynamics = arm.model.drift, arm.uncertainty.w_dynamics
@@ -285,3 +286,52 @@ def test_arm_maps_share_gravity_shape_exactly():
         # a batch in between goes through the array path
         batch = np.stack([x, x[::-1]])
         assert np.array_equal(drift(batch), stacked_arm_drift(params, batch), equal_nan=True)
+
+
+def _map_states(size, seed):
+    """Random states of `size` entries over six decades, then one state per
+    (entry, value) with a signed zero, a NaN or an infinity at that entry."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.normal(size=size) * 10.0 ** rng.integers(-3, 3) for _ in range(200)]
+    for j in range(size):
+        for value in (0.0, -0.0, np.nan, np.inf, -np.inf):
+            row = rng.normal(size=size)
+            row[j] = value
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["arm", "cascade"])
+def test_single_state_maps_equal_their_batch_rows_exactly(name):
+    # at one state the plant maps compute on Python floats (the arm's gravity
+    # shape with math.sin), for a batch on numpy arrays; every value must have
+    # the bits of its batch row, or integrate and simulate_batch part ways.
+    # This is also the check that math.sin and np.sin agree on the host that
+    # runs it: where they differ, it fails instead of letting artifacts drift.
+    plant = build_arm_system() if name == "arm" else build_cascade_system()
+    model, unc = plant.model, plant.uncertainty
+    n, nz = model.n, int(model.has_z_channel)
+    states = _map_states(n + nz + unc.p, seed=11)
+    xs, ws = states[:, :n], states[:, n + nz:]
+    zs = states[:, n] if nz else None
+
+    def maps(x, w, z):
+        out = {
+            "drift": model.drift(x),
+            "input_gain": model.input_gain(x),
+            "w_dynamics": unc.w_dynamics(w, x),
+            "matched": unc.matched_disturbance(w, x),
+        }
+        if nz:
+            out["f1"] = model.f1(x, z)
+            out["unmatched"] = unc.unmatched_disturbance(w, x, z)
+        return out
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        batch = maps(xs, ws, zs)
+        for i, state in enumerate(states):
+            single = maps(xs[i].copy(), ws[i].copy(), float(zs[i]) if nz else None)
+            for key, value in single.items():
+                got = np.asarray(value, dtype=float)
+                assert got.shape == batch[key][i].shape, (name, key)
+                assert got.tobytes() == batch[key][i].tobytes(), (name, key, state)

@@ -5,13 +5,15 @@ alternating pairs, one pair per seed, and starts each pair with the other
 side than the pair before, so a drift in host speed does not favour one
 side.  Each run's end-to-end metrics (`run_ref`, `setup_s`, `peak_rss_mb`)
 are recorded per pair, with each side's median and quartiles, the number of
-pairs the change wins (lower is better for all three), and for each tree's
-`src/` its line count, its number of function parameters with a default
-(`src_defaults`, the options the code offers) and its number of config keys
-(`config_keys`, the rows of `harness.CONFIG_KEYS`).  After the pairs, one
-``--trace 1`` run per side on the first seed records the per-unit layer
-figures `basis.design_matrix.calls`, `dynsys.integrate.steps` and
-`dynsys.integrate.steps_per_s` under ``per_layer.{parent,change}``; the
+pairs the change wins (lower is better for all three), `claim_met` (at
+least 10 pairs, the change wins at least 90% of them, and its median lies
+below the parent's by more than the parent's quartile spread), and for each
+tree's `src/` its line count, its number of function parameters with a
+default (`src_defaults`, the options the code offers) and its number of
+config keys (`config_keys`, the rows of `harness.CONFIG_KEYS`).  After the
+pairs, one ``--trace 1`` run per side on the first seed records the
+per-unit layer figures `basis.design_matrix.calls`, `dynsys.integrate.steps`
+and `dynsys.integrate.steps_per_s` under ``per_layer.{parent,change}``; the
 end-to-end figures come from the untraced runs only.  Results are merged
 into the JSON file named by ``--out`` under ``workloads.<name>``, so one
 file can hold several workloads measured on different seeds.
@@ -42,6 +44,9 @@ LAYER_METRICS = ("basis.design_matrix.calls", "dynsys.integrate.steps", "dynsys.
 # how many run, so the traced run asks for as little time as it can
 TRACE_SECONDS = 1.0
 SIDES = ("parent", "change")
+# a gain is claimed only over this many pairs, if the change wins this share
+CLAIM_MIN_PAIRS = 10
+CLAIM_WIN_SHARE = 0.9
 
 
 def src_lines(tree: Path) -> int:
@@ -119,6 +124,11 @@ def measure(parent: Path, change: Path, workload: str, seeds: list, seconds: flo
         sides["change_wins"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
         sides["relative_change"] = sides["change"]["median"] / base - 1.0 if base else None
         sides["parent_quartile_spread"] = sides["parent"]["q3"] - sides["parent"]["q1"]
+        sides["claim_met"] = (
+            len(pairs) >= CLAIM_MIN_PAIRS
+            and sides["change_wins"] >= CLAIM_WIN_SHARE * len(pairs)
+            and base - sides["change"]["median"] > sides["parent_quartile_spread"]
+        )
         report[name] = sides
     report["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     report["per_layer"] = {}
@@ -161,7 +171,7 @@ def main(argv=None) -> int:
         f"{args.workload}: run_ref median {r['parent']['median']:.1f} -> "
         f"{r['change']['median']:.1f} ({100 * r['relative_change']:+.1f}%), "
         f"change wins {r['change_wins']}/{len(args.seeds)}, parent quartile spread "
-        f"{r['parent_quartile_spread']:.1f}"
+        f"{r['parent_quartile_spread']:.1f}, claim met: {r['claim_met']}"
     )
     return 0
 
