@@ -16,7 +16,10 @@ trajectory is stepped as a list of Python floats in numpy's order of
 operations, s + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each float has the
 bits of the array form; the finiteness checks scan that list, and a sum
 of squares settles the blow-up test unless it is within 0.1% of
-blowup**2, where the numpy norm decides.
+blowup**2, where the numpy norm decides.  A one-row `simulate_batch`
+steps on those floats too: its plant maps see x of shape (n,) as under
+`integrate`, and only its controller still sees a batch, x of shape
+(1, n) and z of shape (1,).
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ class SystemModel:
     A plant with `f1` has a z channel between the control and the x
     subsystem: dz/dt = f1(x, z) + u, and z is the input of the x
     subsystem.
+
+    Every map must take one state, x (n,) and z a float, as `integrate`
+    and a one-row `simulate_batch` pass it, and a batch, x (B, n) and z
+    (B,), as `simulate_batch` passes two rows or more.
     """
 
     n: int
@@ -58,7 +65,9 @@ class UncertaintyModel:
     `iss_bounds` holds the declared gain functions (kappa_1..kappa_7,
     lam_lo, lam_hi, kappa_3/kappa_4, W) used by the small-gain checks;
     they are declarations about the maps above, verified numerically by
-    the test suite, never consulted by the simulator itself.
+    the test suite, never consulted by the simulator itself.  Like the
+    plant's maps, every map here must take one state, w (p,), and a batch,
+    w (B, p).
     """
 
     p: int
@@ -304,15 +313,30 @@ def simulate_batch(
     disturbance maps.  Divergence is judged per trajectory.  Returns the
     (t, x, z, w) histories, shaped (K,), (K, B, n), (K, B), (K, B, p),
     None for an absent channel.
+
+    A batch of one row steps on `integrate`'s Python floats, with the same
+    bits: the plant maps then get x (n,), z a float and w (p,), while the
+    controller still gets x (1, n) and z (1,) and returns one value.
     """
     x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     s0 = _stacked_start(
         model, uncertainty, x0, z0_batch, w0_batch, x0.shape[:1],
         horizon=horizon, step=step,
     )
-    return _rk4(
-        model, uncertainty, controller, s0, horizon=horizon, step=step, blowup=blowup
+    if s0.shape[0] > 1:
+        return _rk4(
+            model, uncertainty, controller, s0, horizon=horizon, step=step, blowup=blowup
+        )[:4]
+    if model.has_z_channel:
+        def row(x, z, t):
+            return np.asarray(controller(x[None], np.array([z]), t)).item()
+    else:
+        def row(x, t):
+            return np.asarray(controller(x[None], t)).item()
+    ts, x, z, w = _rk4(
+        model, uncertainty, row, s0[0], horizon=horizon, step=step, blowup=blowup
     )[:4]
+    return ts, x[:, None], None if z is None else z[:, None], None if w is None else w[:, None]
 
 
 class Plant:

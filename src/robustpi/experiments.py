@@ -176,6 +176,8 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
 
     def initial_policy(x, t=None):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return -0.5 * x.item(0) - 0.5 * x.item(1)
         return -0.5 * x[..., 0] - 0.5 * x[..., 1]
 
     uncertainty = UncertaintyModel(

@@ -172,8 +172,8 @@ class ConstantRho:
     """The constant gain schedule rho(s) = value.
 
     Called like any rho, it returns `value` in the shape of s.  It is the
-    one marker of a constant rho: `RobustPolicy.evaluate` then computes
-    its scale once instead of from the point.
+    one marker of a constant rho: `RobustPolicy.scale` then takes its
+    value without computing |x|^2 at the point.
     """
 
     value: float
@@ -203,7 +203,10 @@ class RobustPolicy:
         return 1.0 + 0.5 * self.control_weight * np.asarray(self.rho(s)) ** 2
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return self.scale_many(points) * self.base_policy.evaluate_many(points)
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 2 and pts.shape[0] == 1:
+            return np.array([self.evaluate(pts[0])])
+        return self.scale_many(pts) * self.base_policy.evaluate_many(pts)
 
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
         """Exact gradient rows where rho is constant: the scale times the base
@@ -215,13 +218,21 @@ class RobustPolicy:
             raise ValueError("the gradient of xi needs a rho constant over the points")
         return self.scale_many(pts)[:, None] * self.base_policy.gradient_many(pts)
 
-    def evaluate(self, x) -> float:
+    def scale(self, x) -> float:
+        """`scale_many` at one point (n,), bit for bit: `rho` sees |x|^2 as a
+        (1,) array, and the rest of the arithmetic is on floats."""
         if isinstance(self.rho, ConstantRho):
-            # scale_many's arithmetic on the one value rho takes
             c = self.rho.value
-            scale = 1.0 + 0.5 * self.control_weight * (c * c)
-            return float(scale * self.base_policy.evaluate(x))
-        return float(self.evaluate_many(np.atleast_2d(x))[0])
+        else:
+            row = np.asarray(x, dtype=float).reshape(-1)
+            c = np.asarray(self.rho(np.array([(row * row).sum()]))).item()
+        return 1.0 + 0.5 * self.control_weight * (c * c)
+
+    def evaluate(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return float(self.evaluate_many(x)[0])
+        return float(self.scale(x) * self.base_policy.evaluate(x))
 
     def __call__(self, x) -> float:
         return self.evaluate(x)

@@ -61,8 +61,19 @@ def _run_batch(model, uncertainty, controller, x0, *, z0=None, w0=None, **kw):
     )
 
 
-# both front-ends of the one RK4 kernel; the tests below loop over them
-FRONT_ENDS = (integrate, _run_batch)
+def _run_two_rows(model, uncertainty, controller, x0, *, z0=None, w0=None, **kw):
+    """The same start twice: a bundle that steps on (B, size) arrays."""
+    return simulate_batch(
+        model, uncertainty, controller, [x0, x0],
+        z0_batch=None if z0 is None else [z0, z0],
+        w0_batch=None if w0 is None else [w0, w0],
+        **kw,
+    )
+
+
+# the front-ends of the one RK4 kernel: integrate and a one-row bundle step on
+# floats, a two-row bundle on arrays; the tests below loop over them
+FRONT_ENDS = (integrate, _run_batch, _run_two_rows)
 
 
 def test_finite_escape_raises_state_divergence():
@@ -218,6 +229,37 @@ def test_batch_matches_single_trajectories():
     # unmatched disturbance, and the scalar plant without uncertainty
     for name in ("arm", "cascade", "scalar"):
         _batch_matches_single(name)
+
+
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
+def test_one_row_batch_matches_integrate_exactly(name):
+    # a one-row bundle steps on integrate's floats; its controller still gets
+    # a batch, x (1, n) and z (1,), and the histories keep the batch axis
+    model, uncertainty, controller, kw = _closed_loop(name)
+    if name == "scalar":
+        def controller(x, t):
+            return -0.4 * x[..., 0] + 0.2 * np.sin(5.0 * t)
+
+    seen = set()
+
+    def batched(x, *rest):
+        seen.add(tuple(np.shape(v) for v in (x, *rest[:-1])))
+        return controller(x, *rest)
+
+    rec = integrate(model, uncertainty, controller, horizon=1.0, step=1e-3, **kw)
+    ts, xs, zs, ws = _run_batch(model, uncertainty, batched, horizon=1.0, step=1e-3, **kw)
+    n, k = model.n, len(rec.trajectory.t)
+    assert seen == ({((1, n), (1,))} if model.has_z_channel else {((1, n),)})
+    assert np.array_equal(ts, rec.trajectory.t)
+    assert xs.shape == (k, 1, n) and np.array_equal(xs[:, 0], rec.trajectory.x)
+    if model.has_z_channel:
+        assert zs.shape == (k, 1) and np.array_equal(zs[:, 0], rec.trajectory.z)
+    else:
+        assert zs is None
+    if uncertainty is not None:
+        assert ws.shape == (k, 1, uncertainty.p) and np.array_equal(ws[:, 0], rec.w)
+    else:
+        assert ws is None
 
 
 @pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])

@@ -393,6 +393,33 @@ def test_constant_rho_scale_matches_scale_many(c, control_weight):
     assert np.array_equal(batched, plain.evaluate_many(pts))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_one_row_robust_policy_equals_the_batch_formula_exactly(dim):
+    # one point, and a one-row evaluate_many, take the single-point scale and
+    # base value; both must keep the bits of the batch formula
+    # scale_many * design_matrix @ w, for a plain-lambda rho as for a ConstantRho
+    rng = np.random.default_rng(70 + dim)
+    basis = make_polynomial_basis(dim, 5 if dim < 9 else 2)
+    base = Approximant(basis, rng.normal(size=len(basis)))
+    rhos = (
+        lambda s: np.full_like(np.asarray(s, dtype=float), 0.3),
+        lambda s: 0.3 + np.asarray(s, dtype=float),
+        lambda s: np.sqrt(1.0 + np.asarray(s, dtype=float)),
+        ConstantRho(0.3),
+    )
+    pts = rng.normal(size=(200, dim)) * 10.0 ** rng.integers(-3, 2, size=(200, 1))
+    pts[0] = 0.0
+    for rho in rhos:
+        for cw in (1.0, 0.37):
+            policy = robust_redesign(base, rho, cw, 0.5)
+            for x in pts:
+                row = x[None]
+                want = policy.scale_many(row) * (basis.design_matrix(row) @ base.weights)
+                got = policy.evaluate_many(row)
+                assert got.shape == (1,) and got.tobytes() == want.tobytes(), (rho, x)
+                assert policy.evaluate(x) == float(want[0])
+
+
 def _arm_like_gain_set():
     arm = build_arm_system()
     gains = arm.uncertainty.iss_bounds
