@@ -7,19 +7,25 @@ types: `Trajectory` carries no field derived from w; the full
 `SimulationRecord` (with w) stays on the simulation side and is used
 only for post-hoc audits.
 
-One RK4 kernel steps the stacked state s = [x, z, w]: callbacks get x of
-shape (n,) from `integrate` and (B, n) from `simulate_batch`.  Both share
-the input checks and failure rules: a non-finite derivative at any stage
-or state after a step raises NonFiniteDynamics, and a trajectory whose
-Euclidean norm of s exceeds `blowup` raises StateDivergence.  One
-trajectory is stepped as a list of Python floats in numpy's order of
-operations, s + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each float has the
-bits of the array form; the finiteness checks scan that list, and a sum
-of squares settles the blow-up test unless it is within 0.1% of
-blowup**2, where the numpy norm decides.  A one-row `simulate_batch`
-steps on those floats too: its plant maps see x of shape (n,) as under
-`integrate`, and only its controller still sees a batch, x of shape
-(1, n) and z of shape (1,).
+One RK4 kernel steps the stacked state s = [x, z, w] of `integrate` and
+`simulate_batch`.  Both share the input checks and failure rules: a
+non-finite derivative at any stage or state after a step raises
+NonFiniteDynamics, and a trajectory whose Euclidean norm of s exceeds
+`blowup` raises StateDivergence.  One trajectory is stepped as a list of
+Python floats in numpy's order of operations,
+s + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each float has the bits of the
+array form; the finiteness checks scan that list, and a sum of squares
+settles the blow-up test unless it is within 0.1% of blowup**2, where the
+numpy norm decides.  A one-row `simulate_batch` steps on those floats too.
+
+The plant and uncertainty maps of one trajectory get the stepped floats
+themselves: x and w as lists of Python floats, z as a float.  drift,
+input_gain and w_dynamics return a sequence of floats, and the scalar
+maps a float; a map that returns ndarrays also works, at numpy's speed.
+Only the controller gets an array: x (n,) under `integrate`, x (1, n)
+and z (1,) in a one-row bundle.  Two rows or more step on arrays, and
+every callback gets a batch.  A map that indexes x[..., 0] without
+`np.asarray` first therefore fails at one state.
 """
 
 from __future__ import annotations
@@ -43,9 +49,13 @@ class SystemModel:
     subsystem: dz/dt = f1(x, z) + u, and z is the input of the x
     subsystem.
 
-    Every map must take one state, x (n,) and z a float, as `integrate`
-    and a one-row `simulate_batch` pass it, and a batch, x (B, n) and z
-    (B,), as `simulate_batch` passes two rows or more.
+    Every map must take one state and a batch.  `integrate` and a one-row
+    `simulate_batch` pass one state as x a list of n Python floats and z a
+    float; drift and input_gain then return a sequence of n floats, and f1
+    a float.  `simulate_batch` passes two rows or more as x (B, n) and z
+    (B,), and the maps return (B, n) and (B,) arrays.  A map that indexes
+    x[..., 0] must convert x with `np.asarray` first, or it fails at one
+    state.
     """
 
     n: int
@@ -66,8 +76,10 @@ class UncertaintyModel:
     lam_lo, lam_hi, kappa_3/kappa_4, W) used by the small-gain checks;
     they are declarations about the maps above, verified numerically by
     the test suite, never consulted by the simulator itself.  Like the
-    plant's maps, every map here must take one state, w (p,), and a batch,
-    w (B, p).
+    plant's maps, every map here must take one state, w and x lists of
+    Python floats (z a float), and a batch, w (B, p).  At one state
+    w_dynamics returns a sequence of p floats and the disturbance maps a
+    float; for a batch, (B, p) and (B,) arrays.
     """
 
     p: int
@@ -195,10 +207,11 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
 
     def stage(t, s):
         """Derivative at (t, s), with the u, x_input and z_input behind it."""
-        x = np.array(s[:n]) if one else s[..., :n]
+        x = s[:n] if one else s[..., :n]
         z = (s[n] if one else s.T[n]) if has_z else None
-        w = (np.array(s[iw:]) if one else s[..., iw:]) if p else None
-        u = controller(x, z, t) if has_z else controller(x, t)
+        w = (s[iw:] if one else s[..., iw:]) if p else None
+        xc = np.array(x) if one else x
+        u = controller(xc, z, t) if has_z else controller(xc, t)
         u = float(u) if one else u
         delta = matched(w, x) if matched else 0.0
         xin = (z + delta) if has_z else (u + delta)
@@ -211,8 +224,11 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
         if p:
             dw = w_dynamics(w, x)
         if one:
-            ds = [d + g * xin for d, g in zip(dx.tolist(), gx.tolist())]
-            ds += ([dz] if has_z else []) + (dw.tolist() if p else [])
+            ds = [d + g * xin for d, g in zip(dx, gx)]
+            if has_z:
+                ds.append(dz)
+            if p:
+                ds.extend(dw)
         else:
             ds = np.empty(s.shape)
             ds[..., :n] = dx + (gx.T * xin).T
@@ -283,7 +299,9 @@ def integrate(
     `x_input`, `z_input`) reuses the first-stage evaluation there.
     Failures follow the module rules (NonFiniteDynamics at a stage or a
     step, StateDivergence past `blowup` on |[x, z, w]|).  The state steps
-    as a list of Python floats, with the bits of the batched numpy form.
+    as a list of Python floats, with the bits of the batched numpy form;
+    the plant and uncertainty maps get its slices as lists (module
+    docstring).
     """
     s0 = _stacked_start(model, uncertainty, x0, z0, w0, (), horizon=horizon, step=step)
     ts, x, z, w, u, xin, zin = _rk4(
@@ -315,8 +333,9 @@ def simulate_batch(
     None for an absent channel.
 
     A batch of one row steps on `integrate`'s Python floats, with the same
-    bits: the plant maps then get x (n,), z a float and w (p,), while the
-    controller still gets x (1, n) and z (1,) and returns one value.
+    bits: the plant maps then get x and w as lists of floats and z a float,
+    while the controller still gets x (1, n) and z (1,) and returns one
+    value.
     """
     x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     s0 = _stacked_start(

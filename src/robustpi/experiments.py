@@ -2,10 +2,12 @@
 
 The single-joint arm problem plus the linear and synthetic-cascade
 benchmarks, each packaged as builders returning (model, uncertainty,
-cost, policies, region, declared gains).  All callbacks accept both
-single states (n,) and batches (B, n), so they work with either
-integrator front end.  A constant input gain is returned at a single
-state as one shared read-only array.
+cost, policies, region, declared gains).  The plant and uncertainty maps
+take one state as lists of Python floats (x, w) and a float z, as the
+RK4 stage passes them, and compute on floats; arrays, one state (n,) or
+a batch (B, n), take the numpy path with the same bits.  A constant
+input gain is one shared tuple for a list state and one shared read-only
+array for a state (n,).  The policies are controllers and get arrays.
 """
 
 from __future__ import annotations
@@ -22,12 +24,28 @@ from .dynsys import CostSpec, SystemModel, Trajectory, UncertaintyModel
 from .robust import BRACKET, ClassKFunction
 
 
-def _constant_gain(values) -> np.ndarray:
-    """A plant's input gain at one state (n,) when it does not depend on the
-    state: built once and read-only, so every call can return it."""
-    gain = np.array(values, dtype=float)
+def _constant_input_gain(values) -> Callable:
+    """Input gain of a plant whose gain does not depend on the state: one
+    shared tuple for a list state, one shared read-only array for a state
+    (n,), and a fresh (B, n) array for a batch."""
+    row = tuple(float(v) for v in values)
+    gain = np.array(row)
     gain.flags.writeable = False
-    return gain
+
+    def input_gain(x):
+        if isinstance(x, list):
+            return row
+        x = np.asarray(x, dtype=float)
+        return gain if x.shape == gain.shape else np.broadcast_to(gain, x.shape).copy()
+
+    return input_gain
+
+
+def _negated(x):
+    """dx/dt = -x, the drift of the scalar and cascade benchmarks."""
+    if isinstance(x, list):
+        return [-v for v in x]
+    return -np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +84,6 @@ class ArmParameters:
     def leak_rate(self) -> float:
         return (1.0 + self.tau_n) / self.tau_n
 
-    def joint_angle(self, x1):
-        """Transformed coordinate back to the physical joint angle."""
-        return np.asarray(x1) + self.target_angle
-
-    def angle_offset(self, theta):
-        return np.asarray(theta) - self.target_angle
-
 
 def _gravity_shape(params: ArmParameters, x1):
     if isinstance(x1, float) and math.isfinite(x1):
@@ -81,34 +92,6 @@ def _gravity_shape(params: ArmParameters, x1):
         return math.sin(half) * math.sin(half + params.target_angle)
     half = 0.5 * np.asarray(x1, dtype=float)
     return np.sin(half) * np.sin(half + params.target_angle)
-
-
-def arm_transformed_rhs(params: ArmParameters, state, u):
-    """Full transformed dynamics (w, x1, x2) for cross-checks and audits."""
-    state = np.asarray(state, dtype=float)
-    w, x1, x2 = state[..., 0], state[..., 1], state[..., 2]
-    mgl2 = 2.0 * params.torque_scale
-    gs = _gravity_shape(params, x1)
-    dw = -params.leak_rate * (w + params.inertia * x2) + mgl2 * gs
-    dx1 = x2
-    dx2 = (-mgl2 * gs + u + params.inertia * x2 + w) / params.inertia
-    return np.stack([dw, dx1, dx2], axis=-1)
-
-
-def arm_linearization(params: ArmParameters):
-    """Closed-loop Jacobian at the origin under the declared initial policy
-    -0.5*x1 - 0.5*x2."""
-    c = params.leak_rate
-    inertia = params.inertia
-    k = params.torque_scale * np.sin(params.target_angle)
-    b1, b2 = 0.5, 0.5
-    return np.array(
-        [
-            [-c, k, -c * inertia],
-            [0.0, 0.0, 1.0],
-            [1.0 / inertia, (-k - b1) / inertia, 1.0 - b2 / inertia],
-        ]
-    )
 
 
 @dataclass
@@ -137,37 +120,26 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
     inertia = p.inertia
 
     def drift(x):
+        if isinstance(x, list):
+            return [x[1], -(mgl2 / inertia) * _gravity_shape(p, x[0])]
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([x.item(1), -(mgl2 / inertia) * _gravity_shape(p, x.item(0))])
         out = np.empty(x.shape)
         out[..., 0] = x[..., 1]
         out[..., 1] = -(mgl2 / inertia) * _gravity_shape(p, x[..., 0])
         return out
 
-    gain = _constant_gain([0.0, 1.0 / inertia])
-
-    def input_gain(x):
-        x = np.asarray(x, dtype=float)
-        if x.shape == gain.shape:
-            return gain
-        out = np.zeros_like(x)
-        out[..., 1] = 1.0 / inertia
-        return out
-
     leak_rate = p.leak_rate
 
-    # w and x are float arrays here, as the RK4 stage passes them
+    # w and x are lists of floats or float arrays, as the RK4 stage passes them
     def w_dynamics(w, x):
-        if x.ndim == 1:
-            gs = _gravity_shape(p, x.item(0))
-            return np.array([-leak_rate * (w.item(0) + inertia * x.item(1)) + mgl2 * gs])
+        if isinstance(x, list):
+            return [-leak_rate * (w[0] + inertia * x[1]) + mgl2 * _gravity_shape(p, x[0])]
         dw = -leak_rate * (w[..., 0] + inertia * x[..., 1]) + mgl2 * _gravity_shape(p, x[..., 0])
         return dw[..., None]
 
     def matched(w, x):
-        if x.ndim == 1:
-            return w.item(0) + inertia * x.item(1)
+        if isinstance(x, list):
+            return w[0] + inertia * x[1]
         return w[..., 0] + inertia * x[..., 1]
 
     def state_cost(x):
@@ -188,7 +160,7 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
     )
     return ArmSystem(
         params=p,
-        model=SystemModel(n=2, drift=drift, input_gain=input_gain),
+        model=SystemModel(n=2, drift=drift, input_gain=_constant_input_gain([0.0, 1.0 / inertia])),
         uncertainty=uncertainty,
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.95),
         initial_policy=initial_policy,
@@ -251,21 +223,12 @@ class ScalarBenchmark:
 def build_scalar_plant() -> ScalarBenchmark:
     """dx/dt = -x + u with quadratic cost; optimum known in closed form."""
 
-    def drift(x):
-        return -np.asarray(x, dtype=float)
-
-    gain = _constant_gain([1.0])
-
-    def input_gain(x):
-        x = np.asarray(x, dtype=float)
-        return gain if x.shape == gain.shape else np.ones_like(x)
-
     def state_cost(x):
         x = np.asarray(x, dtype=float)
         return x[..., 0] ** 2
 
     return ScalarBenchmark(
-        model=SystemModel(n=1, drift=drift, input_gain=input_gain),
+        model=SystemModel(n=1, drift=_negated, input_gain=_constant_input_gain([1.0])),
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.9),
         initial_policy=lambda x, t=None: 0.0 * np.asarray(x, dtype=float)[..., 0],
         region_low=np.array([-1.0]),
@@ -324,18 +287,12 @@ def build_linear_plant(seed: int = 3) -> LinearBenchmark:
         x = np.asarray(x, dtype=float)
         return x @ a.T
 
-    gain = _constant_gain(b)
-
-    def input_gain(x):
-        x = np.asarray(x, dtype=float)
-        return gain if x.shape == gain.shape else np.broadcast_to(b, x.shape).copy()
-
     def state_cost(x):
         x = np.asarray(x, dtype=float)
         return np.einsum("...i,ij,...j->...", x, q, x)
 
     return LinearBenchmark(
-        model=SystemModel(n=2, drift=drift, input_gain=input_gain),
+        model=SystemModel(n=2, drift=drift, input_gain=_constant_input_gain(b)),
         cost=CostSpec(state_cost=state_cost, control_weight=r, margin=0.5),
         initial_policy=lambda x, t=None: -np.asarray(x, dtype=float) @ k0,
         a_matrix=a,
@@ -376,31 +333,23 @@ def build_cascade_system() -> CascadeBenchmark:
     quadratic and sized generously against the true couplings.
     """
 
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return np.array([-x.item(0)]) if x.ndim == 1 else -x
-
-    gain = _constant_gain([1.0])
-
-    def input_gain(x):
-        x = np.asarray(x, dtype=float)
-        return gain if x.shape == gain.shape else np.ones_like(x)
-
-    # x and w are float arrays here, as the RK4 stage passes them
+    # x and w are lists of floats or float arrays, as the RK4 stage passes them
     def f1(x, z):
-        return x.item(0) * z if x.ndim == 1 else x[..., 0] * np.asarray(z, dtype=float)
+        if isinstance(x, list):
+            return x[0] * z
+        return x[..., 0] * np.asarray(z, dtype=float)
 
     def w_dynamics(w, x):
-        if x.ndim == 1:
-            return np.array([-2.0 * w.item(0) + 0.25 * x.item(0)])
+        if isinstance(x, list):
+            return [-2.0 * w[0] + 0.25 * x[0]]
         dw = -2.0 * w[..., 0] + 0.25 * x[..., 0]
         return dw[..., None]
 
     def matched(w, x):
-        return 0.5 * w.item(0) if w.ndim == 1 else 0.5 * w[..., 0]
+        return 0.5 * w[0] if isinstance(w, list) else 0.5 * w[..., 0]
 
     def unmatched(w, x, z):
-        return 0.2 * w.item(0) if w.ndim == 1 else 0.2 * w[..., 0]
+        return 0.2 * w[0] if isinstance(w, list) else 0.2 * w[..., 0]
 
     def state_cost(x):
         x = np.asarray(x, dtype=float)
@@ -432,7 +381,7 @@ def build_cascade_system() -> CascadeBenchmark:
         iss_bounds=gains,
     )
     return CascadeBenchmark(
-        model=SystemModel(n=1, drift=drift, input_gain=input_gain, f1=f1),
+        model=SystemModel(n=1, drift=_negated, input_gain=_constant_input_gain([1.0]), f1=f1),
         uncertainty=uncertainty,
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.8),
         initial_virtual_policy=lambda x, t=None: 0.0

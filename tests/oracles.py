@@ -220,6 +220,46 @@ def stacked_arm_drift(params, x):
     return np.stack([x[..., 1], dx2], axis=-1)
 
 
+def joint_angle(params, x1):
+    """Transformed arm coordinate back to the physical joint angle."""
+    return np.asarray(x1) + params.target_angle
+
+
+def angle_offset(params, theta):
+    """Physical joint angle to the transformed arm coordinate."""
+    return np.asarray(theta) - params.target_angle
+
+
+def arm_transformed_rhs(params, state, u):
+    """Full transformed arm dynamics (w, x1, x2) with the gravity shape on
+    numpy arrays: the reference for the split into plant and hidden channel."""
+    state = np.asarray(state, dtype=float)
+    w, x1, x2 = state[..., 0], state[..., 1], state[..., 2]
+    mgl2 = 2.0 * params.torque_scale
+    half = 0.5 * x1
+    gs = np.sin(half) * np.sin(half + params.target_angle)
+    dw = -params.leak_rate * (w + params.inertia * x2) + mgl2 * gs
+    dx1 = x2
+    dx2 = (-mgl2 * gs + u + params.inertia * x2 + w) / params.inertia
+    return np.stack([dw, dx1, dx2], axis=-1)
+
+
+def arm_linearization(params):
+    """Closed-loop Jacobian of the transformed arm at the origin under the
+    declared initial policy -0.5*x1 - 0.5*x2."""
+    c = params.leak_rate
+    inertia = params.inertia
+    k = params.torque_scale * np.sin(params.target_angle)
+    b1, b2 = 0.5, 0.5
+    return np.array(
+        [
+            [-c, k, -c * inertia],
+            [0.0, 0.0, 1.0],
+            [1.0 / inertia, (-k - b1) / inertia, 1.0 - b2 / inertia],
+        ]
+    )
+
+
 def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_margin=0.10,
                              samples=200):
     """Smallest ladder rho passing the small-gain test, one full

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robustpi.dynsys import (
     Plant,
     SystemModel,
+    UncertaintyModel,
     _exceeds,
     integrate,
     lipschitz_probe,
@@ -182,12 +185,42 @@ def _closed_loop(name):
             lambda x, z, t: cas.drive_policy(x, z) + 0.3 * np.sin(2.0 * t),
             dict(x0=[0.5], z0=0.2, w0=[0.3]),
         )
+    if name == "asarray":
+        return _asarray_closed_loop()
     scalar = build_scalar_plant()
     return (
         scalar.model,
         None,
         lambda x, t: -0.4 * x[0] + 0.2 * np.sin(5.0 * t),
         dict(x0=[1.0]),
+    )
+
+
+def _asarray_closed_loop():
+    """A cascade plant written only for arrays: every map converts its
+    inputs with np.asarray and returns ndarrays, 0-d ones for the scalar
+    maps, as a plant written for batches does."""
+
+    def arr(v):
+        return np.asarray(v, dtype=float)
+
+    model = SystemModel(
+        n=2,
+        drift=lambda x: arr(x)[..., ::-1] * [1.0, -0.5] - 0.1 * arr(x) ** 3,
+        input_gain=lambda x: np.ones_like(arr(x)) * [0.0, 1.5],
+        f1=lambda x, z: arr(x)[..., 0] * arr(z),
+    )
+    uncertainty = UncertaintyModel(
+        p=2,
+        w_dynamics=lambda w, x: -2.0 * arr(w) + 0.25 * arr(x)[..., ::-1],
+        matched_disturbance=lambda w, x: 0.5 * arr(w)[..., 0],
+        unmatched_disturbance=lambda w, x, z: 0.2 * arr(w)[..., 1],
+    )
+    return (
+        model,
+        uncertainty,
+        lambda x, z, t: -2.0 * arr(z) - arr(x)[..., 1] + 0.3 * np.sin(2.0 * t),
+        dict(x0=[0.5, -0.2], z0=0.2, w0=[0.3, -0.1]),
     )
 
 
@@ -231,7 +264,7 @@ def test_batch_matches_single_trajectories():
         _batch_matches_single(name)
 
 
-@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar", "asarray"])
 def test_one_row_batch_matches_integrate_exactly(name):
     # a one-row bundle steps on integrate's floats; its controller still gets
     # a batch, x (1, n) and z (1,), and the histories keep the batch axis
@@ -262,8 +295,11 @@ def test_one_row_batch_matches_integrate_exactly(name):
         assert ws is None
 
 
-@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar", "asarray"])
 def test_integrate_matches_reference_loop_exactly(name):
+    # the reference hands the maps arrays (n,), integrate lists of floats; a
+    # plant that returns ndarrays must step to the same bits as one that
+    # returns floats
     model, uncertainty, controller, kw = _closed_loop(name)
     rec = integrate(model, uncertainty, controller, horizon=2.0, step=1e-3, **kw)
     ref = reference_integrate(model, uncertainty, controller, horizon=2.0, step=1e-3, **kw)
@@ -277,6 +313,51 @@ def test_integrate_matches_reference_loop_exactly(name):
             assert got[key] is None, key
         else:
             assert np.array_equal(got[key], expected), key
+
+
+def _typed(fn, calls):
+    """fn, recording the types of its arguments and of its result's entries."""
+
+    def wrapped(*args):
+        out = fn(*args)
+        entries = [out] if isinstance(out, float) else list(out)
+        calls.append((tuple(map(type, args)), type(out), tuple(map(type, entries))))
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize("name", ["arm", "cascade"])
+def test_one_trajectory_maps_get_and_return_python_floats(name):
+    # one trajectory hands the plant and uncertainty maps the stepped state
+    # as lists of floats, z as a float, and takes floats back: a stage that
+    # went back to building arrays would fail here, not only run slower
+    model, uncertainty, controller, kw = _closed_loop(name)
+    calls = []
+    model = dataclasses.replace(
+        model,
+        drift=_typed(model.drift, calls),
+        input_gain=_typed(model.input_gain, calls),
+        f1=model.f1 and _typed(model.f1, calls),
+    )
+    uncertainty = dataclasses.replace(
+        uncertainty,
+        w_dynamics=_typed(uncertainty.w_dynamics, calls),
+        matched_disturbance=_typed(uncertainty.matched_disturbance, calls),
+        unmatched_disturbance=(
+            uncertainty.unmatched_disturbance
+            and _typed(uncertainty.unmatched_disturbance, calls)
+        ),
+    )
+    n_maps = 6 if model.has_z_channel else 4
+    for run in (integrate, _run_batch):
+        calls.clear()
+        run(model, uncertainty, controller, horizon=0.02, step=1e-3, **kw)
+        assert len(calls) == n_maps * (4 * 20 + 1), run
+        for args, out, entries in calls:
+            assert set(args) <= {list, float}, (run, args)
+            assert out in (float, list, tuple), (run, out)
+            assert set(entries) == {float}, (run, entries)
 
 
 @pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])

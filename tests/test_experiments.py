@@ -5,8 +5,6 @@ from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.dynsys import Plant, Trajectory, integrate
 from robustpi.experiments import (
     ArmParameters,
-    arm_linearization,
-    arm_transformed_rhs,
     build_arm_system,
     build_cascade_system,
     build_linear_plant,
@@ -16,7 +14,14 @@ from robustpi.experiments import (
 )
 from robustpi.online_pi import ExplorationNoise, run_online_pi
 
-from oracles import fd_jacobian, stacked_arm_drift
+from oracles import (
+    angle_offset,
+    arm_linearization,
+    arm_transformed_rhs,
+    fd_jacobian,
+    joint_angle,
+    stacked_arm_drift,
+)
 
 
 def test_transformed_dynamics_vanish_at_origin():
@@ -27,9 +32,9 @@ def test_transformed_dynamics_vanish_at_origin():
 
 def test_coordinate_map_round_trip():
     params = ArmParameters()
-    assert params.joint_angle(-np.pi / 4) == pytest.approx(0.0)
-    assert params.angle_offset(0.0) == pytest.approx(-np.pi / 4)
-    assert params.angle_offset(params.joint_angle(0.123)) == pytest.approx(0.123)
+    assert joint_angle(params, -np.pi / 4) == pytest.approx(0.0)
+    assert angle_offset(params, 0.0) == pytest.approx(-np.pi / 4)
+    assert angle_offset(params, joint_angle(params, 0.123)) == pytest.approx(0.123)
 
 
 def test_parameters_must_be_positive():
@@ -245,7 +250,8 @@ def test_constant_input_gains_are_shared_read_only_arrays():
     for model, x, old_form in plants:
         gain = model.input_gain(x)
         assert model.input_gain(x + 1.0) is gain
-        assert model.input_gain(list(x)) is gain
+        row = model.input_gain(x.tolist())
+        assert row is model.input_gain((x + 1.0).tolist()) and row == tuple(gain.tolist())
         assert np.array_equal(gain, old_form(x))
         assert gain.dtype == float and gain.shape == x.shape
         with pytest.raises(ValueError):
@@ -262,9 +268,10 @@ def test_constant_input_gains_are_shared_read_only_arrays():
 
 
 def test_arm_maps_share_gravity_shape_exactly():
-    # drift and w_dynamics at one state compute the gravity shape on Python
-    # floats, each call afresh; every state, repeated or alternating with
-    # others, must give the numpy form's bits, zero sign and NaN included
+    # drift and w_dynamics at one state given as lists compute the gravity
+    # shape on Python floats, each call afresh; every state, as an array or a
+    # list, repeated or alternating with others, must give the numpy form's
+    # bits, zero sign and NaN included
     params = ArmParameters()
     arm = build_arm_system(params)
     drift, w_dynamics = arm.model.drift, arm.uncertainty.w_dynamics
@@ -281,8 +288,10 @@ def test_arm_maps_share_gravity_shape_exactly():
             (w_dynamics(w, x), full[:1]),
             (w_dynamics(w, x.copy()), full[:1]),
             (drift(x.copy()), stacked_arm_drift(params, x)),
+            (w_dynamics(w.tolist(), x.tolist()), full[:1]),
+            (drift(x.tolist()), stacked_arm_drift(params, x)),
         ):
-            assert got.tobytes() == want.tobytes(), x
+            assert np.asarray(got, dtype=float).tobytes() == want.tobytes(), x
         # a batch in between goes through the array path
         batch = np.stack([x, x[::-1]])
         assert np.array_equal(drift(batch), stacked_arm_drift(params, batch), equal_nan=True)
@@ -303,9 +312,9 @@ def _map_states(size, seed):
 
 @pytest.mark.parametrize("name", ["arm", "cascade"])
 def test_single_state_maps_equal_their_batch_rows_exactly(name):
-    # at one state the plant maps compute on Python floats (the arm's gravity
-    # shape with math.sin), for a batch on numpy arrays; every value must have
-    # the bits of its batch row, or integrate and simulate_batch part ways.
+    # at one state given as lists the plant maps compute on Python floats (the
+    # arm's gravity shape with math.sin), for arrays on numpy; every value must
+    # have the bits of its batch row, or integrate and simulate_batch part ways.
     # This is also the check that math.sin and np.sin agree on the host that
     # runs it: where they differ, it fails instead of letting artifacts drift.
     plant = build_arm_system() if name == "arm" else build_cascade_system()
@@ -332,8 +341,14 @@ def test_single_state_maps_equal_their_batch_rows_exactly(name):
     with np.errstate(invalid="ignore", over="ignore"):
         batch = maps(xs, ws, zs)
         for i, state in enumerate(states):
-            single = maps(xs[i].copy(), ws[i].copy(), float(zs[i]) if nz else None)
-            for key, value in single.items():
-                got = np.asarray(value, dtype=float)
-                assert got.shape == batch[key][i].shape, (name, key)
-                assert got.tobytes() == batch[key][i].tobytes(), (name, key, state)
+            z = float(zs[i]) if nz else None
+            # a state (n,) takes the array path; the lists of Python floats
+            # are what the one-trajectory RK4 stage passes
+            for form, single in (
+                ("array", maps(xs[i].copy(), ws[i].copy(), z)),
+                ("list", maps(xs[i].tolist(), ws[i].tolist(), z)),
+            ):
+                for key, value in single.items():
+                    got = np.asarray(value, dtype=float)
+                    assert got.shape == batch[key][i].shape, (name, form, key)
+                    assert got.tobytes() == batch[key][i].tobytes(), (name, form, key, state)
