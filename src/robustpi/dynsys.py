@@ -186,6 +186,18 @@ def _stacked_start(model, uncertainty, x0, z0, w0, lead, *, horizon, step):
     return s0
 
 
+def stage_times(k0, k1, step):
+    """The times `_rk4` hands the controller on steps k0 <= k < k1.
+
+    Yields (t, t + step/2, t + step) with t = k * step, in the kernel's own
+    float arithmetic: the first stage, the two midpoint stages and the last
+    stage of step k.  The record at the final node uses only t.
+    """
+    for k in range(k0, k1):
+        t = k * step
+        yield t, t + step / 2, t + step
+
+
 def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
     """Classical fixed-step RK4 on the stacked state s = [x, z, w].
 
@@ -251,17 +263,16 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
     zin_rec = np.empty(rec_shape) if has_z else None
 
     s, h = (s0.tolist() if one else s0), step
-    for k in range(n_steps + 1):
-        t = k * h
+    for k, (t, t_mid, t_end) in enumerate(stage_times(0, n_steps + 1, h)):
         k1, u, xin, zin = stage(t, s)
         states[k], u_rec[k], xin_rec[k] = s, u, xin
         if has_z:
             zin_rec[k] = zin
         if k == n_steps:
             break
-        k2 = stage(t + h / 2, ahead(s, h / 2, k1))[0]
-        k3 = stage(t + h / 2, ahead(s, h / 2, k2))[0]
-        k4 = stage(t + h, ahead(s, h, k3))[0]
+        k2 = stage(t_mid, ahead(s, h / 2, k1))[0]
+        k3 = stage(t_mid, ahead(s, h / 2, k2))[0]
+        k4 = stage(t_end, ahead(s, h, k3))[0]
         if one:
             slope = [b1 + 2 * b2 + 2 * b3 + b4 for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
         else:
@@ -269,7 +280,7 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
         s = ahead(s, h / 6, slope)
         _check_finite(s, "state update")
         if _exceeds(s, blowup):
-            raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t + h:.6g} s")
+            raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t_end:.6g} s")
 
     x = states[..., :n].copy()
     z = states[..., n].copy() if has_z else None

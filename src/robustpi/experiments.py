@@ -386,7 +386,7 @@ def build_cascade_system() -> CascadeBenchmark:
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.8),
         initial_virtual_policy=lambda x, t=None: 0.0
         * np.asarray(x, dtype=float)[..., 0],
-        drive_policy=lambda x, z, t=None: -2.0 * np.asarray(z, dtype=float),
+        drive_policy=lambda x, z, t=None: -2.0 * z,
         rho_value=0.5,
         region_low=np.array([-1.0]),
         region_high=np.array([1.0]),

@@ -519,11 +519,11 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     rho_value = bench.rho_value
     rho_fn = robust.ConstantRho(rho_value)
 
-    noise = noise_from_config(config)
     plant = Plant(
         system["model"], system["uncertainty"], system["x0"],
         step=config.step, z0=system["z0"], w0=system["w0"],
     )
+    noise = noise_from_config(config).rk4_lookup(plant.step)
     basis_v = make_polynomial_basis(1, config.value_degree)
     basis_u = make_polynomial_basis(1, config.policy_degree)
     n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
@@ -540,7 +540,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     xi = phase1.xi
 
     # phase two: fresh window with xi frozen
-    noise2 = noise_from_config(config, seed_offset=1)
+    noise2 = noise_from_config(config, seed_offset=1).rk4_lookup(plant.step)
     drive2 = lambda x, z, t: bench.drive_policy(x, z, t) + noise2(t)
     psi_basis = make_polynomial_basis(2, 2)
     phi_basis = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)

@@ -11,6 +11,7 @@ persistent-excitation guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .basis import Approximant, BasisSet, policy_values
-from .dynsys import CostSpec, Plant, Trajectory
+from .dynsys import CostSpec, Plant, Trajectory, stage_times
 from .errors import EmptyInterval, PEViolation, ScheduleExhausted
 
 # the excitation-failure message of each guarded solve, by stage
@@ -28,6 +29,10 @@ PE_MESSAGES = {
     "phase two": "persistent-excitation check failed in phase two: "
     "eigenvalue ratio {ratio:.3e} below {delta_rel:g}",
 }
+
+# RK4 steps whose stage times one batched evaluation of the exploration
+# signal covers; the lookup holds one block, so its memory stays bounded
+LOOKUP_BLOCK_STEPS = 1024
 
 
 @dataclass
@@ -57,6 +62,32 @@ class ExplorationNoise:
         t = np.asarray(t, dtype=float)
         args = self.angular_frequencies * t[..., None] + self.phases
         return self.amplitude * (np.add.reduce(np.sin(args), axis=-1) / self.n_components)
+
+    def rk4_lookup(self, step: float) -> Callable[[float], float]:
+        """The signal at the stage times of an RK4 run at `step`, as t -> float.
+
+        A t that is not in the current block refills it with the block of
+        LOOKUP_BLOCK_STEPS steps from t's step on (`dynsys.stage_times`),
+        evaluated in one batched call; the batched values have the bits of
+        calling the signal at each time.  A t that still misses (not an RK4
+        stage time, or not finite) gets `self(t)`.
+        """
+        table = {}
+
+        def lookup(t):
+            value = table.get(t)
+            if value is None and math.isfinite(t):
+                k0 = int(t / step)
+                times = [
+                    tk for stage in stage_times(k0, k0 + LOOKUP_BLOCK_STEPS, step)
+                    for tk in stage
+                ]
+                table.clear()
+                table.update(zip(times, self(np.array(times)).tolist()))
+                value = table.get(t)
+            return self(t) if value is None else value
+
+        return lookup
 
 
 @dataclass
@@ -264,10 +295,11 @@ def run_online_pi(
     max|W_i - W_{i-1}| / max(1, max|W_i|).  `drive` overrides the
     default excitation controller (initial policy plus noise); cascade
     plants must supply one since their input channel differs from the
-    learned virtual policy.
+    learned virtual policy.  The default drive reads the noise through
+    `ExplorationNoise.rk4_lookup` at the plant's step.
     """
     if drive is None:
-        noise = exploration if exploration is not None else (lambda t: 0.0)
+        noise = (lambda t: 0.0) if exploration is None else exploration.rk4_lookup(plant.step)
         drive = lambda x, t: initial_policy(x) + noise(t)
     traj = plant.observe(drive, interval * n_intervals)
     window = SampleWindow.from_trajectory(traj, interval, n_intervals)

@@ -85,14 +85,10 @@ class ClassKFunction:
 
     `inverse` takes arrays and bisects each element on [0, s_max] with
     its own stop rule; composition simply chains callables.
-    `positive_definite_only` marks members that are only required to be
-    positive away from zero (decay-rate bounds), for which the
-    monotonicity checks are skipped.
     """
 
     fn: Callable
     s_max: float
-    positive_definite_only: bool = False
     name: str = ""
 
     def __call__(self, s):
@@ -156,15 +152,6 @@ class ClassKFunction:
             return out
 
         return cls(fn=fn, s_max=BRACKET, name=name)
-
-    def check_basic(self) -> bool:
-        """f(0) = 0 and strict increase along a 60-point log ladder."""
-        if abs(float(self.fn(np.asarray(0.0)))) > 1e-12:
-            return False
-        vals = self.fn(log_ladder(self.s_max, 60))
-        if self.positive_definite_only:
-            return bool(np.all(vals > 0))
-        return bool(np.all(np.diff(vals) > 0) and vals[0] > 0)
 
 
 @dataclass(frozen=True)

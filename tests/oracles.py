@@ -203,6 +203,22 @@ def broadcast_gradient_tensor(basis, points):
     return grad
 
 
+def check_basic(gain, positive_definite_only=False):
+    """f(0) = 0 and strict increase along a 60-point log ladder.
+
+    With `positive_definite_only` (decay-rate bounds, only required to be
+    positive away from zero) the monotonicity check is skipped.
+    """
+    from robustpi.robust import log_ladder
+
+    if abs(float(gain.fn(np.asarray(0.0)))) > 1e-12:
+        return False
+    vals = gain.fn(log_ladder(gain.s_max, 60))
+    if positive_definite_only:
+        return bool(np.all(vals > 0))
+    return bool(np.all(np.diff(vals) > 0) and vals[0] > 0)
+
+
 def mean_exploration_noise(noise, t):
     """The exploration signal as a mean over its sinusoids, with the angular
     frequencies formed inside the call."""

@@ -334,6 +334,7 @@ def test_single_state_maps_equal_their_batch_rows_exactly(name):
         if nz:
             out["f1"] = model.f1(x, z)
             out["unmatched"] = unc.unmatched_disturbance(w, x, z)
+            out["drive_policy"] = plant.drive_policy(x, z)
         else:
             out["initial_policy"] = plant.initial_policy(x)
         return out

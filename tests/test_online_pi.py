@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from robustpi.basis import BasisSet, make_polynomial_basis
-from robustpi.dynsys import Plant, Trajectory
+from robustpi.dynsys import Plant, Trajectory, integrate, stage_times
 from robustpi.errors import EmptyInterval, PEViolation, ScheduleExhausted
 from robustpi.online_pi import (
+    LOOKUP_BLOCK_STEPS,
     ExplorationNoise,
     RegressionProblem,
     SampleWindow,
@@ -298,3 +299,61 @@ def test_exploration_noise_matches_mean_of_sinusoids_exactly():
         want = mean_exploration_noise(noise, t)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("step", [1e-3, 5e-4, 2.5e-4])
+def test_rk4_lookup_has_the_bits_of_the_signal_at_every_stage_time(step):
+    # the table is filled by one batched call per block; its values must have
+    # the bits of calling the signal at each time, or the excited windows
+    # drift.  Where a host's numpy sums or vectorizes the batch differently,
+    # this fails instead of letting artifacts drift
+    n_steps = 3 * LOOKUP_BLOCK_STEPS + 17
+    for seed, amplitude in ((1, 0.5), (3, 0.8), (7, 2.0)):
+        noise = ExplorationNoise(amplitude=amplitude, seed=seed)
+        lookup = noise.rk4_lookup(step)
+        for stage in stage_times(0, n_steps + 1, step):
+            for t in stage:
+                assert _bits(lookup(t)) == _bits(noise(t)), (seed, t)
+        # off the stage grid, and not finite: the signal itself
+        with np.errstate(invalid="ignore"):
+            for t in (0.1234567, 0.3 * step, 2.0 * step + 1e-9, -step, 1e9, np.nan, np.inf):
+                assert _bits(lookup(t)) == _bits(noise(t)), (seed, t)
+        # back on the grid after a miss
+        t = 1000 * step + step / 2
+        assert _bits(lookup(t)) == _bits(noise(t))
+
+
+class _CountingNoise(ExplorationNoise):
+    """An exploration signal that counts its calls at a single time."""
+
+    single_calls = 0
+
+    def __call__(self, t):
+        self.single_calls += np.ndim(t) == 0
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize("step", [1e-3, 5e-4])
+def test_rk4_lookup_serves_every_time_integrate_hands_the_controller(step, scalar):
+    # every t the RK4 kernel passes must be a key of the table built from
+    # dynsys.stage_times; a single call of the signal means a fallback, which
+    # happens when the kernel's time arithmetic and the helper part ways
+    noise = _CountingNoise(amplitude=0.5, seed=4)
+    lookup = noise.rk4_lookup(step)
+    seen = []
+
+    def controller(x, t):
+        seen.append(t)
+        return scalar.initial_policy(x) + lookup(t)
+
+    n_steps = 2 * LOOKUP_BLOCK_STEPS + 100
+    integrate(scalar.model, None, controller, [0.8], horizon=n_steps * step, step=step)
+    assert len(seen) == 4 * n_steps + 1
+    assert noise.single_calls == 0
+    values = [lookup(t) for t in seen]
+    assert noise.single_calls == 0
+    assert [_bits(v) for v in values] == [_bits(noise(t)) for t in seen]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import per_candidate_select_rho, scalar_bisection_inverse
+from oracles import check_basic, per_candidate_select_rho, scalar_bisection_inverse
 
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.errors import CompositionDomain
@@ -102,18 +102,17 @@ def test_tabulated_gain_interpolates_and_extends():
     assert gain(0.0) == 0.0
     assert gain(1.5) == pytest.approx(1.0)
     assert gain(4.0) == pytest.approx(2.5)  # linear tail
-    assert gain.check_basic()
+    assert check_basic(gain)
 
 
 def test_check_basic_flags_non_monotone():
     bad = ClassKFunction(fn=lambda s: np.sin(np.asarray(s)), s_max=10.0)
-    assert not bad.check_basic()
+    assert not check_basic(bad)
     pd_only = ClassKFunction(
         fn=lambda s: np.asarray(s) ** 2 * np.exp(-np.asarray(s)),
         s_max=10.0,
-        positive_definite_only=True,
     )
-    assert pd_only.check_basic()
+    assert check_basic(pd_only, positive_definite_only=True)
 
 
 def test_gain_from_rho_closed_forms():

@@ -16,7 +16,10 @@ per-unit layer figures `basis.design_matrix.calls`, `dynsys.integrate.steps`
 and `dynsys.integrate.steps_per_s` under ``per_layer.{parent,change}``; the
 end-to-end figures come from the untraced runs only.  Results are merged
 into the JSON file named by ``--out`` under ``workloads.<name>``, so one
-file can hold several workloads measured on different seeds.
+file can hold several workloads measured on different seeds.  The ``host``
+block records Python, the machine, its CPU count, and the numpy version with
+the SIMD extensions numpy dispatches to, as `numpy.show_runtime()` reports
+them: byte identity of batched and per-call numpy results rests on those.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload arm --seeds 11 12 13 14 15 16 17 18 19 20 --seconds 36 \\
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import platform
@@ -75,6 +79,29 @@ def config_keys(tree: Path) -> int:
         ):
             return len(node.value.elts)
     raise SystemExit(f"{tree}: no CONFIG_KEYS in src/robustpi/harness.py")
+
+
+def numpy_runtime() -> dict:
+    """numpy's version and SIMD extensions as `numpy.show_runtime()` reports
+    them: the baseline, and the dispatch targets this CPU has.
+
+    The figures are those of the numpy this script imports, not necessarily
+    the one each tree's perfbench run imports.  The SIMD lists come from a
+    private numpy module; where it is missing they are recorded as null.
+    """
+    import numpy
+
+    out = {"version": numpy.__version__, "simd_baseline": None, "simd_found": None}
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(module)
+            features = umath.__cpu_features__
+            out["simd_baseline"] = list(umath.__cpu_baseline__)
+            out["simd_found"] = [f for f in umath.__cpu_dispatch__ if features.get(f)]
+            break
+        except (ImportError, AttributeError):
+            continue
+    return out
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -160,6 +187,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "numpy": numpy_runtime(),
     }
     data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     data["src_defaults"] = {side: src_defaults(tree) for side, tree in trees.items()}
