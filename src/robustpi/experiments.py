@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .basis import Approximant
 from .dynsys import CostSpec, SystemModel, Trajectory, UncertaintyModel
@@ -260,8 +259,11 @@ def build_linear_plant(seed: int = 3) -> LinearBenchmark:
 
     K0 is the optimal gain pushed away from the optimum and backed off
     (deterministically) until the loop is stable again, so the learner
-    has a nontrivial iterate sequence to reproduce.
+    has a nontrivial iterate sequence to reproduce.  It imports scipy, which
+    nothing else in the runtime needs.
     """
+    import scipy.linalg
+
     rng = np.random.default_rng(seed)
     for _ in range(100):
         a = rng.uniform(-1.0, 1.0, size=(2, 2))

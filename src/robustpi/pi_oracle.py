@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import qmc
 
 from .basis import Approximant, BasisSet, policy_values
 from .dynsys import CostSpec, SystemModel, integrate
@@ -25,13 +24,37 @@ Policy = Union[Approximant, Callable]
 RANK_RTOL = 1e-12
 
 
+def _first_primes(count: int) -> list:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def collocation_grid(low, high, count: int) -> np.ndarray:
-    """Deterministic Halton points scaled into the box [low, high]."""
+    """Deterministic Halton points scaled into the box [low, high].
+
+    Point i, coordinate j is the radical inverse of i (from 0) in the j-th
+    prime, summed digit by digit from the least significant as
+    `scipy.stats.qmc.Halton(d, scramble=False)` sums it.  Adding a zero digit
+    is exact, so the digits of all points are summed at once.  The rows are
+    built per base and transposed, so the grid is F-ordered like scipy's:
+    the BLAS products downstream round per memory layout.
+    """
     low = np.atleast_1d(np.asarray(low, dtype=float))
     high = np.atleast_1d(np.asarray(high, dtype=float))
-    sampler = qmc.Halton(d=low.size, scramble=False)
-    unit = sampler.random(count)
-    return low + unit * (high - low)
+    unit = np.zeros((low.size, count))
+    for row, base in zip(unit, _first_primes(low.size)):
+        index = np.arange(count)
+        scale = 1.0 / base
+        while index.any():
+            row += (index % base) * scale
+            scale /= base
+            index //= base
+    return low + unit.T * (high - low)
 
 
 def probe_admissibility(

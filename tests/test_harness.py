@@ -1,7 +1,10 @@
 import configparser
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -281,6 +284,10 @@ def test_non_finite_values_raise(tmp_path, section, key, value):
         ("pi", "schedule", "3,2"),
         ("integration", "step", "0.5"),  # longer than the sampling interval
         ("integration", "step", "5.0"),  # also longer than sim_horizon
+        # steps that do not divide the 0.1 s interval: 0.06 once ran short of
+        # dense points (Internal), 0.07 once sampled every 0.07 s
+        ("integration", "step", "0.06"),
+        ("integration", "step", "0.07"),
         ("robustness", "sim_horizon", "0.0001"),
         ("robustness", "sim_step", "10"),
     ],
@@ -295,6 +302,23 @@ def test_non_finite_step_override_raises(tmp_path, scalar_config_path, step):
     argv = ["run", str(scalar_config_path), "--out-dir", str(out), "--step", step]
     assert harness.cli(argv) == EXIT_CODES[ConfigParse.category]
     assert not out.exists()
+
+
+def test_run_imports_no_scipy(tmp_path, scalar_config_path):
+    """A whole run in a fresh interpreter loads numpy but not scipy."""
+    script = (
+        "import sys, robustpi, robustpi.harness\n"
+        "code = robustpi.harness.cli(sys.argv[1:])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(harness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["run", str(scalar_config_path), "--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_negative_seed_override_raises(tmp_path, scalar_config_path):

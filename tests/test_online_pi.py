@@ -9,6 +9,7 @@ from robustpi.online_pi import (
     ExplorationNoise,
     RegressionProblem,
     SampleWindow,
+    _interval_integrals,
     assemble_regression,
     run_online_pi,
     solve_pi_step,
@@ -277,6 +278,24 @@ def test_window_validation():
         SampleWindow.from_trajectory(traj, 0.1, 11)  # runs past the grid
     window = SampleWindow.from_trajectory(traj, 0.1, 10)
     assert window.n_intervals == 10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interval_integrals_are_cumulative_trapezoid_bit_for_bit(seed):
+    """scipy's running trapezoid integral differenced at the sampling
+    instants, byte for byte, over columns whose scales span 1e-6 to 1e6."""
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(seed)
+    rows, cols = 2001, 13
+    t = np.cumsum(rng.uniform(1e-4, 2e-3, rows))
+    dense = rng.standard_normal((rows, cols)) * np.logspace(-6, 6, cols)
+    idx = np.sort(rng.choice(rows, size=41, replace=False))
+    cum = cumulative_trapezoid(dense, t, axis=0, initial=0.0)
+    expected = cum[idx[1:]] - cum[idx[:-1]]
+    got = _interval_integrals(dense, t, idx)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_noise_is_seeded_and_bounded():

@@ -192,6 +192,22 @@ def test_collocation_grid_is_deterministic():
     assert np.all(a >= [-1.0, -2.0]) and np.all(a <= [1.0, 2.0])
 
 
+@pytest.mark.parametrize("count", [1, 40, 160, 616, 4097])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_collocation_grid_is_scipy_halton_bit_for_bit(dim, count):
+    """The same bytes, shape and memory order as scipy's unscrambled Halton
+    points: the products downstream round per memory layout."""
+    from scipy.stats import qmc
+
+    low = np.array([-1.0, -3.5, 0.25])[:dim]
+    high = np.array([0.8, 3.5, 7.0])[:dim]
+    expected = low + qmc.Halton(d=dim, scramble=False).random(count) * (high - low)
+    grid = collocation_grid(low, high, count)
+    assert grid.shape == expected.shape
+    assert grid.flags.f_contiguous == expected.flags.f_contiguous
+    assert grid.tobytes() == expected.tobytes()
+
+
 def _rowwise(model):
     """The same plant with drift and input gain evaluated one grid row at a
     time and stacked: the form the oracle used before it passed the grid."""

@@ -10,7 +10,10 @@ least 10 pairs, the change wins at least 90% of them, and its median lies
 below the parent's by more than the parent's quartile spread), and for each
 tree's `src/` its line count, its number of function parameters with a
 default (`src_defaults`, the options the code offers) and its number of
-config keys (`config_keys`, the rows of `harness.CONFIG_KEYS`).  After the
+config keys (`config_keys`, the rows of `harness.CONFIG_KEYS`), and the
+top-level non-stdlib modules that ``import robustpi.harness`` adds to a
+fresh interpreter (`runtime_imports`): unlike set-up time this list is
+deterministic, so a new heavy import shows as a changed list.  After the
 pairs, one ``--trace 1`` run per side on the first seed records the
 per-unit layer figures `basis.design_matrix.calls`, `dynsys.integrate.steps`
 and `dynsys.integrate.steps_per_s` under ``per_layer.{parent,change}``; the
@@ -79,6 +82,26 @@ def config_keys(tree: Path) -> int:
         ):
             return len(node.value.elts)
     raise SystemExit(f"{tree}: no CONFIG_KEYS in src/robustpi/harness.py")
+
+
+def runtime_imports(tree: Path) -> list:
+    """Sorted top-level non-stdlib module names that ``import robustpi.harness``
+    adds to `sys.modules` in a fresh interpreter on the tree's src/.  Modules
+    loaded at start-up (by `site`, say) are left out: they are the host's."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import robustpi.harness\n"
+        "top = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(top - set(sys.stdlib_module_names))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tree, capture_output=True, text=True, env=env
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: import robustpi.harness failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def numpy_runtime() -> dict:
@@ -192,6 +215,7 @@ def main(argv=None) -> int:
     data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     data["src_defaults"] = {side: src_defaults(tree) for side, tree in trees.items()}
     data["config_keys"] = {side: config_keys(tree) for side, tree in trees.items()}
+    data["runtime_imports"] = {side: runtime_imports(tree) for side, tree in trees.items()}
     data.setdefault("workloads", {})[args.workload] = report
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     r = report["run_ref"]
