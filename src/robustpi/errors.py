@@ -46,7 +46,7 @@ class PEViolation(ToolkitError):
 
 
 class EmptyInterval(ToolkitError):
-    """A sampling interval contains no dense integration points."""
+    """A sampling interval is not a positive whole number of integration steps."""
 
     category = "EmptyInterval"
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import backstep, online_pi, pi_oracle, robust
 from .basis import make_polynomial_basis
 from .dynsys import Plant, integrate, lipschitz_probe
-from .errors import EXIT_CODES, ConfigParse, ToolkitError
+from .errors import EXIT_CODES, ConfigParse, EmptyInterval, ToolkitError
 from .experiments import (
     build_arm_system,
     build_cascade_system,
@@ -44,7 +44,6 @@ NULLABLE_RESULTS = ("certified_d", "certified_d1", "certified_worst_ratio", "sig
 TABLE_CHUNK_ROWS = 256  # rows of a CSV artifact converted to Python numbers at a time
 RHO_LADDER = np.geomspace(0.5, 60.0, 160)  # constant rho values a matched plant searches
 D_LADDER_N = 60  # candidate levels d of each error-bound certification
-STRIDE_RTOL = 1e-9  # how far interval / step may lie from a whole number of steps
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +86,13 @@ class RunConfig:
                 raise ConfigParse(f"{name} must be positive and finite")
         if self.step > self.interval:
             raise ConfigParse("step must not exceed the sampling interval")
-        # the learning window samples every round(interval / step) steps
-        stride = self.interval / self.step
-        if abs(stride - round(stride)) > STRIDE_RTOL * stride:
+        # the learning window samples every interval / step steps
+        try:
+            online_pi.interval_stride(self.interval, self.step)
+        except EmptyInterval:
             raise ConfigParse(
                 f"step {self.step:g} must divide the sampling interval {self.interval:g}"
-            )
+            ) from None
         # the engaged run steps by sim_step and the movement replay by step
         if max(self.step, self.sim_step) > self.sim_horizon:
             raise ConfigParse("sim_horizon must cover at least one step and one sim_step")

@@ -32,6 +32,7 @@ PE_MESSAGES = {
 # RK4 steps whose stage times one batched evaluation of the exploration
 # signal covers; the lookup holds one block, so its memory stays bounded
 LOOKUP_BLOCK_STEPS = 1024
+STRIDE_RTOL = 1e-9  # how far interval / step may lie from a whole number of steps
 
 
 @dataclass
@@ -89,17 +90,36 @@ class ExplorationNoise:
         return lookup
 
 
+def interval_stride(interval: float, step: float) -> int:
+    """The sampling interval as a whole number of integration steps.
+
+    Raises EmptyInterval when interval / step rounds below 1 or lies more
+    than STRIDE_RTOL relative from a whole number.
+    """
+    ratio = interval / step
+    stride = round(ratio) if math.isfinite(ratio) else 0
+    if stride < 1:
+        raise EmptyInterval(f"interval {interval:g} is shorter than the step {step:g}")
+    if abs(ratio - stride) > STRIDE_RTOL * ratio:
+        raise EmptyInterval(f"step {step:g} does not divide the interval {interval:g}")
+    return stride
+
+
 @dataclass
 class SampleWindow:
     """A dense trajectory plus the sampling instants t_0 < ... < t_l.
 
     Sampling instants are grid-aligned (stored as indices into the dense
     grid), which keeps the interval quadratures exact restrictions of
-    the dense record.
+    the dense record.  A window is the same at every policy iteration run
+    on it (only the policy iterate changes), and so is its design matrix of
+    each basis: `design_matrix` builds it on the first call and keeps it
+    until `run_online_pi`, done with the window, drops it.
     """
 
     trajectory: Trajectory
     sample_indices: np.ndarray
+    _design: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.sample_indices, dtype=int)
@@ -115,15 +135,21 @@ class SampleWindow:
     def n_intervals(self) -> int:
         return self.sample_indices.size - 1
 
+    def design_matrix(self, basis: BasisSet) -> np.ndarray:
+        """`basis.design_matrix` at the dense states, read-only; built on the
+        first call for each basis (equal bases share one matrix)."""
+        phi = self._design.get(basis)
+        if phi is None:
+            phi = basis.design_matrix(self.trajectory.x)
+            phi.flags.writeable = False
+            self._design[basis] = phi
+        return phi
+
     @classmethod
     def from_trajectory(
         cls, trajectory: Trajectory, interval: float, count: int
     ) -> "SampleWindow":
-        step = trajectory.step
-        stride = int(round(interval / step))
-        if stride < 1:
-            raise EmptyInterval("interval shorter than the integration step")
-        idx = stride * np.arange(count + 1)
+        idx = interval_stride(interval, trajectory.step) * np.arange(count + 1)
         if idx[-1] >= trajectory.t.size:
             raise ValueError(
                 f"window needs {idx[-1] + 1} dense points, trajectory has "
@@ -177,17 +203,26 @@ def assemble_regression(
     by 2r * integral(phi_j * v) entries, where v is the measured
     composite input minus the current policy; the target is minus the
     integral of the running cost under the current policy.
+
+    The window and the two bases are the same at every iteration, so
+    `phi_v` and `phi_u` come from the window's design matrices, built
+    once.  Only `current_policy` changes: an `Approximant` on
+    `basis_policy` is `phi_u @ w`, the product its `evaluate_many` forms
+    on the same matrix, with the same bits; any other policy (the
+    initial one, say) goes through `policy_values`.
     """
     traj = window.trajectory
     idx = window.sample_indices
     x = traj.x
     t = traj.t
 
-    u_i = policy_values(current_policy, x)
+    phi_v = window.design_matrix(basis_value)
+    phi_u = window.design_matrix(basis_policy)
+    if isinstance(current_policy, Approximant) and current_policy.basis == basis_policy:
+        u_i = phi_u @ current_policy.weights
+    else:
+        u_i = policy_values(current_policy, x)
     v = traj.x_input - u_i
-
-    phi_v = basis_value.design_matrix(x)
-    phi_u = basis_policy.design_matrix(x)
     r = cost.control_weight
 
     delta_phi = phi_v[idx[1:]] - phi_v[idx[:-1]]
@@ -298,7 +333,9 @@ def run_online_pi(
     default excitation controller (initial policy plus noise); cascade
     plants must supply one since their input channel differs from the
     learned virtual policy.  The default drive reads the noise through
-    `ExplorationNoise.rk4_lookup` at the plant's step.
+    `ExplorationNoise.rk4_lookup` at the plant's step.  Every iteration
+    reads the window's design matrices, built at the first; the returned
+    window no longer holds them.
     """
     if drive is None:
         noise = (lambda t: 0.0) if exploration is None else exploration.rk4_lookup(plant.step)
@@ -335,6 +372,8 @@ def run_online_pi(
             break
         prev = stacked
         policy = step.policy
+    # the design matrices served the iterations; the result keeps the data only
+    window._design.clear()
     return OnlinePIResult(
         iterates=iterates, window=window, converged_iteration=converged
     )

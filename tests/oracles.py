@@ -302,3 +302,36 @@ def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_ma
         if report.holds and report.relative_margin >= relative_margin:
             return float(rho_val), report
     return None
+
+
+def reference_assemble_regression(window, basis_value, basis_policy, current_policy, cost):
+    """The regression as `online_pi.assemble_regression` built it before the
+    window kept its design matrices: both matrices and the policy's values
+    rebuilt from the dense states at every call."""
+    from robustpi.basis import policy_values
+    from robustpi.online_pi import RegressionProblem, _interval_integrals
+
+    traj = window.trajectory
+    idx = window.sample_indices
+    x = traj.x
+    t = traj.t
+
+    u_i = policy_values(current_policy, x)
+    v = traj.x_input - u_i
+
+    phi_v = basis_value.design_matrix(x)
+    phi_u = basis_policy.design_matrix(x)
+    r = cost.control_weight
+
+    delta_phi = phi_v[idx[1:]] - phi_v[idx[:-1]]
+    policy_cols = 2.0 * r * _interval_integrals(phi_u * v[:, None], t, idx)
+    theta = np.hstack([delta_phi, policy_cols])
+
+    running = cost.state_cost(x) + r * u_i**2
+    targets = -_interval_integrals(running[:, None], t, idx)[:, 0]
+    return RegressionProblem(
+        theta=theta,
+        targets=targets,
+        basis_value=basis_value,
+        basis_policy=basis_policy,
+    )

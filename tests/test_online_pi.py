@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from robustpi.basis import BasisSet, make_polynomial_basis
-from robustpi.dynsys import Plant, Trajectory, integrate, stage_times
+from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
+from robustpi.dynsys import CostSpec, Plant, Trajectory, integrate, stage_times
 from robustpi.errors import EmptyInterval, PEViolation, ScheduleExhausted
 from robustpi.online_pi import (
     LOOKUP_BLOCK_STEPS,
@@ -22,7 +22,12 @@ from robustpi.pi_oracle import (
     policy_improvement,
 )
 
-from oracles import SCALAR_OPTIMAL_GAIN, SCALAR_OPTIMAL_P, mean_exploration_noise
+from oracles import (
+    SCALAR_OPTIMAL_GAIN,
+    SCALAR_OPTIMAL_P,
+    mean_exploration_noise,
+    reference_assemble_regression,
+)
 
 
 def _window_from_arrays(t, x, u, x_input, interval, count):
@@ -278,6 +283,72 @@ def test_window_validation():
         SampleWindow.from_trajectory(traj, 0.1, 11)  # runs past the grid
     window = SampleWindow.from_trajectory(traj, 0.1, 10)
     assert window.n_intervals == 10
+    # intervals that are not a whole number of steps are not rounded to one
+    for interval in (0.0995, 0.0015):
+        with pytest.raises(EmptyInterval):
+            SampleWindow.from_trajectory(traj, interval, 10)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("degrees", [(5, 5), (3, 2)], ids=["equal bases", "distinct bases"])
+def test_regression_has_the_bits_of_the_rebuilt_one_at_every_iterate(degrees, order):
+    """One window driven through a plain-callable first policy, solved
+    iterates on the policy basis (one of them on an equal but distinct
+    BasisSet) and an iterate on another basis gives theta and targets with
+    the bytes of the regression that rebuilds every matrix per call."""
+    t = np.arange(0, 4.0 + 1e-12, 1e-3)
+    x = np.stack([0.6 * np.sin(1.3 * t) + 0.2, 0.5 * np.cos(0.7 * t) * np.exp(-0.2 * t)], axis=1)
+    x = np.asarray(x, order=order)
+    x_input = 0.4 * np.sin(5.1 * t) - 0.5 * x[:, 0] - 0.5 * x[:, 1]
+    window = _window_from_arrays(t, x, x_input, x_input, 0.1, 40)
+    cost = CostSpec(
+        state_cost=lambda x: 100.0 * x[..., 0] ** 2 + x[..., 1] ** 2,
+        control_weight=1.0,
+        margin=0.9,
+    )
+    bv = make_polynomial_basis(2, degrees[0])
+    bu = make_polynomial_basis(2, degrees[1])
+
+    policies = [lambda x: -0.5 * x[0] - 0.5 * x[1]]
+    for k in range(5):
+        policy = policies[-1]
+        got = assemble_regression(window, bv, bu, policy, cost)
+        expected = reference_assemble_regression(window, bv, bu, policy, cost)
+        assert got.theta.tobytes() == expected.theta.tobytes(), k
+        assert got.targets.tobytes() == expected.targets.tobytes(), k
+        weights = np.linalg.lstsq(got.theta, got.targets, rcond=None)[0][len(bv):]
+        if k == 2:
+            policies.append(Approximant(make_polynomial_basis(2, degrees[1]), weights))
+        elif k == 3:
+            other = make_polynomial_basis(2, 4)
+            policies.append(Approximant(other, np.linspace(-0.3, 0.2, len(other))))
+        else:
+            policies.append(Approximant(bu, weights))
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (2, 1)], ids=["equal bases", "distinct bases"])
+def test_window_builds_each_design_matrix_once(degrees, scalar, monkeypatch):
+    """Policy iteration on one window builds the dense design matrix of
+    each distinct basis once, however many iterations it runs."""
+    built = []
+    design_matrix = BasisSet.design_matrix
+
+    def counted(basis, points):
+        built.append((basis, len(points)))
+        return design_matrix(basis, points)
+
+    monkeypatch.setattr(BasisSet, "design_matrix", counted)
+    bv, bu = (make_polynomial_basis(1, degree) for degree in degrees)
+    result = run_online_pi(
+        _scalar_plant(scalar), scalar.initial_policy, ExplorationNoise(amplitude=0.8, seed=8),
+        bv, bu, scalar.cost, interval=0.1, n_intervals=40, tol=0.0, max_iter=4,
+        delta_rel=1e-12,
+    )
+    assert len(result.iterates) == 4
+    dense = result.window.trajectory.t.size
+    assert sorted(b.indices for b, rows in built if rows == dense) == sorted(
+        b.indices for b in {bv, bu}
+    )
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -15,9 +15,11 @@ top-level non-stdlib modules that ``import robustpi.harness`` adds to a
 fresh interpreter (`runtime_imports`): unlike set-up time this list is
 deterministic, so a new heavy import shows as a changed list.  After the
 pairs, one ``--trace 1`` run per side on the first seed records the
-per-unit layer figures `basis.design_matrix.calls`, `dynsys.integrate.steps`
-and `dynsys.integrate.steps_per_s` under ``per_layer.{parent,change}``; the
-end-to-end figures come from the untraced runs only.  Results are merged
+per-unit layer figures `basis.design_matrix.calls`, `basis.design_matrix.rows`
+(the points all design matrices were built at, a deterministic count),
+`dynsys.integrate.steps` and `dynsys.integrate.steps_per_s` under
+``per_layer.{parent,change}``; the end-to-end figures come from the
+untraced runs only.  Results are merged
 into the JSON file named by ``--out`` under ``workloads.<name>``, so one
 file can hold several workloads measured on different seeds.  The ``host``
 block records Python, the machine, its CPU count, and the numpy version with
@@ -46,7 +48,12 @@ import sys
 from pathlib import Path
 
 METRICS = ("run_ref", "setup_s", "peak_rss_mb")
-LAYER_METRICS = ("basis.design_matrix.calls", "dynsys.integrate.steps", "dynsys.integrate.steps_per_s")
+LAYER_METRICS = (
+    "basis.design_matrix.calls",
+    "basis.design_matrix.rows",
+    "dynsys.integrate.steps",
+    "dynsys.integrate.steps_per_s",
+)
 # perfbench runs at least one unit, and the counts per unit do not depend on
 # how many run, so the traced run asks for as little time as it can
 TRACE_SECONDS = 1.0
