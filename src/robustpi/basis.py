@@ -204,9 +204,11 @@ class Approximant:
         return np.einsum("pnd,n->pd", self.basis.gradient_tensor(points), self.weights)
 
     def evaluate(self, x) -> float:
-        """Value at one point x (dim,): the row of `evaluate_many`, bit for bit,
-        on 1-D rows.  The pow table stays numpy `**`: numpy's float64 pow may
-        come from a SIMD library and differ from Python's `**` in the last bit."""
+        """Value at one point x (dim,): a one-row `evaluate_many`, bit for bit.
+        A row of a many-row batch may differ in the last bits, since the
+        product (P, N) @ w sums in another order.  The pow table stays numpy
+        `**`: numpy's float64 pow may come from a SIMD library and differ
+        from Python's `**` in the last bit."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim > 1:
             return float(self.evaluate_many(pts)[0])

@@ -1,13 +1,14 @@
 """Benchmark systems and analysis utilities.
 
-The single-joint arm problem plus the linear and synthetic-cascade
-benchmarks, each packaged as builders returning (model, uncertainty,
-cost, policies, region, declared gains).  The plant and uncertainty maps
-take one state as lists of Python floats (x, w) and a float z, as the
-RK4 stage passes them, and compute on floats; arrays, one state (n,) or
-a batch (B, n), take the numpy path with the same bits.  A constant
-input gain is one shared tuple for a list state and one shared read-only
-array for a state (n,).  The policies are controllers and get arrays.
+The plants of the harness kinds: the single-joint arm problem plus the
+scalar and synthetic-cascade benchmarks, each packaged as builders
+returning (model, uncertainty, cost, policies, region, declared gains).
+The plant and uncertainty maps take one state as lists of Python floats
+(x, w) and a float z, as the RK4 stage passes them, and compute on
+floats; arrays, one state (n,) or a batch (B, n), take the numpy path
+with the same bits.  A constant input gain is one shared tuple for a
+list state and one shared read-only array for a state (n,).  The
+policies are controllers and get arrays.
 """
 
 from __future__ import annotations
@@ -232,78 +233,6 @@ def build_scalar_plant() -> ScalarBenchmark:
         initial_policy=lambda x, t=None: 0.0 * np.asarray(x, dtype=float)[..., 0],
         region_low=np.array([-1.0]),
         region_high=np.array([1.0]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# seeded two-state linear benchmark
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LinearBenchmark:
-    model: SystemModel
-    cost: CostSpec
-    initial_policy: Callable
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-    q_matrix: np.ndarray
-    r_weight: float
-    initial_gain: np.ndarray
-    region_low: np.ndarray
-    region_high: np.ndarray
-
-
-def build_linear_plant(seed: int = 3) -> LinearBenchmark:
-    """Random stabilizable 2-state plant with a deliberately loose K0.
-
-    K0 is the optimal gain pushed away from the optimum and backed off
-    (deterministically) until the loop is stable again, so the learner
-    has a nontrivial iterate sequence to reproduce.  It imports scipy, which
-    nothing else in the runtime needs.
-    """
-    import scipy.linalg
-
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        a = rng.uniform(-1.0, 1.0, size=(2, 2))
-        b = rng.uniform(0.5, 1.5, size=2)
-        ctrb = np.column_stack([b, a @ b])
-        if abs(np.linalg.det(ctrb)) > 0.2:
-            break
-    q = np.eye(2)
-    r = 1.0
-    p_opt = scipy.linalg.solve_continuous_are(a, b[:, None], q, np.array([[r]]))
-    k_opt = (b @ p_opt) / r
-    k0 = None
-    offset = rng.uniform(0.5, 1.5, size=2)
-    for shrink in [1.0, 0.5, 0.25, 0.125, 0.0625]:
-        cand = k_opt + shrink * offset
-        if np.all(np.real(np.linalg.eigvals(a - np.outer(b, cand))) < -1e-6):
-            k0 = cand
-            break
-    if k0 is None:
-        k0 = k_opt
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return x @ a.T
-
-    def state_cost(x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, q, x)
-
-    return LinearBenchmark(
-        model=SystemModel(n=2, drift=drift, input_gain=_constant_input_gain(b)),
-        cost=CostSpec(state_cost=state_cost, control_weight=r, margin=0.5),
-        initial_policy=lambda x, t=None: -np.asarray(x, dtype=float) @ k0,
-        a_matrix=a,
-        b_vector=b,
-        q_matrix=q,
-        r_weight=r,
-        initial_gain=k0,
-        region_low=np.array([-1.0, -1.0]),
-        region_high=np.array([1.0, 1.0]),
     )
 
 

@@ -29,7 +29,6 @@ from .errors import EXIT_CODES, ConfigParse, EmptyInterval, ToolkitError
 from .experiments import (
     build_arm_system,
     build_cascade_system,
-    build_linear_plant,
     build_scalar_plant,
     cost_surface_compare,
     speed_profile_analysis,
@@ -37,7 +36,7 @@ from .experiments import (
 from .rundiff import compare_runs
 
 FORMAT_VERSION = 1
-KINDS = ("scalar_lqr", "linear_2state", "arm", "cascade")
+KINDS = ("scalar_lqr", "arm", "cascade")
 # run.json values of the robust and cascade blocks that are None when no
 # level certifies: written as null so the keys do not depend on the outcome
 NULLABLE_RESULTS = ("certified_d", "certified_d1", "certified_worst_ratio", "sigma_level")
@@ -252,6 +251,12 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def gain_table(report: dict) -> str:
+    """The small-gain verdict and ladder of a robust or cascade report, the
+    text of its gain-check file and of `check-gains`."""
+    return report["small_gain"].summary(report["rho"], report["margin"])
+
+
 def _json_results(report: dict) -> dict:
     """A report's JSON-valued entries, with None NULLABLE_RESULTS as null."""
     json_types = (int, float, bool, str, dict, list)
@@ -328,12 +333,12 @@ class LearningRun:
                 "value_initial": self.analysis["surface_initial"],
                 "value_final": self.analysis["surface_final"],
             })
-        if "gain_table" in self.robust_report:
-            (out / "gain_check.txt").write_text(self.robust_report["gain_table"])
-        if "gain_table" in self.cascade_report:
-            (out / "gain_check_cascade.txt").write_text(
-                self.cascade_report["gain_table"]
-            )
+        for name, report in (
+            ("gain_check.txt", self.robust_report),
+            ("gain_check_cascade.txt", self.cascade_report),
+        ):
+            if "small_gain" in report:
+                (out / name).write_text(gain_table(report))
         if "roa_boundary" in self.robust_report:
             pts = self.robust_report["roa_boundary"]
             write_table(
@@ -364,9 +369,6 @@ def _build_system(config: RunConfig):
     if config.kind == "scalar_lqr":
         bench = build_scalar_plant()
         initial_policy, x0, w0 = bench.initial_policy, np.array([0.8]), None
-    elif config.kind == "linear_2state":
-        bench = build_linear_plant()
-        initial_policy, x0, w0 = bench.initial_policy, np.array([0.9, -0.6]), None
     elif config.kind == "arm":
         bench = build_arm_system()
         initial_policy = bench.initial_policy
@@ -501,7 +503,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         "certified_d": certified.d if certified else None,
         "certified_worst_ratio": certified.worst_ratio if certified else None,
         "sigma_level": roa.level if roa else None,
-        "gain_table": report.summary(rho_value, margin),
+        "small_gain": report,
         "policy": policy_ro,
         "value_star": value_star,
         "sigma": sigma,
@@ -630,7 +632,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         "small_gain_relative_margin": report.relative_margin,
         "certified_d1": certified_d1,
         "certified_worst_ratio": worst,
-        "gain_table": report.summary(rho_value, margin),
+        "small_gain": report,
         "xi": xi,
         "f1_hat": phase2.f1_hat,
         "g1_hat": phase2.g1_hat,
@@ -852,7 +854,7 @@ def _cmd_check_gains(args) -> int:
         raise ConfigParse("check-gains needs a plant with an uncertainty channel")
     run = run_algorithm_1(config)
     report = run.cascade_report if config.kind == "cascade" else run.robust_report
-    print(report["gain_table"])
+    print(gain_table(report))
     print(f"holds: {report['small_gain_holds']}")
     return 0 if report["small_gain_holds"] else 1
 

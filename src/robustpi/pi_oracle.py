@@ -151,23 +151,6 @@ def policy_improvement(
     return Approximant(basis_policy, weights), residual
 
 
-def hjb_residual(
-    model: SystemModel, cost: CostSpec, value: Approximant, grid: np.ndarray
-) -> float:
-    """Sup-norm on the grid of the optimality PDE residual for `value`."""
-    grid = np.atleast_2d(grid)
-    f = model.drift(grid)
-    g = model.input_gain(grid)
-    grad = value.gradient_many(grid)
-    gv = np.einsum("pd,pd->p", g, grad)
-    res = (
-        np.einsum("pd,pd->p", grad, f)
-        + cost.state_cost(grid)
-        - gv**2 / (4.0 * cost.control_weight)
-    )
-    return float(np.max(np.abs(res)))
-
-
 @dataclass
 class PIState:
     """One recorded policy-iteration step."""

@@ -2,12 +2,21 @@
 
 Everything here deliberately avoids the package's own solution paths:
 closed forms, scipy matrix-equation solvers, finite differences and
-brute-force enumeration only.
+brute-force enumeration only.  The seeded two-state linear plant of the
+Kleinman-equivalence anchor lives here too, built on the package's model
+types: no harness kind runs it.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 from scipy.special import comb
+
+from robustpi.basis import Approximant
+from robustpi.dynsys import CostSpec, SystemModel
+from robustpi.experiments import _constant_input_gain
 
 SCALAR_OPTIMAL_P = np.sqrt(2.0) - 1.0  # value weight for dx=-x+u, Q=x^2, r=1
 SCALAR_OPTIMAL_GAIN = -(np.sqrt(2.0) - 1.0)
@@ -335,3 +344,84 @@ def reference_assemble_regression(window, basis_value, basis_policy, current_pol
         basis_value=basis_value,
         basis_policy=basis_policy,
     )
+
+
+@dataclass
+class LinearBenchmark:
+    model: SystemModel
+    cost: CostSpec
+    initial_policy: Callable
+    a_matrix: np.ndarray
+    b_vector: np.ndarray
+    q_matrix: np.ndarray
+    r_weight: float
+    initial_gain: np.ndarray
+    region_low: np.ndarray
+    region_high: np.ndarray
+
+
+def build_linear_plant(seed: int = 3) -> LinearBenchmark:
+    """Random stabilizable 2-state plant with a deliberately loose K0.
+
+    K0 is the optimal gain pushed away from the optimum and backed off
+    (deterministically) until the loop is stable again, so the learner
+    has a nontrivial iterate sequence to reproduce.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        a = rng.uniform(-1.0, 1.0, size=(2, 2))
+        b = rng.uniform(0.5, 1.5, size=2)
+        ctrb = np.column_stack([b, a @ b])
+        if abs(np.linalg.det(ctrb)) > 0.2:
+            break
+    q = np.eye(2)
+    r = 1.0
+    p_opt = scipy.linalg.solve_continuous_are(a, b[:, None], q, np.array([[r]]))
+    k_opt = (b @ p_opt) / r
+    k0 = None
+    offset = rng.uniform(0.5, 1.5, size=2)
+    for shrink in [1.0, 0.5, 0.25, 0.125, 0.0625]:
+        cand = k_opt + shrink * offset
+        if np.all(np.real(np.linalg.eigvals(a - np.outer(b, cand))) < -1e-6):
+            k0 = cand
+            break
+    if k0 is None:
+        k0 = k_opt
+
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        return x @ a.T
+
+    def state_cost(x):
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,ij,...j->...", x, q, x)
+
+    return LinearBenchmark(
+        model=SystemModel(n=2, drift=drift, input_gain=_constant_input_gain(b)),
+        cost=CostSpec(state_cost=state_cost, control_weight=r, margin=0.5),
+        initial_policy=lambda x, t=None: -np.asarray(x, dtype=float) @ k0,
+        a_matrix=a,
+        b_vector=b,
+        q_matrix=q,
+        r_weight=r,
+        initial_gain=k0,
+        region_low=np.array([-1.0, -1.0]),
+        region_high=np.array([1.0, 1.0]),
+    )
+
+
+def hjb_residual(
+    model: SystemModel, cost: CostSpec, value: Approximant, grid: np.ndarray
+) -> float:
+    """Sup-norm on the grid of the optimality PDE residual for `value`."""
+    grid = np.atleast_2d(grid)
+    f = model.drift(grid)
+    g = model.input_gain(grid)
+    grad = value.gradient_many(grid)
+    gv = np.einsum("pd,pd->p", g, grad)
+    res = (
+        np.einsum("pd,pd->p", grad, f)
+        + cost.state_cost(grid)
+        - gv**2 / (4.0 * cost.control_weight)
+    )
+    return float(np.max(np.abs(res)))

@@ -17,13 +17,13 @@ from robustpi.errors import PEViolation
 from robustpi.experiments import (
     build_arm_system,
     build_cascade_system,
-    build_linear_plant,
     build_scalar_plant,
 )
 
 from oracles import (
     SCALAR_OPTIMAL_GAIN,
     SCALAR_OPTIMAL_P,
+    build_linear_plant,
     fd_gradient,
     kleinman_sequence,
     quadratic_weights_to_matrix,

@@ -7,7 +7,6 @@ from robustpi.experiments import (
     ArmParameters,
     build_arm_system,
     build_cascade_system,
-    build_linear_plant,
     build_scalar_plant,
     cost_surface_compare,
     speed_profile_analysis,
@@ -18,6 +17,7 @@ from oracles import (
     angle_offset,
     arm_linearization,
     arm_transformed_rhs,
+    build_linear_plant,
     fd_jacobian,
     joint_angle,
     stacked_arm_drift,

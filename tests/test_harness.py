@@ -1,3 +1,4 @@
+import ast
 import configparser
 import dataclasses
 import json
@@ -73,13 +74,6 @@ def test_bad_values_raise(tmp_path):
     bad = MINIMAL.format(out=tmp_path).replace("seed = 3", "seed = banana")
     with pytest.raises(ConfigParse):
         load_config(_write_cfg(tmp_path / "b.cfg", bad))
-    with pytest.raises(ConfigParse):
-        load_config(
-            _write_cfg(
-                tmp_path / "c.cfg",
-                MINIMAL.format(out=tmp_path).replace("kind = scalar_lqr", "kind = nope"),
-            )
-        )
     no_seed = MINIMAL.format(out=tmp_path).replace("seed = 3", "")
     with pytest.raises(ConfigParse):
         load_config(_write_cfg(tmp_path / "d.cfg", no_seed))
@@ -189,6 +183,12 @@ def _assert_rejected(tmp_path, section, key, value, match=None):
         load_config(path)
     assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
     assert not (tmp_path / "out").exists()
+
+
+# linear_2state's plant is a test fixture (tests/oracles.py), not a harness kind
+@pytest.mark.parametrize("kind", ["nope", "linear_2state"])
+def test_unknown_kinds_are_rejected(tmp_path, kind):
+    _assert_rejected(tmp_path, "run", "kind", kind, re.escape(f"unknown plant kind {kind!r}"))
 
 
 # Keys that once carried one value in every config and are now constants,
@@ -321,6 +321,24 @@ def test_run_imports_no_scipy(tmp_path, scalar_config_path):
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
 
+def test_no_module_imports_scipy():
+    """No module of the package imports scipy, at any level: scipy is a test
+    dependency, and an import inside a function fails only on its path."""
+    package = Path(harness.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_negative_seed_override_raises(tmp_path, scalar_config_path):
     out = tmp_path / "out"
     argv = ["run", str(scalar_config_path), "--out-dir", str(out), "--seed", "-3"]
@@ -333,6 +351,54 @@ def test_shipped_configs_parse(arm_config_path, scalar_config_path, cascade_conf
         cfg = load_config(path)
         assert cfg.format_version if hasattr(cfg, "format_version") else True
         assert cfg.seed is not None
+
+
+# Short scalar_lqr runs, each key drawn from a small set (its usual value
+# first).  Learning horizons (interval x n_intervals) stay at 4 s or less.
+# Step 0.03 divides neither interval, one interval is fewer than the
+# unknowns of any pair of bases, and amplitude 0 excites nothing.
+SHORT_RUN_VALUES = (
+    ("integration", "step", ("0.001", "0.005", "0.002", "0.03")),
+    ("sampling", "interval", ("0.1", "0.05")),
+    ("sampling", "n_intervals", ("20", "40", "10", "1")),
+    ("pi", "value_degree", ("2", "1", "3")),
+    ("pi", "policy_degree", ("2", "1", "3")),
+    ("exploration", "amplitude", ("0.8", "0.3", "0")),
+    ("pi", "max_iter", ("12", "3", "1")),
+    ("robustness", "sim_step", ("0.0005", "0.01", "0.1")),
+    ("robustness", "sim_horizon", ("2.0", "0.5", "0.05")),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(values=st.tuples(*(st.sampled_from(choices) for _, _, choices in SHORT_RUN_VALUES)))
+def test_short_runs_complete_or_end_in_their_category(values):
+    """A run completes with no error record, or exits with its category's
+    code: a config that loads writes that category's record, and one that
+    does not load writes nothing."""
+    parser = configparser.ConfigParser()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        parser.read_string(MINIMAL.format(out=out))
+        for (section, key, _), value in zip(SHORT_RUN_VALUES, values):
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, value)
+        path = Path(tmp) / "short.cfg"
+        with path.open("w") as fh:
+            parser.write(fh)
+        try:
+            load_config(path)
+        except ConfigParse:
+            assert harness.cli(["run", str(path)]) == EXIT_CODES[ConfigParse.category]
+            assert not out.exists()
+            return
+        code = harness.cli(["run", str(path)])
+        error = json.loads((out / "run.json").read_text())["error"]
+        if code == 0:
+            assert error is None
+        else:
+            assert error is not None and code == EXIT_CODES[error["category"]]
 
 
 def test_run_writes_expected_artifacts(tmp_path, scalar_config_path):
@@ -456,6 +522,11 @@ def test_cli_check_gains(tmp_path, cascade_config_path, capsys):
     assert code == 0
     assert "holds: True" in captured.out
     assert "gamma" in captured.out or "rho" in captured.out
+    # the ladder has one home: the file, which check-gains prints and run.json omits
+    assert captured.out == (out / "gain_check_cascade.txt").read_text() + "\nholds: True\n"
+    info = json.loads((out / "run.json").read_text())
+    assert info["cascade"]["small_gain_holds"] is True
+    assert "gain_table" not in info["cascade"]
 
 
 def test_schedule_drives_two_loop(tmp_path, scalar_config_path):

@@ -7,12 +7,10 @@ from robustpi.errors import InadmissiblePolicy, RankDeficient
 from robustpi.experiments import (
     build_arm_system,
     build_cascade_system,
-    build_linear_plant,
     build_scalar_plant,
 )
 from robustpi.pi_oracle import (
     collocation_grid,
-    hjb_residual,
     policy_evaluation_collocation,
     policy_improvement,
     run_policy_iteration,
@@ -21,6 +19,8 @@ from robustpi.pi_oracle import (
 from oracles import (
     SCALAR_OPTIMAL_GAIN,
     SCALAR_OPTIMAL_P,
+    build_linear_plant,
+    hjb_residual,
     kleinman_sequence,
     quadratic_weights_to_matrix,
     riccati_solution,
