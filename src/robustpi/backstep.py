@@ -255,15 +255,16 @@ class BacksteppedPolicy:
     def __call__(self, x, z) -> float:
         if not isinstance(self.rho, ConstantRho):
             return float(self.evaluate_many(np.atleast_2d(x), [z])[0])
-        # evaluate_many's arithmetic, term for term, at one point
-        zeta = z - self.xi.evaluate(x)
+        # evaluate_many's arithmetic, term for term, at one point on floats
+        row, z = np.asarray(x, dtype=float).reshape(-1).tolist(), float(z)
+        zeta = z - self.xi.evaluate_floats(row)
         eps2 = self.margin**2
         rho_sq = self.rho.value * self.rho.value
         rho1_sq = self.rho1.value * self.rho1.value
-        g_hat = self.g1_hat.evaluate(x)
+        g_hat = self.g1_hat.evaluate_floats(row)
         return float(
-            -self.f1_hat.evaluate([*np.asarray(x).tolist(), z])
-            + 2.0 * self.control_weight * self.learned_policy.evaluate(x)
+            -self.f1_hat.evaluate_floats([*row, z])
+            + 2.0 * self.control_weight * self.learned_policy.evaluate_floats(row)
             - g_hat * g_hat * rho1_sq * zeta / 4.0
             - eps2 * zeta
             - rho1_sq * zeta / 4.0

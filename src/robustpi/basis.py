@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -37,31 +38,27 @@ def graded_lex_indices(dim: int, max_degree: int, include_constant: bool) -> tup
     return tuple(out)
 
 
-def _monomials(pts: np.ndarray, column_sets, exponents: np.ndarray) -> list:
-    """prod_d pts[:, d] ** alpha_d for every multi-index alpha of each set
-    in `column_sets`: one (P, N) array per set.
+def _monomials(pts: np.ndarray, column_sets, top: int) -> list:
+    """prod_d x_d ** alpha_d at the rows x of `pts` for every multi-index
+    alpha of each set in `column_sets`: one (P, N) array per set.
 
     A set is given by its exponent columns, one contiguous (N,) integer
-    array per dim.  One table ``pts[:, d] ** k`` for k in `exponents`
-    (0.0, 1.0, ..., max degree) holds every power the sets need, so each
-    pow(x_d, k) is computed once per point rather than once per monomial.
-    Each dim's factor is gathered from the table with `take`, and the dims
-    are multiplied left to right, the order `np.prod` uses, so every entry
-    equals ``np.prod(pts[:, None, :] ** alpha, axis=2)`` bit for bit.  The
-    result is F-ordered when that expression's is, i.e. when `pts` has
-    column-major strides; it is then built in the transposed frame, where
-    every gather and product stays contiguous.  A 1-D basis needs no table:
-    ``pts ** alpha`` is the same pow per entry, in C order.
+    array per dim.  One table holds every power x_d^k, k <= `top`, as
+    x^0 = 1.0 and x^k = x^(k-1) * x; each dim's factor is gathered from it
+    with `take` and the dims are multiplied left to right, with the bits of
+    `Approximant.evaluate_floats`.  A monomial of total degree n is within
+    gamma_(n-1) of exact (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1).  The result is F-ordered when `pts` has column-major
+    strides and C-ordered otherwise, so every gather stays contiguous.
     """
     n_points, dim = pts.shape
-    if dim == 1:
-        # one factor per monomial: pow it directly, without a table and a gather
-        return [pts ** columns[0] for columns in column_sets]
     fortran = n_points > 1 and dim > 1 and abs(pts.strides[0]) < abs(pts.strides[1])
-    if fortran:
-        table, axis = pts.T[:, None, :] ** exponents[:, None], 0  # (dim, K, P)
-    else:
-        table, axis = pts.T[:, :, None] ** exponents, 1  # (dim, P, K)
+    axis = 0 if fortran else 1  # the exponent axis of table[d]
+    table = np.empty((dim, top + 1, n_points) if fortran else (dim, n_points, top + 1))
+    powers = table.transpose((1, 0, 2) if fortran else (2, 0, 1))  # (K, dim, P) view
+    powers[0] = 1.0
+    for k in range(1, top + 1):
+        np.multiply(powers[k - 1], pts.T, out=powers[k])
     out = []
     for columns in column_sets:
         mono = table[0].take(columns[0], axis=axis)
@@ -94,14 +91,20 @@ class BasisSet:
         return powers
 
     @cached_property
-    def _pow_exponents(self) -> np.ndarray:
-        """0.0, 1.0, ..., max degree: the exponents of the pow table."""
-        return np.arange(self.powers.max() + 1.0)
+    def _top(self) -> int:
+        """The largest exponent of any dim: the last row of the power table."""
+        return int(self.powers.max())
 
     @cached_property
     def _power_columns(self) -> tuple:
         """The exponent columns of the multi-indices, one per dim."""
         return tuple(np.ascontiguousarray(self.powers[:, d]) for d in range(self.dim))
+
+    @cached_property
+    def _factor_getters(self) -> tuple:
+        """Per dim, a getter of each monomial's factor from that dim's powers,
+        and of one more, so a one-member basis gets a tuple too."""
+        return tuple(itemgetter(*col.tolist(), 0) for col in self._power_columns)
 
     @cached_property
     def _dropped_columns(self) -> tuple:
@@ -126,20 +129,18 @@ class BasisSet:
     def design_matrix(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all basis functions at `points` (P, dim) -> (P, N).
 
-        Computed by `_monomials` from one pow table per call; the entries
-        and the memory order equal those of
-        ``np.prod(pts[:, None, :] ** powers, axis=2)`` exactly.  The order
-        is kept (F for a column-major `pts` such as the collocation grid,
-        C otherwise) because a BLAS product ``design_matrix(pts) @ w``
-        rounds differently per layout.
+        Computed by `_monomials`, in the memory order of
+        ``np.prod(pts[:, None, :] ** powers, axis=2)`` (F for a column-major
+        `pts` such as the collocation grid, C otherwise): a BLAS product
+        ``design_matrix(pts) @ w`` rounds differently per layout.
         """
         pts = self._points(points)
-        return _monomials(pts, (self._power_columns,), self._pow_exponents)[0]
+        return _monomials(pts, (self._power_columns,), self._top)[0]
 
     def gradient_tensor(self, points: np.ndarray) -> np.ndarray:
         """Gradients of all basis functions: (P, N, dim)."""
         pts = self._points(points)
-        monos = _monomials(pts, self._dropped_columns, self._pow_exponents)
+        monos = _monomials(pts, self._dropped_columns, self._top)
         grad = np.empty((pts.shape[0], len(self.indices), self.dim))
         for d, mono in enumerate(monos):
             grad[:, :, d] = self._power_columns[d] * mono
@@ -198,29 +199,54 @@ class Approximant:
             )
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return self.basis.design_matrix(points) @ self.weights
+        """``design_matrix(points) @ w``; one row is `evaluate_floats` at it."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim == 2 and pts.shape[0] == 1:
+            return np.array([self.evaluate_floats(pts[0].tolist())])
+        return self.basis.design_matrix(pts) @ self.weights
 
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
         return np.einsum("pnd,n->pd", self.basis.gradient_tensor(points), self.weights)
 
     def evaluate(self, x) -> float:
-        """Value at one point x (dim,): a one-row `evaluate_many`, bit for bit.
-        A row of a many-row batch may differ in the last bits, since the
-        product (P, N) @ w sums in another order.  The pow table stays numpy
-        `**`: numpy's float64 pow may come from a SIMD library and differ
-        from Python's `**` in the last bit."""
+        """Value at one point x (dim,) by `evaluate_floats`; a 2-D x is a batch."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim > 1:
             return float(self.evaluate_many(pts)[0])
-        pts = pts.reshape(-1)
+        return self.evaluate_floats(pts.reshape(-1).tolist())
+
+    def evaluate_floats(self, point) -> float:
+        """Value at one point given as a sequence of dim Python floats: the
+        design matrix's products, with its bits, and the terms m * w added
+        left to right from 0.0.  Dims 1 and 2 (every bundled plant) have
+        faster loops of their own."""
         basis = self.basis
-        if pts.shape[0] != basis.dim:
-            raise DimensionMismatch(f"points have dim {pts.shape[0]}, basis has dim {basis.dim}")
-        table = pts[:, None] ** basis._pow_exponents
-        mono = table[0][basis._power_columns[0]]
-        for d in range(1, basis.dim):
-            mono *= table[d][basis._power_columns[d]]
-        return float(np.dot(mono, self.weights))
+        if len(point) != basis.dim:
+            raise DimensionMismatch(f"points have dim {len(point)}, basis has dim {basis.dim}")
+        tables = []
+        for v in point:
+            table, p = [1.0, v], v
+            for _ in range(1, basis._top):
+                p *= v
+                table.append(p)
+            tables.append(table)
+        weights = self.weights.tolist()
+        acc = 0.0
+        if basis.dim == 1:
+            for (i,), w in zip(basis.indices, weights):
+                acc += tables[0][i] * w
+        elif basis.dim == 2:
+            t0, t1 = tables
+            for (i, j), w in zip(basis.indices, weights):
+                acc += t0[i] * t1[j] * w
+        else:
+            # the factors' products dim by dim, left to right
+            monos = None
+            for table, get in zip(tables, basis._factor_getters):
+                monos = get(table) if monos is None else map(mul, monos, get(table))
+            for m, w in zip(monos, weights):  # drops the getters' extra factor
+                acc += m * w
+        return acc
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_many(np.atleast_2d(x))[0]

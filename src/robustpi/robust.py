@@ -219,7 +219,11 @@ class RobustPolicy:
         x = np.asarray(x, dtype=float)
         if x.ndim > 1:
             return float(self.evaluate_many(x)[0])
-        return float(self.scale(x) * self.base_policy.evaluate(x))
+        return self.evaluate_floats(x.reshape(-1).tolist())
+
+    def evaluate_floats(self, row) -> float:
+        """`evaluate` at one point given as a list of Python floats."""
+        return float(self.scale(row) * self.base_policy.evaluate_floats(row))
 
     def __call__(self, x) -> float:
         return self.evaluate(x)

@@ -191,14 +191,30 @@ def reference_integrate(model, uncertainty, controller, x0, *, horizon, step, z0
     }
 
 
-def broadcast_design_matrix(basis, points):
-    """Monomials by one pow per (point, monomial, dim), then a product over
-    dims: the expression the design matrix used before its pow table."""
+def pow_factors(pts, powers):
+    """x_d ** alpha_d for every (point, monomial, dim), by numpy's float pow:
+    the factors the design matrix used before its table of products."""
+    return pts[:, None, :] ** powers[None, :, :]
+
+
+def product_factors(pts, powers):
+    """The factors of `pow_factors` by repeated multiplication, in its memory
+    layout: x^k is 1.0 multiplied by x, k times, one factor at a time."""
+    x = pts[:, None, :] * np.ones(powers.shape)  # 1.0 * x is x, bit for bit
+    factors = np.ones_like(x)
+    for k in range(1, int(powers.max()) + 1):
+        np.multiply(factors, x, out=factors, where=powers >= k)
+    return factors
+
+
+def broadcast_design_matrix(basis, points, factors=pow_factors):
+    """Monomials by one factor per (point, monomial, dim), then a product
+    over dims, left to right."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.prod(pts[:, None, :] ** basis.powers[None, :, :], axis=2)
+    return np.prod(factors(pts, basis.powers), axis=2)
 
 
-def broadcast_gradient_tensor(basis, points):
+def broadcast_gradient_tensor(basis, points, factors=pow_factors):
     """Gradients (P, N, dim) by the same broadcast expression, one lowered
     exponent set per dim."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -207,9 +223,25 @@ def broadcast_gradient_tensor(basis, points):
     for d in range(basis.dim):
         dropped = powers.copy()
         dropped[:, d] = np.maximum(dropped[:, d] - 1, 0)
-        mono = np.prod(pts[:, None, :] ** dropped[None, :, :], axis=2)
+        mono = np.prod(factors(pts, dropped), axis=2)
         grad[:, :, d] = powers[None, :, d] * mono
     return grad
+
+
+def ordered_dot(values, weights):
+    """sum_i values[i] * weights[i], added left to right from 0.0 on
+    Python floats: neither BLAS's blocked order nor a compensated sum."""
+    acc = 0.0
+    for v, w in zip(np.asarray(values, dtype=float).tolist(), np.asarray(weights).tolist()):
+        acc += v * w
+    return acc
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53: the relative error
+    bound of a product of n + 1 floats computed with n roundings."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
 
 
 def check_basic(gain, positive_definite_only=False):

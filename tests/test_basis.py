@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,9 @@ from oracles import (
     broadcast_gradient_tensor,
     enumerate_multi_indices,
     fd_gradient,
+    gamma,
+    ordered_dot,
+    product_factors,
     total_degree_count,
 )
 
@@ -159,15 +164,22 @@ def _point_layouts(dim):
 @pytest.mark.parametrize("include_constant", [False, True])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_pow_table_matches_broadcast_oracle_exactly(dim, include_constant):
+    # the table of repeated products gives the entries, the memory layout and
+    # the BLAS product of the broadcast oracle on the same arithmetic exactly.
+    # Against numpy's `**` the gap is bounded, not zero: at total degree n the
+    # products carry n - 1 roundings, and the pow side at most 3n - 1 (each
+    # of at most n factors within one ulp, 2u, and the products of the dims),
+    # so the two stay within gamma_(4n) of each other
     rng = np.random.default_rng(10 * dim + include_constant)
     for degree in range(1, 12):
         basis = make_polynomial_basis(
             dim, degree, vanish_at_origin=not include_constant, include_constant=include_constant
         )
         weights = rng.normal(size=len(basis))
+        bound = gamma(4 * basis.powers.sum(axis=1))
         for name, pts in _point_layouts(dim).items():
             got = basis.design_matrix(pts)
-            want = broadcast_design_matrix(basis, pts)
+            want = broadcast_design_matrix(basis, pts, product_factors)
             where = f"dim {dim} degree {degree} {name}"
             assert np.array_equal(got, want), where
             assert got.flags.c_contiguous == want.flags.c_contiguous, where
@@ -175,8 +187,42 @@ def test_pow_table_matches_broadcast_oracle_exactly(dim, include_constant):
             # BLAS rounds per layout: the product must match too, not just the entries
             assert np.array_equal(got @ weights, want @ weights), where
             grad = basis.gradient_tensor(pts)
-            assert np.array_equal(grad, broadcast_gradient_tensor(basis, pts)), where
+            want = broadcast_gradient_tensor(basis, pts, product_factors)
+            assert np.array_equal(grad, want), where
             assert grad.flags.c_contiguous, where
+            by_pow = broadcast_design_matrix(basis, pts)
+            assert np.all(np.abs(got - by_pow) <= bound * np.abs(by_pow)), where
+            by_pow = broadcast_gradient_tensor(basis, pts)
+            assert np.all(np.abs(grad - by_pow) <= bound[:, None] * np.abs(by_pow)), where
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0, on both sides
+def test_special_values_match_the_pow_oracle_bit_for_bit(dim):
+    # every power of these values is exact, so the products and numpy's `**`
+    # agree in every bit: x^0 is 1.0 also at NaN and +-inf, (-0.0)^k keeps
+    # pow's sign, and a NaN keeps its payload
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0, -3.0]
+    pts = np.array(list(itertools.product(values, repeat=dim)))
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    for degree in (1, 2, 5, 11):
+        for include_constant in (False, True):
+            basis = make_polynomial_basis(
+                dim, degree, vanish_at_origin=not include_constant,
+                include_constant=include_constant,
+            )
+            where = f"dim {dim} degree {degree} constant {include_constant}"
+            assert np.array_equal(
+                bits(basis.design_matrix(pts)), bits(broadcast_design_matrix(basis, pts))
+            ), where
+            assert np.array_equal(
+                bits(basis.gradient_tensor(pts)), bits(broadcast_gradient_tensor(basis, pts))
+            ), where
+            weights = np.resize([1.0, -2.0, 3.0], len(basis))
+            approx = Approximant(basis, weights)
+            for x in pts:
+                want = ordered_dot(broadcast_design_matrix(basis, x)[0], weights)
+                assert bits(approx.evaluate(x)) == bits(want), (where, x)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -198,7 +244,10 @@ def test_single_point_evaluate_matches_batched_row_exactly(dim):
                 assert approx.evaluate(x) == want
                 assert approx.evaluate(list(x)) == want
                 assert approx.evaluate(x.tolist()) == want
-                assert want == float((broadcast_design_matrix(basis, x) @ approx.weights)[0])
+                # the terms are added left to right, not in BLAS's order
+                assert want == ordered_dot(
+                    broadcast_design_matrix(basis, x, product_factors)[0], approx.weights
+                )
                 strided = row[::2][:dim]  # a (dim,) view with stride 2
                 assert approx.evaluate(strided) == float(
                     approx.evaluate_many(np.atleast_2d(strided))[0]
@@ -213,6 +262,21 @@ def test_single_point_evaluate_matches_batched_row_exactly(dim):
             rows = big[:5, :dim]
             assert approx.evaluate(rows[:1]) == float(approx.evaluate_many(rows[:1])[0])
             assert approx.evaluate(rows) == float(approx.evaluate_many(rows)[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_one_member_basis_evaluates_like_its_design_matrix(dim):
+    # the single-point path gathers one factor per dim and monomial; a
+    # one-member basis must give its one term at every dim
+    rng = np.random.default_rng(80 + dim)
+    for alpha in [(1,) * dim, tuple(range(dim)), (3,) + (0,) * (dim - 1)]:
+        basis = BasisSet(dim=dim, indices=(alpha,), vanish_at_origin=False)
+        approx = Approximant(basis, [rng.normal()])
+        for x in rng.normal(size=(20, dim)):
+            want = ordered_dot(
+                broadcast_design_matrix(basis, x, product_factors)[0], approx.weights
+            )
+            assert approx.evaluate(x) == want, (alpha, x)
 
 
 def test_single_point_evaluate_checks_dimension():

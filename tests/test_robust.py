@@ -396,7 +396,7 @@ def test_constant_rho_scale_matches_scale_many(c, control_weight):
 def test_one_row_robust_policy_equals_the_batch_formula_exactly(dim):
     # one point, and a one-row evaluate_many, take the single-point scale and
     # base value; both must keep the bits of the batch formula
-    # scale_many * design_matrix @ w, for a plain-lambda rho as for a ConstantRho
+    # scale_many * base.evaluate_many, for a plain-lambda rho as for a ConstantRho
     rng = np.random.default_rng(70 + dim)
     basis = make_polynomial_basis(dim, 5 if dim < 9 else 2)
     base = Approximant(basis, rng.normal(size=len(basis)))
@@ -413,7 +413,7 @@ def test_one_row_robust_policy_equals_the_batch_formula_exactly(dim):
             policy = robust_redesign(base, rho, cw, 0.5)
             for x in pts:
                 row = x[None]
-                want = policy.scale_many(row) * (basis.design_matrix(row) @ base.weights)
+                want = policy.scale_many(row) * base.evaluate_many(row)
                 got = policy.evaluate_many(row)
                 assert got.shape == (1,) and got.tobytes() == want.tobytes(), (rho, x)
                 assert policy.evaluate(x) == float(want[0])
