@@ -26,27 +26,7 @@ from .online_pi import (
     guarded_solve,
     run_online_pi,
 )
-from .robust import ClassKFunction, ConstantRho, RobustPolicy, check_small_gain, robust_redesign
-
-
-def make_rho1(rho: Callable) -> Callable:
-    """Companion scaling for the augmented state: rho1(s) = 2 rho(s/2),
-    a `ConstantRho` of twice the value when rho is one."""
-    if isinstance(rho, ConstantRho):
-        return ConstantRho(2.0 * rho.value)
-    return lambda s: 2.0 * np.asarray(rho(0.5 * np.asarray(s, dtype=float)))
-
-
-def cascade_gain_from_rho(rho: Callable, margin: float, s_max: float) -> ClassKFunction:
-    """Assigned gain for the augmented loop: (margin/2) rho(s^2 / 2) s."""
-    return ClassKFunction(
-        fn=lambda s: 0.5
-        * margin
-        * np.asarray(rho(0.5 * np.asarray(s) ** 2))
-        * np.asarray(s),
-        s_max=s_max,
-        name="gamma1",
-    )
+from .robust import ClassKFunction, RobustPolicy, check_small_gain, robust_redesign
 
 
 @dataclass
@@ -92,7 +72,7 @@ def phase_one(
     basis_value: BasisSet,
     basis_policy: BasisSet,
     cost: CostSpec,
-    rho: Callable,
+    rho: float,
     margin: float,
     *,
     interval: float,
@@ -105,9 +85,9 @@ def phase_one(
 
     Identical mechanics to the matched learner: the x-channel composite
     signal already carries z plus the disturbance, so the same
-    regression applies verbatim.  The returned xi is frozen before any
-    phase-two data are collected; its rho is checked and its gain built
-    on [0, 10].
+    regression applies verbatim.  The returned xi, rescaled by the
+    constant rho, is frozen before any phase-two data are collected; its
+    gain is built on [0, 10].
     """
     result = run_online_pi(
         plant,
@@ -208,9 +188,9 @@ class BacksteppedPolicy:
     """Final control law on (x, z) for the cascade plant.
 
     Combines the identified zeta dynamics, the phase-one learned policy
-    and the damping terms sized by rho/rho1 and the cost margin.  The
-    last term divides by rho(|x|^2)^2, which the positivity of rho
-    guarantees is safe.
+    and the damping terms sized by the constant rho, rho1 = 2 rho and the
+    cost margin.  The last term divides by rho^2, which the positivity of
+    rho guarantees is safe.
     """
 
     def __init__(
@@ -219,7 +199,7 @@ class BacksteppedPolicy:
         g1_hat: Approximant,
         learned_policy: Approximant,
         xi: RobustPolicy,
-        rho: Callable,
+        rho: float,
         margin: float,
         control_weight: float,
     ):
@@ -228,7 +208,7 @@ class BacksteppedPolicy:
         self.learned_policy = learned_policy
         self.xi = xi
         self.rho = rho
-        self.rho1 = make_rho1(rho)
+        self.rho1 = 2.0 * rho
         self.margin = margin
         self.control_weight = control_weight
 
@@ -237,10 +217,9 @@ class BacksteppedPolicy:
         z = np.atleast_1d(np.asarray(z, dtype=float))
         zeta = z - self.xi.evaluate_many(x)
         xz = np.hstack([x, z[:, None]])
-        x_sq = np.sum(x**2, axis=1)
-        aug_sq = x_sq + zeta**2
         eps2 = self.margin**2
-        rho1_sq = np.asarray(self.rho1(aug_sq)) ** 2
+        rho_sq = self.rho * self.rho
+        rho1_sq = self.rho1 * self.rho1
         g_hat = self.g1_hat.evaluate_many(x)
         return (
             -self.f1_hat.evaluate_many(xz)
@@ -248,19 +227,17 @@ class BacksteppedPolicy:
             - g_hat**2 * rho1_sq * zeta / 4.0
             - eps2 * zeta
             - rho1_sq * zeta / 4.0
-            - eps2 * np.asarray(self.rho(zeta**2)) ** 2 * zeta
-            / (2.0 * np.asarray(self.rho(x_sq)) ** 2)
+            # not eps2 * zeta / 2: the unreduced quotient rounds differently
+            - eps2 * rho_sq * zeta / (2.0 * rho_sq)
         )
 
     def __call__(self, x, z) -> float:
-        if not isinstance(self.rho, ConstantRho):
-            return float(self.evaluate_many(np.atleast_2d(x), [z])[0])
         # evaluate_many's arithmetic, term for term, at one point on floats
         row, z = np.asarray(x, dtype=float).reshape(-1).tolist(), float(z)
         zeta = z - self.xi.evaluate_floats(row)
         eps2 = self.margin**2
-        rho_sq = self.rho.value * self.rho.value
-        rho1_sq = self.rho1.value * self.rho1.value
+        rho_sq = self.rho * self.rho
+        rho1_sq = self.rho1 * self.rho1
         g_hat = self.g1_hat.evaluate_floats(row)
         return float(
             -self.f1_hat.evaluate_floats([*row, z])
@@ -279,16 +256,18 @@ def backstepped_redesign_error(
     policy_hat_next: Approximant,
     g1_true: Callable,
     g1_hat: Approximant,
-    rho1: Callable,
+    rho1: float,
     xi: RobustPolicy,
     control_weight: float,
 ) -> Callable:
     """Certification-time gap of the backstepped law, on (x, zeta) points;
-    `f1_true` and `g1_true` take the whole batch, as `cascade_truth` gives them.
+    `f1_true` and `g1_true` take the whole batch, as `cascade_truth` gives them,
+    and rho1 = 2 rho is the constant of the augmented loop.
 
     Needs the true transformed dynamics and oracle policy, so it exists
     only where a model-based reference is available.
     """
+    rho1_sq = rho1 * rho1
 
     def error(x: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -298,8 +277,6 @@ def backstepped_redesign_error(
         f_true = f1_true(x, z)
         g_true = g1_true(x)
         u_true = policy_true_next.evaluate_many(x)
-        aug_sq = np.sum(x**2, axis=1) + zeta**2
-        rho1_sq = np.asarray(rho1(aug_sq)) ** 2
         return (
             -f_true
             + f1_hat.evaluate_many(xz)
@@ -312,8 +289,7 @@ def backstepped_redesign_error(
 
 def cascade_truth(model: SystemModel, xi: RobustPolicy):
     """Ground-truth transformed dynamics from the model and the exact
-    grad(xi) (`RobustPolicy.gradient_many`, for a constant rho), on
-    states x (P, n) and z (P,).
+    grad(xi) (`RobustPolicy.gradient_many`), on states x (P, n) and z (P,).
 
     Used only to build certification references; the learner never forms
     these derivatives.

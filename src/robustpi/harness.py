@@ -464,11 +464,12 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         "alpha_hi": alpha_hi,
     }
     rho_value, report = robust.select_rho(RHO_LADDER, margin, gain_set, s_max=s_max)
-    rho_fn = robust.ConstantRho(rho_value)
-    policy_ro = robust.robust_redesign(pi_result.final_policy, rho_fn, cost.control_weight, margin)
+    policy_ro = robust.robust_redesign(
+        pi_result.final_policy, rho_value, cost.control_weight, margin
+    )
 
     e_ro = robust.redesign_error(
-        pi_result.final_policy, policy_star, policy_star_next, rho_fn, cost.control_weight
+        pi_result.final_policy, policy_star, policy_star_next, rho_value, cost.control_weight
     )
     # cap d so the sublevel set stays inside both the certified ball and
     # the region box the envelopes were built on, then sample that box
@@ -526,7 +527,6 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = cost.margin
     rho_value = bench.rho_value
-    rho_fn = robust.ConstantRho(rho_value)
 
     plant = Plant(
         system["model"], system["uncertainty"], system["x0"],
@@ -540,7 +540,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
 
     phase1 = backstep.phase_one(
         plant, system["initial_policy"], drive, basis_v, basis_u, cost,
-        rho_fn, margin,
+        rho_value, margin,
         interval=config.interval, n_intervals=n_intervals,
         delta_rel=config.delta_rel, tol=config.tol, max_iter=config.max_iter,
     )
@@ -563,7 +563,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
 
     final_policy = backstep.BacksteppedPolicy(
         phase2.f1_hat, phase2.g1_hat, phase1.pi_result.final_policy,
-        xi, rho_fn, margin, cost.control_weight,
+        xi, rho_value, margin, cost.control_weight,
     )
 
     # certification against the model-based reference
@@ -574,7 +574,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     composite = backstep.CompositeLyapunov(value_star, xi)
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
     kappa8 = robust.monotone_envelope(xi, 1, 2.0 * s_max)
-    gamma1 = backstep.cascade_gain_from_rho(rho_fn, margin, robust.BRACKET)
+    gamma1 = robust.ClassKFunction.linear(0.5 * margin * rho_value, robust.BRACKET, name="gamma1")
     report = backstep.check_small_gain_cascade(
         gamma1, gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
         gains["kappa1"], gains["kappa2"], gains["kappa3"], gains["lam_lo"],
@@ -584,11 +584,11 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     f1_bar, g1_bar = backstep.cascade_truth(system["model"], xi)
     e_ro1 = backstep.backstepped_redesign_error(
         f1_bar, phase2.f1_hat, policy_star_next, phase1.pi_result.final_policy,
-        g1_bar, phase2.g1_hat, backstep.make_rho1(rho_fn), xi, cost.control_weight,
+        g1_bar, phase2.g1_hat, 2.0 * rho_value, xi, cost.control_weight,
     )
     e_ro = robust.redesign_error(
         phase1.pi_result.final_policy, policy_star, policy_star_next,
-        rho_fn, cost.control_weight,
+        rho_value, cost.control_weight,
     )
 
     # certify max(|e_ro1|, |e_ro|) < gamma1(|X1|) on sampled sublevels of U;

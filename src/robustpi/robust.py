@@ -1,12 +1,12 @@
 """Robust redesign of a learned policy and small-gain certification.
 
-The learned policy is scaled by 1 + (r/2) rho^2(|x|^2), which assigns
-the closed x-subsystem an input-to-state gain controlled by rho and the
-cost margin.  Stability of the interconnection with the hidden
-subsystem is then certified numerically: class-K gain inequalities are
-evaluated on log-spaced ladders, the redesign error is bounded on
-sampled level sets, and the resulting region-of-attraction estimate is
-exported as a level-set descriptor.
+The learned policy is scaled by 1 + (r/2) rho^2 for a constant rho > 0,
+which assigns the closed x-subsystem an input-to-state gain controlled
+by rho and the cost margin.  Stability of the interconnection with the
+hidden subsystem is then certified numerically: class-K gain
+inequalities are evaluated on log-spaced ladders, the redesign error is
+bounded on sampled level sets, and the resulting region-of-attraction
+estimate is exported as a level-set descriptor.
 """
 
 from __future__ import annotations
@@ -154,66 +154,31 @@ class ClassKFunction:
         return cls(fn=fn, s_max=BRACKET, name=name)
 
 
-@dataclass(frozen=True)
-class ConstantRho:
-    """The constant gain schedule rho(s) = value.
-
-    Called like any rho, it returns `value` in the shape of s.  It is the
-    one marker of a constant rho: `RobustPolicy.scale` then takes its
-    value without computing |x|^2 at the point.
-    """
-
-    value: float
-
-    def __call__(self, s):
-        return np.full_like(np.asarray(s, dtype=float), self.value)
-
-
 @dataclass
 class RobustPolicy:
-    """Gain-scheduled rescaling of a learned policy.
+    """Rescaling of a learned policy by a constant rho.
 
-    u(x) = [1 + (r/2) rho^2(|x|^2)] * base(x); rho is smooth,
-    nondecreasing and positive, so the rescaling never flips sign and
-    u(0) = 0 is inherited from the base policy.
+    u(x) = [1 + (r/2) rho^2] * base(x); rho is a positive number, so the
+    rescaling never flips sign and u(0) = 0 is inherited from the base
+    policy.  `scale` is that factor, fixed when the policy is made.
     """
 
     base_policy: Approximant
-    rho: Callable
+    rho: float
     control_weight: float
     margin: float
     gamma: ClassKFunction = None
+    scale: float = field(init=False)
 
-    def scale_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        s = (pts**2).sum(axis=1)
-        return 1.0 + 0.5 * self.control_weight * np.asarray(self.rho(s)) ** 2
+    def __post_init__(self):
+        self.scale = 1.0 + 0.5 * self.control_weight * (self.rho * self.rho)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 2 and pts.shape[0] == 1:
-            return np.array([self.evaluate(pts[0])])
-        return self.scale_many(pts) * self.base_policy.evaluate_many(pts)
+        return self.scale * self.base_policy.evaluate_many(points)
 
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
-        """Exact gradient rows where rho is constant: the scale times the base
-        gradient.  rho is nondecreasing, so equal values at 0 and beyond every
-        point's |x|^2 prove it constant there; a varying rho is refused."""
-        pts = np.atleast_2d(points)
-        ends = np.asarray(self.rho(np.asarray([0.0, 1.0 + 2.0 * (pts**2).sum(axis=1).max()])))
-        if ends[0] != ends[1]:
-            raise ValueError("the gradient of xi needs a rho constant over the points")
-        return self.scale_many(pts)[:, None] * self.base_policy.gradient_many(pts)
-
-    def scale(self, x) -> float:
-        """`scale_many` at one point (n,), bit for bit: `rho` sees |x|^2 as a
-        (1,) array, and the rest of the arithmetic is on floats."""
-        if isinstance(self.rho, ConstantRho):
-            c = self.rho.value
-        else:
-            row = np.asarray(x, dtype=float).reshape(-1)
-            c = np.asarray(self.rho(np.array([(row * row).sum()]))).item()
-        return 1.0 + 0.5 * self.control_weight * (c * c)
+        """Exact gradient rows: the scale times the base gradient."""
+        return self.scale * self.base_policy.gradient_many(np.atleast_2d(points))
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -223,38 +188,38 @@ class RobustPolicy:
 
     def evaluate_floats(self, row) -> float:
         """`evaluate` at one point given as a list of Python floats."""
-        return float(self.scale(row) * self.base_policy.evaluate_floats(row))
+        return float(self.scale * self.base_policy.evaluate_floats(row))
 
     def __call__(self, x) -> float:
         return self.evaluate(x)
 
 
-def iss_gain_from_rho(rho: Callable, margin: float, s_max: float = BRACKET) -> ClassKFunction:
-    """Assigned disturbance gain gamma(s) = (margin/2) * rho(s^2) * s."""
+def iss_gain_from_rho(rho: float, margin: float, s_max: float = BRACKET) -> ClassKFunction:
+    """Assigned disturbance gain gamma(s) = (margin/2) * rho * s."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    return ClassKFunction(
-        fn=lambda s: 0.5 * margin * np.asarray(rho(np.asarray(s) ** 2)) * np.asarray(s),
-        s_max=s_max,
-        name="gamma",
-    )
+    return ClassKFunction.linear(0.5 * margin * rho, s_max, name="gamma")
 
 
 def robust_redesign(
-    base_policy: Approximant, rho: Callable, control_weight: float, margin: float,
+    base_policy: Approximant, rho: float | Callable, control_weight: float, margin: float,
     s_max: float = BRACKET,
 ) -> RobustPolicy:
-    """Wrap a learned policy with the rho-rescaling and derived gain."""
-    probe = np.asarray(rho(np.asarray([0.0, 1.0, float(s_max)])), dtype=float)
-    if np.any(probe <= 0) or np.any(np.diff(probe) < -1e-12):
-        raise ValueError("rho must be positive and nondecreasing")
-    return RobustPolicy(
-        base_policy=base_policy,
-        rho=rho,
-        control_weight=control_weight,
-        margin=margin,
-        gamma=iss_gain_from_rho(rho, margin, s_max),
-    )
+    """Wrap a learned policy with the rho-rescaling and derived gain.
+
+    rho is a positive number.  A callable rho(s) is read once, at s = 0,
+    1 and s_max, and must give one value there.
+    """
+    if callable(rho):
+        probe = np.asarray(rho(np.asarray([0.0, 1.0, float(s_max)])), dtype=float)
+        if np.any(probe != probe[0]):
+            raise ValueError("rho must be constant")
+        rho = probe[0]
+    rho = float(rho)
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    gamma = iss_gain_from_rho(rho, margin, s_max)
+    return RobustPolicy(base_policy, rho, control_weight, margin, gamma)
 
 
 @dataclass
@@ -341,8 +306,8 @@ def select_rho(
     `gain_set` carries kappa1, kappa2, kappa3, lam_lo, alpha_lo,
     alpha_hi.  The right side of the small-gain test does not depend on
     rho, so it is computed once and the ladder is scored as one
-    (n_rho, 200) array; each row equals `check_small_gain` for a
-    `ConstantRho` of that entry.  Returns (rho_value, report); raises
+    (n_rho, 200) array; each row equals `check_small_gain` for the gain
+    `iss_gain_from_rho` of that entry.  Returns (rho_value, report); raises
     CompositionDomain if no ladder entry qualifies.
     """
     rhos = np.asarray(rho_ladder, dtype=float).reshape(-1)
@@ -374,21 +339,20 @@ def redesign_error(
     learned_policy: Approximant,
     oracle_policy_now,
     oracle_policy_next: Approximant,
-    rho: Callable,
+    rho: float,
     control_weight: float,
 ) -> Callable:
     """Pointwise gap between the applied redesign and its exact form.
 
-    e(x) = (r/2) rho^2(|x|^2) [learned - oracle_next] + learned -
+    e(x) = (r/2) rho^2 [learned - oracle_next] + learned -
     oracle_now; used only at certification time, when oracle iterates
     are available.  `oracle_policy_now` may be a plain callable (the
     plant's initial policy when the learner stopped after one iterate).
     """
+    scale = 0.5 * control_weight * (rho * rho)
 
     def e_ro(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        s = (pts**2).sum(axis=1)
-        scale = 0.5 * control_weight * np.asarray(rho(s)) ** 2
         learned = learned_policy.evaluate_many(pts)
         return (
             scale * (learned - oracle_policy_next.evaluate_many(pts))

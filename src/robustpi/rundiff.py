@@ -1,16 +1,19 @@
 """Numeric comparison of two run directories (`robustpi diff`).
 
-Numbers in `.csv` and `.json` artifacts match when |a - b| <= rtol * |b|,
-so rtol = 0 asks for exact equality; every other value (header, key,
-string, bool, shape) must be equal, and any other file must be
-byte-identical.  A change that reorders floating point can then be
-measured against a golden run instead of failing a byte comparison.
+Numbers in `.csv`, `.json` and `.txt` artifacts match when
+|a - b| <= rtol * |b|, so rtol = 0 asks for exact equality; every other
+value (header, key, word, string, bool, shape) must be equal, and any
+other file must be byte-identical.  A `.txt` file is read as tokens
+split on whitespace, each run of whitespace being a token that must
+match.  A change that reorders floating point can then be measured
+against a golden run instead of failing a byte comparison.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 from .errors import ConfigParse
@@ -58,6 +61,8 @@ def _parse(path: Path):
     text = path.read_text()
     if path.suffix == ".json":
         return json.loads(text)
+    if path.suffix == ".txt":
+        return [_cell(tok) for tok in re.split(r"(\s+)", text)]
     return [[_cell(tok) for tok in line.split(",")] for line in text.splitlines()]
 
 
@@ -66,7 +71,7 @@ def file_gap(path_a: Path, path_b: Path) -> float:
     bytes_a, bytes_b = path_a.read_bytes(), path_b.read_bytes()
     if bytes_a == bytes_b:
         return 0.0
-    if path_a.suffix not in (".csv", ".json"):
+    if path_a.suffix not in (".csv", ".json", ".txt"):
         return math.inf
     try:
         return _largest_gap(_parse(path_a), _parse(path_b))

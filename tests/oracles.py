@@ -320,15 +320,13 @@ def arm_linearization(params):
 def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_margin=0.10,
                              samples=200):
     """Smallest ladder rho passing the small-gain test, one full
-    `check_small_gain` per candidate with a `full_like` rho: the loop
-    `select_rho` ran before it scored the ladder as one array.  Returns
+    `check_small_gain` per candidate with its `iss_gain_from_rho` gain: the
+    loop `select_rho` ran before it scored the ladder as one array.  Returns
     (rho_value, report), or None when no entry qualifies."""
     from robustpi.robust import check_small_gain, iss_gain_from_rho
 
     for rho_val in np.asarray(rho_ladder, dtype=float):
-        gamma = iss_gain_from_rho(
-            lambda s, c=rho_val: np.full_like(np.asarray(s, dtype=float), c), margin
-        )
+        gamma = iss_gain_from_rho(float(rho_val), margin)
         report = check_small_gain(
             gamma,
             gain_set["kappa1"],

@@ -7,34 +7,22 @@ from robustpi.backstep import (
     assemble_phase_two,
     backstepped_redesign_error,
     cascade_effective_gains,
-    cascade_gain_from_rho,
     cascade_truth,
     check_small_gain_cascade,
-    make_rho1,
     solve_phase_two,
 )
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.dynsys import Trajectory
 from robustpi.errors import PEViolation
 from robustpi.online_pi import SampleWindow
-from robustpi.robust import ClassKFunction, ConstantRho, robust_redesign
-
-
-def _const_rho(c):
-    return lambda s: np.full_like(np.asarray(s, dtype=float), c)
+from robustpi.robust import ClassKFunction, robust_redesign
 
 
 def _linear_xi(slope, rho_c=1.0, r=1.0, margin=0.5):
     """RobustPolicy realizing xi(x) = slope * x exactly."""
     scale = 1.0 + 0.5 * r * rho_c**2
     base = Approximant(BasisSet(dim=1, indices=((1,),)), np.array([slope / scale]))
-    return robust_redesign(base, _const_rho(rho_c), r, margin)
-
-
-def test_rho1_is_shifted_scaling():
-    rho = lambda s: 1.0 + np.asarray(s, dtype=float)
-    rho1 = make_rho1(rho)
-    assert rho1(4.0) == pytest.approx(2.0 * (1.0 + 2.0))
+    return robust_redesign(base, rho_c, r, margin)
 
 
 def test_linear_xi_construction_is_exact():
@@ -219,15 +207,11 @@ def test_backstepped_policy_zero_at_origin():
     f1_hat = Approximant(psi, np.array([0.1, -0.2, 0.0, 1.0, 0.05]))
     g1_hat = Approximant(phi, np.array([-0.5, 0.0]))
     learned = Approximant(BasisSet(dim=1, indices=((1,),)), np.array([-0.4]))
-    policy = BacksteppedPolicy(f1_hat, g1_hat, learned, xi, _const_rho(0.5), 0.8, 1.0)
+    policy = BacksteppedPolicy(f1_hat, g1_hat, learned, xi, 0.5, 0.8, 1.0)
     assert policy(np.array([0.0]), 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize(
-    "rho",
-    [ConstantRho(0.5), ConstantRho(0.3), lambda s: 0.5 + np.asarray(s)],
-    ids=["constant_0.5", "constant_0.3", "varying"],
-)
+@pytest.mark.parametrize("rho", [0.5, 0.3], ids=["constant_0.5", "constant_0.3"])
 def test_backstepped_policy_single_point_matches_batched_row_exactly(rho):
     # the reference is a one-row batch, what the call computed before; a row
     # of a larger batch may differ in the last bits through the BLAS product.
@@ -250,22 +234,12 @@ def test_backstepped_policy_single_point_matches_batched_row_exactly(rho):
         assert policy(x, z) == float(policy.evaluate_many(x[None], [z])[0])
 
 
-def test_rho1_of_constant_rho_is_constant_with_the_same_values():
-    for c in (0.5, 0.3, 1.7e-3, 2.0 / 3.0):
-        rho1 = make_rho1(ConstantRho(c))
-        assert isinstance(rho1, ConstantRho)
-        s = np.array([0.0, 1e-9, 0.25, 3.0, 1e6])
-        old = 2.0 * np.asarray(ConstantRho(c)(0.5 * np.asarray(s, dtype=float)))
-        assert rho1(s).tobytes() == old.tobytes()
-
-
 def test_xi_gradient_needs_a_constant_rho():
-    xi = robust_redesign(
-        Approximant(BasisSet(dim=1, indices=((1,), (3,))), np.array([-0.4, 0.1])),
-        lambda s: 0.5 + np.asarray(s), 1.0, 0.5,
-    )
+    # xi's exact gradient is the scale times the base gradient, which holds
+    # for a constant rho only: a varying one is refused when xi is made
+    base = Approximant(BasisSet(dim=1, indices=((1,), (3,))), np.array([-0.4, 0.1]))
     with pytest.raises(ValueError, match="constant"):
-        xi.gradient_many(np.array([[0.3]]))
+        robust_redesign(base, lambda s: 0.5 + np.asarray(s), 1.0, 0.5)
 
 
 def test_backstepped_policy_zeta_terms_cancel():
@@ -276,7 +250,7 @@ def test_backstepped_policy_zeta_terms_cancel():
     g1_hat = Approximant(phi, np.array([-0.5, 0.0]))
     learned = Approximant(BasisSet(dim=1, indices=((1,),)), np.array([-0.4]))
     r = 1.0
-    policy = BacksteppedPolicy(f1_hat, g1_hat, learned, xi, _const_rho(0.5), 0.8, r)
+    policy = BacksteppedPolicy(f1_hat, g1_hat, learned, xi, 0.5, 0.8, r)
     x = np.array([0.6])
     z = float(xi(x))  # zeta = 0
     expected = -f1_hat.evaluate(np.array([x[0], z])) + 2.0 * r * learned.evaluate(x)
@@ -292,7 +266,7 @@ def test_redesign_error_closed_forms():
     f1_exact = Approximant(psi, np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
     g1_exact = Approximant(phi, np.array([1.0, 0.0]))
     policy = Approximant(BasisSet(dim=1, indices=((1,),)), np.array([-0.4]))
-    rho1 = make_rho1(_const_rho(0.5))
+    rho1 = 2.0 * 0.5
     exact = backstepped_redesign_error(
         f_true, f1_exact, policy, policy, g_true, g1_exact, rho1, xi, 1.0
     )
@@ -354,12 +328,6 @@ def test_effective_gain_bookkeeping():
     assert k1_eff(1.0) == pytest.approx(max(0.25, 0.3))
     # kappa9(1) = max(0.1, kappa7(kappa8(2)), kappa7(2)) = max(0.1, 0.2, 0.4)
     assert k2_eff(1.0) == pytest.approx(max(0.05, 0.4))
-
-
-def test_cascade_gain_from_rho_formula():
-    gamma1 = cascade_gain_from_rho(lambda s: 1.0 + np.asarray(s, dtype=float), 1.0, 1e6)
-    # 0.5 * 1 * rho(s^2/2) * s at s = 2: 0.5 * (1 + 2) * 2 = 3
-    assert gamma1(2.0) == pytest.approx(3.0)
 
 
 def test_estimate_roa_cascade_identity_sigma():

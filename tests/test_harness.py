@@ -24,7 +24,7 @@ from robustpi.harness import (
     write_json,
     write_table,
 )
-from robustpi.rundiff import relative_gap
+from robustpi.rundiff import compare_runs, relative_gap
 
 
 def _write_cfg(path, body):
@@ -627,6 +627,19 @@ def test_diff_reports_largest_relative_difference(tmp_path, capsys):
 def test_diff_non_numeric_differences_fail_at_any_rtol(tmp_path, changes):
     a, b = _run_dir(tmp_path / "a"), _run_dir(tmp_path / "b", **changes)
     assert harness.cli(["diff", str(a), str(b), "--rtol", "1e9"]) == 1
+
+
+def test_diff_holds_txt_numbers_to_rtol_and_words_exactly(tmp_path, capsys):
+    note = "rho = 9.5  margin = 0.95\nholds = True\n\n  1.000000e-02    2.345678e-01\n"
+    b = _run_dir(tmp_path / "b", note=note)
+    a = _run_dir(tmp_path / "a", note=note.replace("2.345678e-01", "2.345679e-01"))
+    assert compare_runs(a, b)["gain_check.txt"] == pytest.approx(1e-7 / 0.2345678, rel=1e-6)
+    assert harness.cli(["diff", str(a), str(b), "--rtol", "1e-6"]) == 0
+    assert harness.cli(["diff", str(a), str(b)]) == 1
+    assert "gain_check.txt: largest relative difference 4.263e-07" in capsys.readouterr().out
+    c = _run_dir(tmp_path / "c", note=note.replace("True", "False"))
+    assert compare_runs(c, b)["gain_check.txt"] == float("inf")
+    assert harness.cli(["diff", str(c), str(b), "--rtol", "1e9"]) == 1
 
 
 def test_diff_needs_the_same_file_names(tmp_path, capsys):

@@ -9,7 +9,6 @@ from robustpi.errors import CompositionDomain
 from robustpi.experiments import build_arm_system
 from robustpi.robust import (
     ClassKFunction,
-    ConstantRho,
     build_chi_pair,
     certify_error_bound,
     check_small_gain,
@@ -52,7 +51,6 @@ def test_inverse_outside_range_raises():
 
 
 def _inverse_gains():
-    flat = lambda s: np.full_like(np.asarray(s, dtype=float), 2.0)
     chi1, _ = build_chi_pair(
         ClassKFunction.linear(2.0, 1e6),
         ClassKFunction.linear(0.5, 1e6),
@@ -68,7 +66,7 @@ def _inverse_gains():
         "from_samples": ClassKFunction.from_samples(
             np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, 2.0])
         ),
-        "iss_gain_from_rho": iss_gain_from_rho(flat, 0.1),
+        "iss_gain_from_rho": iss_gain_from_rho(2.0, 0.1),
         "chi1": chi1,
     }
 
@@ -116,12 +114,10 @@ def test_check_basic_flags_non_monotone():
 
 
 def test_gain_from_rho_closed_forms():
-    flat = lambda s: np.full_like(np.asarray(s, dtype=float), 2.0)
-    gamma = iss_gain_from_rho(flat, 0.1)
+    gamma = iss_gain_from_rho(2.0, 0.1)
     assert gamma(4.0) == pytest.approx(0.4)  # 0.5*0.1*2*s
-    ramp = lambda s: 1.0 + np.asarray(s, dtype=float)
-    gamma = iss_gain_from_rho(ramp, 1.0)
-    assert gamma(2.0) == pytest.approx(5.0)  # 0.5*1*(1+4)*2
+    gamma = iss_gain_from_rho(5.0, 1.0)
+    assert gamma(2.0) == pytest.approx(5.0)  # 0.5*1*5*2
     for s in log_ladder(20.0, 30):
         assert gamma.inverse(float(gamma(s))) == pytest.approx(s, rel=1e-9)
 
@@ -150,6 +146,9 @@ def test_robust_redesign_rejects_bad_rho():
         robust_redesign(base, lambda s: 0.0 * np.asarray(s), 1.0, 0.5)
     with pytest.raises(ValueError):
         robust_redesign(base, lambda s: 1.0 - np.asarray(s, dtype=float), 1.0, 0.5)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            robust_redesign(base, bad, 1.0, 0.5)
 
 
 def _identity(s_max=1e6):
@@ -202,11 +201,10 @@ def test_redesign_error_closed_forms():
     basis = BasisSet(dim=1, indices=((1,),))
     a = Approximant(basis, np.array([-0.4]))
     b = Approximant(basis, np.array([-0.3]))
-    rho = lambda s: np.full_like(np.asarray(s, dtype=float), 1.0)
-    same = redesign_error(a, a, a, rho, 1.0)
+    same = redesign_error(a, a, a, 1.0, 1.0)
     assert np.allclose(same(np.array([[0.5], [2.0]])), 0.0)
     # learned equals the improved iterate: only the iterate gap remains
-    gap = redesign_error(a, b, a, rho, 1.0)
+    gap = redesign_error(a, b, a, 1.0, 1.0)
     x = np.array([[0.5]])
     assert gap(x)[0] == pytest.approx(a.evaluate_many(x)[0] - b.evaluate_many(x)[0])
 
@@ -222,7 +220,7 @@ def test_redesign_error_takes_a_plain_callable_reference():
     following = Approximant(basis, rng.normal(size=len(basis)))
     pts = rng.uniform(-1.0, 1.0, size=(300, 2))
     errors = [
-        redesign_error(learned, now, following, ConstantRho(2.0), 1.0)(pts)
+        redesign_error(learned, now, following, 2.0, 1.0)(pts)
         for now in (initial, as_approximant)
     ]
     np.testing.assert_array_equal(errors[0], errors[1])
@@ -375,16 +373,16 @@ def test_constant_rho_scale_matches_scale_many(c, control_weight):
     base = Approximant(basis, rng.normal(size=len(basis)))
     pts = rng.uniform(-2.0, 2.0, size=(1000, 2))
     pts[0] = 0.0
-    rho = ConstantRho(c)
-    assert np.array_equal(rho(pts[:, 0]), np.full_like(pts[:, 0], c))
-    policy = robust_redesign(base, rho, control_weight, 0.5)
-    scales = policy.scale_many(pts)
-    assert np.all(scales == 1.0 + 0.5 * control_weight * c**2)
+    policy = robust_redesign(base, c, control_weight, 0.5)
+    assert policy.rho == c
+    assert policy.scale == 1.0 + 0.5 * control_weight * c**2
     batched = policy.evaluate_many(pts)
-    # the same scale through a rho that is not a ConstantRho
+    assert np.array_equal(batched, policy.scale * base.evaluate_many(pts))
+    # the same rho and scale through a constant callable, read once
     plain = robust_redesign(
         base, lambda s: np.full_like(np.asarray(s, dtype=float), c), control_weight, 0.5
     )
+    assert plain.rho == c and plain.scale == policy.scale
     for x, want in zip(pts, batched):
         got = policy.evaluate(x)
         assert got == float(policy.evaluate_many(np.atleast_2d(x))[0])
@@ -392,20 +390,40 @@ def test_constant_rho_scale_matches_scale_many(c, control_weight):
     assert np.array_equal(batched, plain.evaluate_many(pts))
 
 
+def test_robust_redesign_reads_a_constant_callable_once():
+    # a constant callable rho is read when the policy is made, and never
+    # again: no evaluate path, and not the gain, calls it per point
+    calls = []
+
+    def rho(s):
+        calls.append(np.shape(s))
+        return np.full_like(np.asarray(s, dtype=float), 0.7)
+
+    rng = np.random.default_rng(5)
+    basis = make_polynomial_basis(2, 5)
+    base = Approximant(basis, rng.normal(size=len(basis)))
+    policy = robust_redesign(base, rho, 0.37, 0.5)
+    assert calls == [(3,)]
+    pts = rng.uniform(-1.0, 1.0, size=(50, 2))
+    policy.evaluate(pts[0])
+    policy.evaluate_floats(pts[0].tolist())
+    policy.evaluate_many(pts[:1])
+    policy.evaluate_many(pts)
+    policy.gradient_many(pts)
+    policy.gamma(np.linalg.norm(pts, axis=1))
+    assert calls == [(3,)]
+    assert policy.rho == 0.7
+
+
 @pytest.mark.parametrize("dim", [1, 2, 9])
 def test_one_row_robust_policy_equals_the_batch_formula_exactly(dim):
-    # one point, and a one-row evaluate_many, take the single-point scale and
-    # base value; both must keep the bits of the batch formula
-    # scale_many * base.evaluate_many, for a plain-lambda rho as for a ConstantRho
+    # one point, and a one-row evaluate_many, take the scale and the base
+    # value at the point; both must keep the bits of the batch formula
+    # scale * base.evaluate_many, for a constant-lambda rho as for a float
     rng = np.random.default_rng(70 + dim)
     basis = make_polynomial_basis(dim, 5 if dim < 9 else 2)
     base = Approximant(basis, rng.normal(size=len(basis)))
-    rhos = (
-        lambda s: np.full_like(np.asarray(s, dtype=float), 0.3),
-        lambda s: 0.3 + np.asarray(s, dtype=float),
-        lambda s: np.sqrt(1.0 + np.asarray(s, dtype=float)),
-        ConstantRho(0.3),
-    )
+    rhos = (lambda s: np.full_like(np.asarray(s, dtype=float), 0.3), 0.3, 2.0 / 3.0)
     pts = rng.normal(size=(200, dim)) * 10.0 ** rng.integers(-3, 2, size=(200, 1))
     pts[0] = 0.0
     for rho in rhos:
@@ -413,7 +431,7 @@ def test_one_row_robust_policy_equals_the_batch_formula_exactly(dim):
             policy = robust_redesign(base, rho, cw, 0.5)
             for x in pts:
                 row = x[None]
-                want = policy.scale_many(row) * base.evaluate_many(row)
+                want = policy.scale * base.evaluate_many(row)
                 got = policy.evaluate_many(row)
                 assert got.shape == (1,) and got.tobytes() == want.tobytes(), (rho, x)
                 assert policy.evaluate(x) == float(want[0])

@@ -5,8 +5,9 @@ on ``scalar_lqr.cfg`` in a parent tree and a change tree, each with
 ``--out-dir`` under a temporary directory, then compares each pair of
 output directories with `rundiff.compare_runs` and byte for byte.  A file
 differs when it is in one run only, when a number differs by more than
-``--rtol`` relative, or, at ``--rtol 0`` (the default), when its bytes
-differ at all.  The exit codes of the two sides must also match.
+``--rtol`` relative (numbers in ``.csv``, ``.json`` and ``.txt`` files;
+a word or any other file must match exactly), or, at ``--rtol 0`` (the
+default), when its bytes differ at all.  The exit codes of the two sides must also match.
 
     python3 tools/same_artifacts.py --parent ../parent --change . [--rtol R]
 
