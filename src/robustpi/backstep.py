@@ -43,10 +43,6 @@ class CompositeLyapunov:
     def zeta_many(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float) - self.xi.evaluate_many(np.atleast_2d(x))
 
-    def augmented(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.hstack([x, self.zeta_many(x, z)[:, None]])
-
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         x, zeta = pts[:, : self.n], pts[:, self.n]

@@ -37,9 +37,10 @@ from .rundiff import compare_runs
 
 FORMAT_VERSION = 1
 KINDS = ("scalar_lqr", "arm", "cascade")
-# run.json values of the robust and cascade blocks that are None when no
-# level certifies: written as null so the keys do not depend on the outcome
-NULLABLE_RESULTS = ("certified_d", "certified_d1", "certified_worst_ratio", "sigma_level")
+# the certification values that `_certify` writes to both the robust and the
+# cascade block; None when no level certifies, written as null so the keys of
+# run.json do not depend on the outcome
+NULLABLE_RESULTS = ("certified_d", "certified_worst_ratio", "sigma_level")
 TABLE_CHUNK_ROWS = 256  # rows of a CSV artifact converted to Python numbers at a time
 RHO_LADDER = np.geomspace(0.5, 60.0, 160)  # constant rho values a matched plant searches
 D_LADDER_N = 60  # candidate levels d of each error-bound certification
@@ -321,12 +322,6 @@ class LearningRun:
             record = getattr(self, f"{name}_record")
             if record is not None:
                 write_table(out / f"trajectory_{name}.csv", _trajectory_table(record))
-        movement = self.movement_record
-        if movement is not None and movement.trajectory.x.shape[1] >= 2:
-            traj = movement.trajectory
-            write_table(out / "speed_profile.csv", {
-                "time_s": traj.t, "position": traj.x[:, 0], "speed": np.abs(traj.x[:, 1]),
-            })
         if "surface_points" in self.analysis:
             write_table(out / "value_surface.csv", {
                 **_columns("x", self.analysis["surface_points"]),
@@ -438,6 +433,63 @@ def _oracle_reference(system, config, n_online_iterates):
     return states, (states[i_star].value, policy_star, states[i_star].policy)
 
 
+def _certify(
+    rho, margin, report, policy, value, error, gamma, kappa1, gains,
+    alpha_lo, alpha_hi, s_max, d_top, low, high, seed,
+) -> dict:
+    """The result entries of one plant's small-gain certificate.
+
+    `report` is the ladder check of the gains with which `policy` was
+    redesigned (rho, margin).  The error function must stay below gamma on
+    a sublevel set of `value`, one of `D_LADDER_N` levels up to `d_top`,
+    sampled in the box [low, high].  At the highest certified level the
+    loop gains (chi1, chi2) of kappa1 and `gains` give sigma and the region
+    estimate; with no certified level, the level entries are None.
+    """
+    certified = robust.certify_error_bound(
+        error, gamma, value,
+        d_ladder=np.geomspace(d_top * 1e-3, d_top, D_LADDER_N),
+        sample_low=low, sample_high=high, seed=seed,
+    )
+    chi1, chi2 = robust.build_chi_pair(
+        gamma, kappa1, gains["kappa3"], gains["lam_lo"], alpha_lo, alpha_hi, s_max
+    )
+    sigma = roa = None
+    if certified is not None:
+        sigma = robust.interconnection_sigma(chi1, chi2, 2.0 * certified.d)
+        roa = robust.estimate_roa(value, gains["W"], certified.d, sigma)
+    return {
+        "rho": rho,
+        "margin": margin,
+        "small_gain_holds": bool(report.holds),
+        "small_gain_margin": report.margin,
+        "small_gain_relative_margin": report.relative_margin,
+        "small_gain": report,
+        "policy": policy,
+        "certified_d": certified.d if certified else None,
+        "certified_worst_ratio": certified.worst_ratio if certified else None,
+        "sigma_level": roa.level if roa else None,
+        "chi1": chi1,
+        "sigma": sigma,
+        "roa": roa,
+    }
+
+
+def _engage(config, system, policy, record):
+    """Run `policy` with the noise terminated, from where `record` ended."""
+    traj = record.trajectory
+    if traj.z is None:  # named arguments: a `*args` form costs ~0.4 us per RK4 stage
+        controller = lambda x, t: policy(x)
+    else:
+        controller = lambda x, z, t: policy(x, z)
+    return integrate(
+        system["model"], system["uncertainty"], controller, traj.x[-1],
+        horizon=config.sim_horizon, step=config.sim_step,
+        z0=None if traj.z is None else traj.z[-1],
+        w0=None if record.w is None else record.w[-1],
+    )
+
+
 def _matched_certification(config, system, pi_result, run: LearningRun):
     cost = system["cost"]
     gains = system["uncertainty"].iss_bounds
@@ -477,40 +529,13 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         float(alpha_lo(np.asarray(s_max))),
         robust.boundary_minimum(value_star, system["region_low"], system["region_high"]),
     )
-    certified = robust.certify_error_bound(
-        e_ro,
-        policy_ro.gamma,
-        value_star,
-        d_ladder=np.geomspace(d_top * 1e-3, d_top, D_LADDER_N),
-        sample_low=system["region_low"],
-        sample_high=system["region_high"],
-        seed=config.seed + 17,
+    run.robust_report = _certify(
+        rho_value, margin, report, policy_ro, value_star, e_ro, policy_ro.gamma,
+        gains["kappa1"], gains, alpha_lo, alpha_hi, s_max,
+        d_top, system["region_low"], system["region_high"], config.seed + 17,
     )
-    chi1, chi2 = robust.build_chi_pair(
-        policy_ro.gamma, gains["kappa1"], gains["kappa3"], gains["lam_lo"],
-        alpha_lo, alpha_hi, s_max,
-    )
-    sigma = None
-    roa = None
-    if certified is not None:
-        sigma = robust.interconnection_sigma(chi1, chi2, 2.0 * certified.d)
-        roa = robust.estimate_roa(value_star, gains["W"], certified.d, sigma)
-    run.robust_report = {
-        "rho": rho_value,
-        "margin": margin,
-        "small_gain_holds": bool(report.holds),
-        "small_gain_margin": report.margin,
-        "small_gain_relative_margin": report.relative_margin,
-        "certified_d": certified.d if certified else None,
-        "certified_worst_ratio": certified.worst_ratio if certified else None,
-        "sigma_level": roa.level if roa else None,
-        "small_gain": report,
-        "policy": policy_ro,
-        "value_star": value_star,
-        "sigma": sigma,
-        "roa": roa,
-        "chi1": chi1,
-    }
+    run.robust_report["value_star"] = value_star
+    roa = run.robust_report["roa"]
     if roa is not None and system["model"].n <= 2:
         pts = roa.boundary_points(system["model"].n)
         w_max = roa.w_bound()
@@ -590,68 +615,32 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         phase1.pi_result.final_policy, policy_star, policy_star_next,
         rho_value, cost.control_weight,
     )
+    kappa1_eff, _ = backstep.cascade_effective_gains(
+        gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
+        gains["kappa1"], gains["kappa2"], s_max,
+    )
 
     # certify max(|e_ro1|, |e_ro|) < gamma1(|X1|) on sampled sublevels of U;
     # the sample box covers the certified ball in (x, zeta)
     ball = np.full(system["model"].n + 1, s_max)
     d_top = float(alpha1_lo(np.asarray(s_max))) * 0.999
-    certified = robust.certify_error_bound(
+    run.cascade_report = _certify(
+        rho_value, margin, report, final_policy, composite,
         lambda pts: np.maximum(
             np.abs(e_ro1(pts[:, :1], pts[:, 1])), np.abs(np.asarray(e_ro(pts[:, :1])))
         ),
-        gamma1,
-        composite,
-        d_ladder=np.geomspace(d_top * 1e-3, d_top, D_LADDER_N),
-        sample_low=-ball,
-        sample_high=ball,
-        seed=config.seed + 23,
+        gamma1, kappa1_eff, gains, alpha1_lo, alpha1_hi, s_max,
+        d_top, -ball, ball, config.seed + 23,
     )
-    certified_d1 = certified.d if certified else None
-    worst = certified.worst_ratio if certified else None
-
-    kappa1_eff, _ = backstep.cascade_effective_gains(
-        gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
-        gains["kappa1"], gains["kappa2"], s_max,
+    run.cascade_report.update(
+        phase2_residual_rms=phase2.residual_rms,
+        phase2_min_singular_value=phase2.min_singular_value,
+        xi=xi, f1_hat=phase2.f1_hat, g1_hat=phase2.g1_hat, composite=composite,
     )
-    chi1, chi2 = robust.build_chi_pair(
-        gamma1, kappa1_eff, gains["kappa3"], gains["lam_lo"],
-        alpha1_lo, alpha1_hi, s_max,
-    )
-    sigma1 = roa1 = None
-    if certified_d1 is not None:
-        sigma1 = robust.interconnection_sigma(chi1, chi2, 2.0 * certified_d1)
-        roa1 = robust.estimate_roa(composite, gains["W"], certified_d1, sigma1)
 
-    run.cascade_report = {
-        "rho": rho_value,
-        "margin": margin,
-        "phase2_residual_rms": phase2.residual_rms,
-        "phase2_min_singular_value": phase2.min_singular_value,
-        "small_gain_holds": bool(report.holds),
-        "small_gain_margin": report.margin,
-        "small_gain_relative_margin": report.relative_margin,
-        "certified_d1": certified_d1,
-        "certified_worst_ratio": worst,
-        "small_gain": report,
-        "xi": xi,
-        "f1_hat": phase2.f1_hat,
-        "g1_hat": phase2.g1_hat,
-        "policy": final_policy,
-        "composite": composite,
-        "roa1": roa1,
-    }
-
-    # engage the backstepped policy from the end of the learning window
+    # engage the backstepped policy from the end of the phase-two window
     record = plant.last_record
-    x_end = record.trajectory.x[-1]
-    z_end = record.trajectory.z[-1]
-    w_end = record.w[-1]
-    engaged = integrate(
-        system["model"], system["uncertainty"],
-        lambda x, z, t: final_policy(x, z), x_end,
-        horizon=config.sim_horizon, step=config.sim_step,
-        z0=z_end, w0=w_end,
-    )
+    engaged = _engage(config, system, final_policy, record)
     run.engaged_record = engaged
     run.audit = _box_audit(run.learning_record, system, bench.z_bound, bench.w_bound)
     phase2_audit = _box_audit(record, system, bench.z_bound, bench.w_bound)
@@ -662,7 +651,6 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         + abs(engaged.trajectory.z[-1])
         + np.linalg.norm(engaged.w[-1])
     )
-    return final_policy
 
 
 def _box_audit(record, system, z_bound=None, w_bound=None) -> dict:
@@ -758,22 +746,15 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
         final_policy = _matched_certification(config, system, result, run)
 
     # terminate the noise and engage the final policy from where learning ended
-    record = plant.last_record
-    x_end = record.trajectory.x[-1]
-    w_end = record.w[-1] if record.w is not None else None
-    engaged = integrate(
-        model, system["uncertainty"], lambda x, t: final_policy(x), x_end,
-        horizon=config.sim_horizon, step=config.sim_step,
-        w0=w_end,
-    )
-    run.engaged_record = engaged
+    record = run.learning_record
+    run.engaged_record = _engage(config, system, final_policy, record)
     roa = run.robust_report.get("roa")
-    if roa is not None:
+    if roa is not None:  # a certified plant has a hidden state w
+        x_end = record.trajectory.x[-1]
         run.audit["engaged_inside_roa_x"] = bool(
             float(roa.sigma(np.asarray(roa.value.evaluate(x_end)))) <= roa.level
         )
-        if w_end is not None:
-            run.audit["engaged_inside_roa_full"] = roa.contains(x_end, w_end)
+        run.audit["engaged_inside_roa_full"] = roa.contains(x_end, record.w[-1])
 
     # movement replay: the learned (pre-redesign) policy from the original start
     learned = result.final_policy

@@ -282,7 +282,9 @@ def test_phase_two_identification(cascade_run):
 
     # 20 seeded points inside the estimated region converge under the
     # backstepped policy
-    roa1 = cr["roa1"]
+    roa1 = cr["roa"]
+    assert cr["sigma_level"] == roa1.level
+    assert cr["certified_d"] == roa1.d
     composite: CompositeLyapunov = cr["composite"]
     policy = cr["policy"]
     pts = []

@@ -40,9 +40,6 @@ def test_composite_lyapunov_zeta_consistency():
     z = np.array([0.2, 0.7])
     zeta = comp.zeta_many(x, z)
     assert np.allclose(zeta, z - (-0.44 * x[:, 0]), atol=1e-12)
-    aug = comp.augmented(x, z)
-    # recomputing zeta from (x, z) reproduces the stored coordinate
-    assert np.allclose(aug[:, 1], zeta, atol=1e-12)
     assert comp.evaluate([0.0, 0.0]) == 0.0
     assert comp.evaluate([0.5, 0.3]) == pytest.approx(0.4 * 0.25 + 0.5 * 0.09)
     rng = np.random.default_rng(0)

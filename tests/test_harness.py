@@ -477,8 +477,23 @@ def test_cli_one_iteration_cascade_completes(tmp_path, cascade_config_path):
     assert harness.cli(argv) == 0
     info = json.loads((out / "run.json").read_text())
     assert info["error"] is None and info["n_iterations"] == 1
-    assert info["cascade"]["certified_d1"] is None
-    assert info["cascade"]["certified_worst_ratio"] is None
+    for key in ("certified_d", "certified_worst_ratio", "sigma_level"):
+        assert key in info["cascade"] and info["cascade"][key] is None
+
+
+def test_robust_and_cascade_blocks_share_result_keys(arm_run, cascade_run):
+    # both plants certify through one routine, so run.json's robust and
+    # cascade blocks carry the same result keys; both bundled runs certify
+    levels = ("certified_d", "certified_worst_ratio", "sigma_level")
+    shared = (
+        "rho", "margin", "small_gain_holds", "small_gain_margin",
+        "small_gain_relative_margin", *levels,
+    )
+    for run, block in ((arm_run, "robust"), (cascade_run, "cascade")):
+        info = json.loads((Path(run.config.out_dir) / "run.json").read_text())
+        assert set(shared) <= set(info[block]), block
+        assert all(info[block][key] is not None for key in levels), block
+    assert "certified_d1" not in info["cascade"]
 
 
 def test_cli_replay_is_byte_identical(tmp_path, scalar_config_path):
