@@ -40,9 +40,6 @@ class CompositeLyapunov:
     def n(self) -> int:
         return self.value_x.basis.dim
 
-    def zeta_many(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float) - self.xi.evaluate_many(np.atleast_2d(x))
-
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         x, zeta = pts[:, : self.n], pts[:, self.n]
@@ -207,15 +204,16 @@ class BacksteppedPolicy:
         self.rho1 = 2.0 * rho
         self.margin = margin
         self.control_weight = control_weight
+        self.eps2 = margin**2
+        self.rho_sq = rho * rho
+        self.rho1_sq = self.rho1 * self.rho1
 
     def evaluate_many(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         z = np.atleast_1d(np.asarray(z, dtype=float))
         zeta = z - self.xi.evaluate_many(x)
         xz = np.hstack([x, z[:, None]])
-        eps2 = self.margin**2
-        rho_sq = self.rho * self.rho
-        rho1_sq = self.rho1 * self.rho1
+        eps2, rho_sq, rho1_sq = self.eps2, self.rho_sq, self.rho1_sq
         g_hat = self.g1_hat.evaluate_many(x)
         return (
             -self.f1_hat.evaluate_many(xz)
@@ -231,9 +229,7 @@ class BacksteppedPolicy:
         # evaluate_many's arithmetic, term for term, at one point on floats
         row, z = np.asarray(x, dtype=float).reshape(-1).tolist(), float(z)
         zeta = z - self.xi.evaluate_floats(row)
-        eps2 = self.margin**2
-        rho_sq = self.rho * self.rho
-        rho1_sq = self.rho1 * self.rho1
+        eps2, rho_sq, rho1_sq = self.eps2, self.rho_sq, self.rho1_sq
         g_hat = self.g1_hat.evaluate_floats(row)
         return float(
             -self.f1_hat.evaluate_floats([*row, z])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from operator import itemgetter, mul
 
 import numpy as np
 
@@ -46,9 +45,9 @@ def _monomials(pts: np.ndarray, column_sets, top: int) -> list:
     array per dim.  One table holds every power x_d^k, k <= `top`, as
     x^0 = 1.0 and x^k = x^(k-1) * x; each dim's factor is gathered from it
     with `take` and the dims are multiplied left to right, with the bits of
-    `Approximant.evaluate_floats`.  A monomial of total degree n is within
-    gamma_(n-1) of exact (Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1).  The result is F-ordered when `pts` has column-major
+    the one-point kernel `BasisSet._floats_kernel`.  A monomial of total
+    degree n is within gamma_(n-1) of exact (Higham, Accuracy and Stability
+    of Numerical Algorithms, 3.1).  The result is F-ordered when `pts` has column-major
     strides and C-ordered otherwise, so every gather stays contiguous.
     """
     n_points, dim = pts.shape
@@ -87,6 +86,8 @@ class BasisSet:
     def powers(self) -> np.ndarray:
         """The multi-indices as a read-only (N, dim) integer array."""
         powers = np.asarray(self.indices, dtype=int)
+        if powers.shape != (len(self), self.dim) or powers.min(initial=0) < 0:
+            raise ValueError(f"indices are not {self.dim} non-negative exponents each")
         powers.flags.writeable = False
         return powers
 
@@ -101,10 +102,29 @@ class BasisSet:
         return tuple(np.ascontiguousarray(self.powers[:, d]) for d in range(self.dim))
 
     @cached_property
-    def _factor_getters(self) -> tuple:
-        """Per dim, a getter of each monomial's factor from that dim's powers,
-        and of one more, so a one-member basis gets a tuple too."""
-        return tuple(itemgetter(*col.tolist(), 0) for col in self._power_columns)
+    def _floats_kernel(self):
+        """``kernel(x0, ..., x_{dim-1}, w)``: sum_i w[i] * x^alpha_i on Python
+        floats, straight-line code compiled once per basis from the ints of
+        `powers`.  It does `_monomials`' arithmetic (x^k = x^(k-1) * x, each
+        monomial's non-zero factors left to right, 1.0 if it has none: 1.0 * y
+        is y in every bit) and adds the terms to 0.0 one statement each."""
+        powers = self.powers.tolist()
+
+        def name(d, k):
+            return f"x{d}" if k == 1 else f"x{d}_{k}"
+
+        lines = [f"def kernel({', '.join(name(d, 1) for d in range(self.dim))}, w):"]
+        for d, column in enumerate(zip(*powers)):
+            for k in range(2, max(column) + 1):
+                lines.append(f"    {name(d, k)} = {name(d, k - 1)} * x{d}")
+        lines.append("    acc = 0.0")
+        for i, alpha in enumerate(powers):
+            factors = [name(d, k) for d, k in enumerate(alpha) if k] or ["1.0"]
+            lines.append(f"    acc += {' * '.join(factors)} * w[{i}]")
+        lines.append("    return acc")
+        namespace = {}
+        exec(compile("\n".join(lines), "<basis kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
     @cached_property
     def _dropped_columns(self) -> tuple:
@@ -190,9 +210,10 @@ class Approximant:
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.weights is None:
-            self.weights = np.zeros(len(self.basis))
-        self.weights = np.asarray(self.weights, dtype=float)
+        # a read-only copy of its own, so `_weight_floats` cannot go stale
+        weights = np.zeros(len(self.basis)) if self.weights is None else self.weights
+        self.weights = np.array(weights, dtype=float)
+        self.weights.flags.writeable = False
         if self.weights.shape != (len(self.basis),):
             raise DimensionMismatch(
                 f"{self.weights.shape[0]} weights for a {len(self.basis)}-member basis"
@@ -216,37 +237,17 @@ class Approximant:
         return self.evaluate_floats(pts.reshape(-1).tolist())
 
     def evaluate_floats(self, point) -> float:
-        """Value at one point given as a sequence of dim Python floats: the
-        design matrix's products, with its bits, and the terms m * w added
-        left to right from 0.0.  Dims 1 and 2 (every bundled plant) have
-        faster loops of their own."""
+        """Value at one point given as a sequence of dim Python floats, by the
+        basis's one compiled kernel: the design matrix's products, with its
+        bits, and the terms m * w added left to right from 0.0."""
         basis = self.basis
         if len(point) != basis.dim:
             raise DimensionMismatch(f"points have dim {len(point)}, basis has dim {basis.dim}")
-        tables = []
-        for v in point:
-            table, p = [1.0, v], v
-            for _ in range(1, basis._top):
-                p *= v
-                table.append(p)
-            tables.append(table)
-        weights = self.weights.tolist()
-        acc = 0.0
-        if basis.dim == 1:
-            for (i,), w in zip(basis.indices, weights):
-                acc += tables[0][i] * w
-        elif basis.dim == 2:
-            t0, t1 = tables
-            for (i, j), w in zip(basis.indices, weights):
-                acc += t0[i] * t1[j] * w
-        else:
-            # the factors' products dim by dim, left to right
-            monos = None
-            for table, get in zip(tables, basis._factor_getters):
-                monos = get(table) if monos is None else map(mul, monos, get(table))
-            for m, w in zip(monos, weights):  # drops the getters' extra factor
-                acc += m * w
-        return acc
+        return basis._floats_kernel(*point, self._weight_floats)
+
+    @cached_property
+    def _weight_floats(self) -> tuple:
+        return tuple(self.weights.tolist())
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_many(np.atleast_2d(x))[0]

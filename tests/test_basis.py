@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustpi.basis as basis_module
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.errors import DimensionMismatch
 
@@ -225,10 +226,11 @@ def test_special_values_match_the_pow_oracle_bit_for_bit(dim):
                 assert bits(approx.evaluate(x)) == bits(want), (where, x)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_single_point_evaluate_matches_batched_row_exactly(dim):
     rng = np.random.default_rng(40 + dim)
-    big = rng.normal(size=(40, 2 * dim)) * np.array([1.0, 10.0, 0.1, 1e3, 1.0, 3.0])[: 2 * dim]
+    scale = np.array([1.0, 10.0, 0.1, 1e3, 1.0, 3.0, 0.3, 30.0])
+    big = rng.normal(size=(40, 2 * dim)) * scale[: 2 * dim]
     big[0] = 0.0
     big[1, 0] = -0.0
     for degree in (1, 2, 5, 11):
@@ -266,10 +268,10 @@ def test_single_point_evaluate_matches_batched_row_exactly(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_one_member_basis_evaluates_like_its_design_matrix(dim):
-    # the single-point path gathers one factor per dim and monomial; a
-    # one-member basis must give its one term at every dim
+    # a one-member basis, the constant 1 among them, gives its one term at
+    # every dim
     rng = np.random.default_rng(80 + dim)
-    for alpha in [(1,) * dim, tuple(range(dim)), (3,) + (0,) * (dim - 1)]:
+    for alpha in [(1,) * dim, tuple(range(dim)), (3,) + (0,) * (dim - 1), (0,) * dim]:
         basis = BasisSet(dim=dim, indices=(alpha,), vanish_at_origin=False)
         approx = Approximant(basis, [rng.normal()])
         for x in rng.normal(size=(20, dim)):
@@ -284,3 +286,51 @@ def test_single_point_evaluate_checks_dimension():
     for bad in (np.zeros(3), [0.1], 0.5, np.zeros((1, 3))):
         with pytest.raises(DimensionMismatch, match="basis has dim 2"):
             approx.evaluate(bad)
+
+
+@pytest.mark.parametrize("include_constant", [False, True])
+def test_kernel_of_a_364_term_basis_matches_the_design_matrix_rows(include_constant):
+    # one statement per term keeps a long kernel within the compiler's limits
+    basis = make_polynomial_basis(
+        3, 11, vanish_at_origin=not include_constant, include_constant=include_constant
+    )
+    assert len(basis) == 363 + include_constant
+    rng = np.random.default_rng(90 + include_constant)
+    approx = Approximant(basis, rng.normal(size=len(basis)))
+    pts = rng.normal(size=(12, 3))
+    for x, row in zip(pts, basis.design_matrix(pts)):
+        assert approx.evaluate(x) == ordered_dot(row, approx.weights)
+        assert approx.evaluate(x) == approx.evaluate_many(x[None])[0]
+
+
+def test_weights_are_a_read_only_copy():
+    weights = np.array([1.0, 2.0])
+    approx = Approximant(make_polynomial_basis(1, 2), weights)
+    weights[0] = 5.0
+    assert approx.weights[0] == 1.0 and approx.evaluate(1.0) == 3.0
+    with pytest.raises(ValueError):
+        approx.weights[0] = 7.0
+
+
+def test_approximants_on_one_basis_share_one_kernel(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(
+        basis_module, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
+    )
+    basis = make_polynomial_basis(2, 5)
+    first, second = Approximant(basis, np.ones(20)), Approximant(basis, np.arange(20.0))
+    for _ in range(3):
+        first.evaluate([0.3, -0.2])
+        second.evaluate_many([[0.1, 0.4]])
+    assert len(compiled) == 1
+    assert first.basis._floats_kernel is second.basis._floats_kernel
+
+
+@pytest.mark.parametrize("indices", [(("x",),), ((-1,),), ((1, 2),)])
+def test_bad_indices_raise_before_a_kernel_is_compiled(monkeypatch, indices):
+    compiled = []
+    monkeypatch.setattr(basis_module, "compile", compiled.append, raising=False)
+    approx = Approximant(BasisSet(dim=1, indices=indices, vanish_at_origin=False), [1.0])
+    with pytest.raises(ValueError):
+        approx.evaluate(0.5)
+    assert compiled == []

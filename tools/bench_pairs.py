@@ -17,7 +17,9 @@ deterministic, so a new heavy import shows as a changed list.  After the
 pairs, one ``--trace 1`` run per side on the first seed records the
 per-unit layer figures `basis.design_matrix.calls`, `basis.design_matrix.rows`
 (the points all design matrices were built at, a deterministic count),
-`dynsys.integrate.steps` and `dynsys.integrate.steps_per_s` under
+`dynsys.integrate.steps`, `dynsys.integrate.steps_per_s`,
+`dynsys.simulate_batch.traj_steps` and `dynsys.simulate_batch.self_s` (the
+batched RK4 that `certify_bundle` runs in place of `integrate`) under
 ``per_layer.{parent,change}``; the end-to-end figures come from the
 untraced runs only.  Results are merged
 into the JSON file named by ``--out`` under ``workloads.<name>``, so one
@@ -53,6 +55,8 @@ LAYER_METRICS = (
     "basis.design_matrix.rows",
     "dynsys.integrate.steps",
     "dynsys.integrate.steps_per_s",
+    "dynsys.simulate_batch.traj_steps",
+    "dynsys.simulate_batch.self_s",
 )
 # perfbench runs at least one unit, and the counts per unit do not depend on
 # how many run, so the traced run asks for as little time as it can
