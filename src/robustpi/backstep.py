@@ -227,13 +227,12 @@ class BacksteppedPolicy:
 
     def __call__(self, x, z) -> float:
         # evaluate_many's arithmetic, term for term, at one point on floats
-        row, z = np.asarray(x, dtype=float).reshape(-1).tolist(), float(z)
-        zeta = z - self.xi.evaluate_floats(row)
+        zeta = z - self.xi.evaluate(x)
         eps2, rho_sq, rho1_sq = self.eps2, self.rho_sq, self.rho1_sq
-        g_hat = self.g1_hat.evaluate_floats(row)
+        g_hat = self.g1_hat.evaluate(x)
         return float(
-            -self.f1_hat.evaluate_floats([*row, z])
-            + 2.0 * self.control_weight * self.learned_policy.evaluate_floats(row)
+            -self.f1_hat.evaluate([*x, z])
+            + 2.0 * self.control_weight * self.learned_policy.evaluate(x)
             - g_hat * g_hat * rho1_sq * zeta / 4.0
             - eps2 * zeta
             - rho1_sq * zeta / 4.0

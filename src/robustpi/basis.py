@@ -3,7 +3,8 @@
 All learners share these: value functions, policies and identified
 dynamics are plain weighted sums of multivariate monomials.  Monomials
 (rather than an orthogonal family) keep the vanish-at-origin constraint
-trivial; conditioning is the SVD solvers' problem.
+trivial; conditioning is the SVD solvers' problem.  One point is a list
+of dim floats (`evaluate`), a batch a (P, dim) array (`evaluate_many`).
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class BasisSet:
     vanish_at_origin: bool = True
 
     def __post_init__(self):
+        if not self.indices or not all(
+            isinstance(a, (tuple, list)) and len(a) == self.dim
+            and all(isinstance(k, (int, np.integer)) and k >= 0 for k in a)
+            for a in self.indices
+        ):
+            raise ValueError(f"indices are not {self.dim} non-negative integer exponents each")
         if self.vanish_at_origin and any(sum(a) == 0 for a in self.indices):
             raise ValueError("constant term present in a vanish-at-origin basis")
 
@@ -85,9 +92,7 @@ class BasisSet:
     @cached_property
     def powers(self) -> np.ndarray:
         """The multi-indices as a read-only (N, dim) integer array."""
-        powers = np.asarray(self.indices, dtype=int)
-        if powers.shape != (len(self), self.dim) or powers.min(initial=0) < 0:
-            raise ValueError(f"indices are not {self.dim} non-negative exponents each")
+        powers = np.array(self.indices, dtype=int).reshape(len(self), self.dim)
         powers.flags.writeable = False
         return powers
 
@@ -177,7 +182,7 @@ class BasisSet:
     def from_dict(cls, data: dict) -> "BasisSet":
         return cls(
             dim=int(data["dim"]),
-            indices=tuple(tuple(int(v) for v in a) for a in data["indices"]),
+            indices=tuple(tuple(a) for a in data["indices"]),
             vanish_at_origin=bool(data["vanish_at_origin"]),
         )
 
@@ -220,30 +225,26 @@ class Approximant:
             )
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """``design_matrix(points) @ w``; one row is `evaluate_floats` at it."""
+        """``design_matrix(points) @ w``; one row is `evaluate` at it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim == 2 and pts.shape[0] == 1:
-            return np.array([self.evaluate_floats(pts[0].tolist())])
+            return np.array([self.evaluate(pts[0])])
         return self.basis.design_matrix(pts) @ self.weights
 
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
         return np.einsum("pnd,n->pd", self.basis.gradient_tensor(points), self.weights)
 
-    def evaluate(self, x) -> float:
-        """Value at one point x (dim,) by `evaluate_floats`; a 2-D x is a batch."""
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim > 1:
-            return float(self.evaluate_many(pts)[0])
-        return self.evaluate_floats(pts.reshape(-1).tolist())
-
-    def evaluate_floats(self, point) -> float:
-        """Value at one point given as a sequence of dim Python floats, by the
-        basis's one compiled kernel: the design matrix's products, with its
-        bits, and the terms m * w added left to right from 0.0."""
-        basis = self.basis
-        if len(point) != basis.dim:
-            raise DimensionMismatch(f"points have dim {len(point)}, basis has dim {basis.dim}")
-        return basis._floats_kernel(*point, self._weight_floats)
+    def evaluate(self, point) -> float:
+        """Value at one point, a list or tuple of dim floats, by the basis's
+        compiled kernel, with the design matrix's bits.  An ndarray is read
+        with `tolist()`: numpy scalars would give a NaN another sign bit.  A
+        point that is not dim numbers raises DimensionMismatch."""
+        row = point.tolist() if isinstance(point, np.ndarray) else point
+        try:
+            return self.basis._floats_kernel(*row, self._weight_floats)
+        except TypeError:  # a bare number, another length, or a batch's rows
+            dim = self.basis.dim
+            raise DimensionMismatch(f"bad point {point!r:.40}: basis has dim {dim}") from None
 
     @cached_property
     def _weight_floats(self) -> tuple:
@@ -252,8 +253,7 @@ class Approximant:
     def gradient(self, x) -> np.ndarray:
         return self.gradient_many(np.atleast_2d(x))[0]
 
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
+    __call__ = evaluate
 
     def to_dict(self) -> dict:
         return {"basis": self.basis.to_dict(), "weights": self.weights.tolist()}
@@ -266,7 +266,7 @@ class Approximant:
 def policy_values(policy, points: np.ndarray) -> np.ndarray:
     """Values of `policy` at the rows of `points` (P, n) -> (P,): the one
     batch adapter.  An object with `evaluate_many` takes the whole batch;
-    a plain callable, such as a plant's initial policy, is called per row."""
+    a plain callable, such as an initial policy, gets each row as a list."""
     if hasattr(policy, "evaluate_many"):
         return policy.evaluate_many(points)
-    return np.asarray([policy(x) for x in points], dtype=float)
+    return np.asarray([policy(x.tolist()) for x in points], dtype=float)

@@ -18,14 +18,15 @@ array form; the finiteness checks scan that list, and a sum of squares
 settles the blow-up test unless it is within 0.1% of blowup**2, where the
 numpy norm decides.  A one-row `simulate_batch` steps on those floats too.
 
-The plant and uncertainty maps of one trajectory get the stepped floats
-themselves: x and w as lists of Python floats, z as a float.  drift,
-input_gain and w_dynamics return a sequence of floats, and the scalar
-maps a float; a map that returns ndarrays also works, at numpy's speed.
-Only the controller gets an array: x (n,) under `integrate`, x (1, n)
-and z (1,) in a one-row bundle.  Two rows or more step on arrays, and
-every callback gets a batch.  A map that indexes x[..., 0] without
-`np.asarray` first therefore fails at one state.
+Every callback of one trajectory, the controller included, gets the
+stepped floats themselves: x and w as lists of Python floats, z as a
+float.  drift, input_gain and w_dynamics return a sequence of floats, and
+the controller and the scalar maps a float; a map that returns ndarrays
+also works, at numpy's speed.  The controller of a one-row
+`simulate_batch` is a batch controller and gets that list wrapped as
+x (1, n), z (1,).  Two rows or more step on arrays, and every callback
+gets a batch.  A map that indexes x[..., 0] without `np.asarray` first
+therefore fails at one state.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ class SystemModel:
     subsystem: dz/dt = f1(x, z) + u, and z is the input of the x
     subsystem.
 
-    Every map must take one state and a batch.  `integrate` and a one-row
-    `simulate_batch` pass one state as x a list of n Python floats and z a
-    float; drift and input_gain then return a sequence of n floats, and f1
-    a float.  `simulate_batch` passes two rows or more as x (B, n) and z
-    (B,), and the maps return (B, n) and (B,) arrays.  A map that indexes
-    x[..., 0] must convert x with `np.asarray` first, or it fails at one
-    state.
+    Every map, like the controller `integrate` runs, must take one state,
+    x a list of n Python floats and z a float, and a batch, x (B, n) and
+    z (B,), in the forms the module docstring sets out.
     """
 
     n: int
@@ -77,9 +74,7 @@ class UncertaintyModel:
     they are declarations about the maps above, verified numerically by
     the test suite, never consulted by the simulator itself.  Like the
     plant's maps, every map here must take one state, w and x lists of
-    Python floats (z a float), and a batch, w (B, p).  At one state
-    w_dynamics returns a sequence of p floats and the disturbance maps a
-    float; for a batch, (B, p) and (B,) arrays.
+    Python floats (z a float), and a batch, w (B, p).
     """
 
     p: int
@@ -222,8 +217,7 @@ def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
         x = s[:n] if one else s[..., :n]
         z = (s[n] if one else s.T[n]) if has_z else None
         w = (s[iw:] if one else s[..., iw:]) if p else None
-        xc = np.array(x) if one else x
-        u = controller(xc, z, t) if has_z else controller(xc, t)
+        u = controller(x, z, t) if has_z else controller(x, t)
         u = float(u) if one else u
         delta = matched(w, x) if matched else 0.0
         xin = (z + delta) if has_z else (u + delta)
@@ -303,16 +297,16 @@ def integrate(
     """Integrate one closed-loop trajectory with classical fixed-step RK4.
 
     The controller is a feedback map, `controller(x, t)` or
-    `controller(x, z, t)` for z-channel plants, with x of shape (n,),
-    evaluated at every RK4 substage (continuous feedback, no zero-order
-    hold).  The controller and disturbance maps run once per stage,
-    4 * n_steps + 1 times in all: the record at a grid node (`u`,
-    `x_input`, `z_input`) reuses the first-stage evaluation there.
-    Failures follow the module rules (NonFiniteDynamics at a stage or a
-    step, StateDivergence past `blowup` on |[x, z, w]|).  The state steps
-    as a list of Python floats, with the bits of the batched numpy form;
-    the plant and uncertainty maps get its slices as lists (module
-    docstring).
+    `controller(x, z, t)` for z-channel plants, evaluated at every RK4
+    substage (continuous feedback, no zero-order hold).  The controller
+    and disturbance maps run once per stage, 4 * n_steps + 1 times in all:
+    the record at a grid node (`u`, `x_input`, `z_input`) reuses the
+    first-stage evaluation there.  Failures follow the module rules
+    (NonFiniteDynamics at a stage or a step, StateDivergence past `blowup`
+    on |[x, z, w]|).  The state steps as a list of Python floats, with the
+    bits of the batched numpy form; the controller and the plant and
+    uncertainty maps get its slices, x a list of n floats and z a float
+    (module docstring).
     """
     s0 = _stacked_start(model, uncertainty, x0, z0, w0, (), horizon=horizon, step=step)
     ts, x, z, w, u, xin, zin = _rk4(
@@ -345,8 +339,8 @@ def simulate_batch(
 
     A batch of one row steps on `integrate`'s Python floats, with the same
     bits: the plant maps then get x and w as lists of floats and z a float,
-    while the controller still gets x (1, n) and z (1,) and returns one
-    value.
+    and the controller gets the list x wrapped as x (1, n), z as (1,), and
+    returns one value.
     """
     x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     s0 = _stacked_start(
@@ -359,10 +353,10 @@ def simulate_batch(
         )[:4]
     if model.has_z_channel:
         def row(x, z, t):
-            return np.asarray(controller(x[None], np.array([z]), t)).item()
+            return np.asarray(controller(np.array(x)[None], np.array([z]), t)).item()
     else:
         def row(x, t):
-            return np.asarray(controller(x[None], t)).item()
+            return np.asarray(controller(np.array(x)[None], t)).item()
     ts, x, z, w = _rk4(
         model, uncertainty, row, s0[0], horizon=horizon, step=step, blowup=blowup
     )[:4]
@@ -418,8 +412,9 @@ def lipschitz_probe(fn, low, high, samples: int = 200, seed: int = 0) -> float:
     """Largest difference quotient |f(a)-f(b)| / |a-b| over sampled pairs.
 
     Samples a seeded cloud in the box plus short coordinate offsets, so
-    local slopes near the sup are seen.  Returns a finite bound or
-    raises NonFiniteDynamics.
+    local slopes near the sup are seen.  `fn` gets (P, n) batches, the
+    cloud and then its offsets along each coordinate, and returns (P, m)
+    or (P,).  Returns a finite bound or raises NonFiniteDynamics.
     """
     low = np.atleast_1d(np.asarray(low, dtype=float))
     high = np.atleast_1d(np.asarray(high, dtype=float))
@@ -432,12 +427,12 @@ def lipschitz_probe(fn, low, high, samples: int = 200, seed: int = 0) -> float:
     pts = np.vstack([pts, low[None, :], high[None, :]])
 
     def f(x):
-        val = np.atleast_1d(np.asarray(fn(x if x.size > 1 else float(x[0])), dtype=float))
+        val = np.asarray(fn(x), dtype=float).reshape(len(x), -1)
         if not np.all(np.isfinite(val)):
             raise NonFiniteDynamics("map returned a non-finite value in the probe box")
         return val
 
-    vals = [f(x) for x in pts]
+    vals = f(pts)
     best = 0.0
     # random pairs
     idx = rng.integers(0, len(pts), size=(4 * samples, 2))
@@ -450,12 +445,12 @@ def lipschitz_probe(fn, low, high, samples: int = 200, seed: int = 0) -> float:
         best = max(best, np.linalg.norm(vals[i] - vals[j]) / dist)
     # short coordinate offsets capture local slope maxima
     h = 1e-5 * np.linalg.norm(high - low)
-    for i, x in enumerate(pts):
-        for d in range(low.size):
-            xo = x.copy()
-            xo[d] = min(xo[d] + h, high[d]) if x[d] + h <= high[d] else x[d] - h
-            dist = abs(xo[d] - x[d])
-            if dist < 1e-15:
-                continue
-            best = max(best, np.linalg.norm(f(xo) - vals[i]) / dist)
+    for d in range(low.size):
+        offsets, up = pts.copy(), pts[:, d] + h
+        offsets[:, d] = np.where(up <= high[d], up, pts[:, d] - h)
+        dist = np.abs(offsets[:, d] - pts[:, d])
+        keep = dist >= 1e-15
+        if keep.any():
+            for val, base, q in zip(f(offsets[keep]), vals[keep], dist[keep]):
+                best = max(best, np.linalg.norm(val - base) / q)
     return float(best)

@@ -3,12 +3,10 @@
 The plants of the harness kinds: the single-joint arm problem plus the
 scalar and synthetic-cascade benchmarks, each packaged as builders
 returning (model, uncertainty, cost, policies, region, declared gains).
-The plant and uncertainty maps take one state as lists of Python floats
-(x, w) and a float z, as the RK4 stage passes them, and compute on
-floats; arrays, one state (n,) or a batch (B, n), take the numpy path
-with the same bits.  A constant input gain is one shared tuple for a
-list state and one shared read-only array for a state (n,).  The
-policies are controllers and get arrays.
+The plant and uncertainty maps and the initial policies take one state as
+lists of Python floats (x, w) and a float z, as the RK4 stage passes
+them, and compute on floats; arrays, one state (n,) or a batch (B, n),
+take the numpy path with the same bits.
 """
 
 from __future__ import annotations
@@ -26,17 +24,14 @@ from .robust import BRACKET, ClassKFunction
 
 def _constant_input_gain(values) -> Callable:
     """Input gain of a plant whose gain does not depend on the state: one
-    shared tuple for a list state, one shared read-only array for a state
-    (n,), and a fresh (B, n) array for a batch."""
+    shared tuple for a list state, a fresh array of its shape for an array."""
     row = tuple(float(v) for v in values)
     gain = np.array(row)
-    gain.flags.writeable = False
 
     def input_gain(x):
         if isinstance(x, list):
             return row
-        x = np.asarray(x, dtype=float)
-        return gain if x.shape == gain.shape else np.broadcast_to(gain, x.shape).copy()
+        return np.broadcast_to(gain, np.shape(x)).copy()
 
     return input_gain
 
@@ -147,9 +142,9 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
         return 100.0 * x[..., 0] ** 2 + x[..., 1] ** 2
 
     def initial_policy(x, t=None):
+        if isinstance(x, list):
+            return -0.5 * x[0] - 0.5 * x[1]
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return -0.5 * x.item(0) - 0.5 * x.item(1)
         return -0.5 * x[..., 0] - 0.5 * x[..., 1]
 
     uncertainty = UncertaintyModel(

@@ -180,18 +180,11 @@ class RobustPolicy:
         """Exact gradient rows: the scale times the base gradient."""
         return self.scale * self.base_policy.gradient_many(np.atleast_2d(points))
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return float(self.evaluate_many(x)[0])
-        return self.evaluate_floats(x.reshape(-1).tolist())
+    def evaluate(self, point) -> float:
+        """The scale times the base policy's `evaluate` at one point."""
+        return self.scale * self.base_policy.evaluate(point)
 
-    def evaluate_floats(self, row) -> float:
-        """`evaluate` at one point given as a list of Python floats."""
-        return float(self.scale * self.base_policy.evaluate_floats(row))
-
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
+    __call__ = evaluate
 
 
 def iss_gain_from_rho(rho: float, margin: float, s_max: float = BRACKET) -> ClassKFunction:

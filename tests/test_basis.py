@@ -254,16 +254,6 @@ def test_single_point_evaluate_matches_batched_row_exactly(dim):
                 assert approx.evaluate(strided) == float(
                     approx.evaluate_many(np.atleast_2d(strided))[0]
                 )
-            if dim == 1:
-                # a bare float and a 0-d np.float64 are points of a 1-D basis
-                want = float(approx.evaluate_many([[0.37]])[0])
-                assert approx.evaluate(0.37) == want
-                assert approx.evaluate(np.float64(0.37)) == want
-                assert approx.evaluate(np.array(0.37)) == want
-            # a (1, dim) row and a batch keep their batched meaning
-            rows = big[:5, :dim]
-            assert approx.evaluate(rows[:1]) == float(approx.evaluate_many(rows[:1])[0])
-            assert approx.evaluate(rows) == float(approx.evaluate_many(rows)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -283,7 +273,8 @@ def test_one_member_basis_evaluates_like_its_design_matrix(dim):
 
 def test_single_point_evaluate_checks_dimension():
     approx = Approximant(make_polynomial_basis(2, 3), np.ones(9))
-    for bad in (np.zeros(3), [0.1], 0.5, np.zeros((1, 3))):
+    # a 2-D array, and two rows as a nested list, are not one point
+    for bad in (np.zeros(3), [0.1], 0.5, np.zeros((1, 3)), np.zeros((2, 2)), [[0.1, 0.2]] * 2):
         with pytest.raises(DimensionMismatch, match="basis has dim 2"):
             approx.evaluate(bad)
 
@@ -307,7 +298,7 @@ def test_weights_are_a_read_only_copy():
     weights = np.array([1.0, 2.0])
     approx = Approximant(make_polynomial_basis(1, 2), weights)
     weights[0] = 5.0
-    assert approx.weights[0] == 1.0 and approx.evaluate(1.0) == 3.0
+    assert approx.weights[0] == 1.0 and approx.evaluate([1.0]) == 3.0
     with pytest.raises(ValueError):
         approx.weights[0] = 7.0
 
@@ -326,11 +317,16 @@ def test_approximants_on_one_basis_share_one_kernel(monkeypatch):
     assert first.basis._floats_kernel is second.basis._floats_kernel
 
 
-@pytest.mark.parametrize("indices", [(("x",),), ((-1,),), ((1, 2),)])
+@pytest.mark.parametrize("indices", [(("x",),), ((-1,),), ((1, 2),), ((2.5,),), ()])
 def test_bad_indices_raise_before_a_kernel_is_compiled(monkeypatch, indices):
+    # the basis refuses them when it is made, with or without the
+    # vanish-at-origin test, and so does a basis read back from a dict
     compiled = []
     monkeypatch.setattr(basis_module, "compile", compiled.append, raising=False)
-    approx = Approximant(BasisSet(dim=1, indices=indices, vanish_at_origin=False), [1.0])
-    with pytest.raises(ValueError):
-        approx.evaluate(0.5)
+    for vanish_at_origin in (False, True):
+        with pytest.raises(ValueError, match="exponents"):
+            BasisSet(dim=1, indices=indices, vanish_at_origin=vanish_at_origin)
+        data = {"dim": 1, "indices": [list(a) for a in indices], "vanish_at_origin": False}
+        with pytest.raises(ValueError, match="exponents"):
+            BasisSet.from_dict(data)
     assert compiled == []

@@ -235,9 +235,10 @@ BATCH_STARTS = {
 def _batch_matches_single(name):
     model, uncertainty, controller, _ = _closed_loop(name)
     if name == "scalar":
-        # the single-trajectory controller reads x[0], a whole row of a batch
+        # the single-trajectory controller reads x[0], a whole row of a batch;
+        # one state is a list, so x[..., 0] needs `np.asarray` first
         def controller(x, t):
-            return -0.4 * x[..., 0] + 0.2 * np.sin(5.0 * t)
+            return -0.4 * np.asarray(x)[..., 0] + 0.2 * np.sin(5.0 * t)
 
     starts = BATCH_STARTS[name]
     ts, xs, zs, ws = simulate_batch(
@@ -271,7 +272,7 @@ def test_one_row_batch_matches_integrate_exactly(name):
     model, uncertainty, controller, kw = _closed_loop(name)
     if name == "scalar":
         def controller(x, t):
-            return -0.4 * x[..., 0] + 0.2 * np.sin(5.0 * t)
+            return -0.4 * np.asarray(x)[..., 0] + 0.2 * np.sin(5.0 * t)
 
     seen = set()
 
@@ -333,7 +334,12 @@ def test_one_trajectory_maps_get_and_return_python_floats(name):
     # as lists of floats, z as a float, and takes floats back: a stage that
     # went back to building arrays would fail here, not only run slower
     model, uncertainty, controller, kw = _closed_loop(name)
-    calls = []
+    calls, states = [], []
+
+    def recording(x, *zt):
+        states.append((type(x), tuple(map(type, x)), tuple(map(type, zt))))
+        return controller(x, *zt)
+
     model = dataclasses.replace(
         model,
         drift=_typed(model.drift, calls),
@@ -358,6 +364,13 @@ def test_one_trajectory_maps_get_and_return_python_floats(name):
             assert set(args) <= {list, float}, (run, args)
             assert out in (float, list, tuple), (run, out)
             assert set(entries) == {float}, (run, entries)
+    # under `integrate` the controller gets the same list x, and z a float
+    integrate(model, uncertainty, recording, horizon=0.02, step=1e-3, **kw)
+    assert len(states) == 4 * 20 + 1
+    n_z = 1 if model.has_z_channel else 0
+    for x_type, entries, zt in set(states):
+        assert x_type is list and set(entries) == {float}, (x_type, entries)
+        assert zt == (float,) * (n_z + 1), zt
 
 
 @pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])

@@ -237,7 +237,7 @@ def test_arm_drift_matches_stacked_form_exactly():
         assert got.flags.c_contiguous
 
 
-def test_constant_input_gains_are_shared_read_only_arrays():
+def test_constant_input_gains_are_shared_tuples_and_fresh_arrays():
     arm = build_arm_system()
     inertia = arm.params.inertia
     linear = build_linear_plant()
@@ -249,14 +249,11 @@ def test_constant_input_gains_are_shared_read_only_arrays():
     )
     for model, x, old_form in plants:
         gain = model.input_gain(x)
-        assert model.input_gain(x + 1.0) is gain
         row = model.input_gain(x.tolist())
         assert row is model.input_gain((x + 1.0).tolist()) and row == tuple(gain.tolist())
         assert np.array_equal(gain, old_form(x))
-        assert gain.dtype == float and gain.shape == x.shape
-        with pytest.raises(ValueError):
-            gain[0] = 1.0
-        # a batch still gets its own writable (B, n) array
+        assert gain.dtype == float and gain.shape == x.shape and gain.flags.writeable
+        # a batch gets its own writable (B, n) array too
         batch = np.stack([x, 2.0 * x, -x])
         rows = model.input_gain(batch)
         assert rows.shape == batch.shape and rows.flags.writeable

@@ -406,7 +406,7 @@ def test_robust_redesign_reads_a_constant_callable_once():
     assert calls == [(3,)]
     pts = rng.uniform(-1.0, 1.0, size=(50, 2))
     policy.evaluate(pts[0])
-    policy.evaluate_floats(pts[0].tolist())
+    policy.evaluate(pts[0].tolist())
     policy.evaluate_many(pts[:1])
     policy.evaluate_many(pts)
     policy.gradient_many(pts)

@@ -8,9 +8,11 @@ are recorded per pair, with each side's median and quartiles, the number of
 pairs the change wins (lower is better for all three), `claim_met` (at
 least 10 pairs, the change wins at least 90% of them, and its median lies
 below the parent's by more than the parent's quartile spread), and for each
-tree's `src/` its line count, its number of function parameters with a
-default (`src_defaults`, the options the code offers) and its number of
-config keys (`config_keys`, the rows of `harness.CONFIG_KEYS`), and the
+tree's `src/` its line count, its number of statements (`src_statements`,
+the `ast.stmt` nodes: a measure of code that docstrings, comments and line
+breaks do not move), its number of function parameters with a default
+(`src_defaults`, the options the code offers) and its number of config keys
+(`config_keys`, the rows of `harness.CONFIG_KEYS`), and the
 top-level non-stdlib modules that ``import robustpi.harness`` adds to a
 fresh interpreter (`runtime_imports`): unlike set-up time this list is
 deterministic, so a new heavy import shows as a changed list.  After the
@@ -70,6 +72,15 @@ CLAIM_WIN_SHARE = 0.9
 def src_lines(tree: Path) -> int:
     """Lines of Python under the tree's src/."""
     return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
+
+
+def src_statements(tree: Path) -> int:
+    """Statements (`ast.stmt` nodes, nested ones included) under the tree's src/."""
+    return sum(
+        isinstance(node, ast.stmt)
+        for path in sorted((tree / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
 
 
 def src_defaults(tree: Path) -> int:
@@ -224,6 +235,7 @@ def main(argv=None) -> int:
         "numpy": numpy_runtime(),
     }
     data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+    data["src_statements"] = {side: src_statements(tree) for side, tree in trees.items()}
     data["src_defaults"] = {side: src_defaults(tree) for side, tree in trees.items()}
     data["config_keys"] = {side: config_keys(tree) for side, tree in trees.items()}
     data["runtime_imports"] = {side: runtime_imports(tree) for side, tree in trees.items()}
