@@ -60,7 +60,7 @@ class PhaseOneResult:
 
 def phase_one(
     plant: Plant,
-    initial_virtual_policy: Callable,
+    initial_policy: Callable,
     drive: Callable,
     basis_value: BasisSet,
     basis_policy: BasisSet,
@@ -84,7 +84,7 @@ def phase_one(
     """
     result = run_online_pi(
         plant,
-        initial_virtual_policy,
+        initial_policy,
         None,
         basis_value,
         basis_policy,

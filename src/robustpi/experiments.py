@@ -1,8 +1,11 @@
 """Benchmark systems and analysis utilities.
 
 The plants of the harness kinds: the single-joint arm problem plus the
-scalar and synthetic-cascade benchmarks, each packaged as builders
-returning (model, uncertainty, cost, policies, region, declared gains).
+scalar and synthetic-cascade benchmarks.  Each builder returns one
+`Benchmark` record: the model, cost, initial policy and region, the start
+state (x0, w0, z0), the uncertainty whose `iss_bounds` hold the declared
+gains, the audit bounds on w and z and, for the cascade, the drive policy
+and the fixed rho.  The harness reads every fact about a plant from it.
 The plant and uncertainty maps and the initial policies take one state as
 lists of Python floats (x, w) and a float z, as the RK4 stage passes
 them, and compute on floats; arrays, one state (n,) or a batch (B, n),
@@ -12,7 +15,7 @@ take the numpy path with the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,6 +23,33 @@ import numpy as np
 from .basis import Approximant
 from .dynsys import CostSpec, SystemModel, Trajectory, UncertaintyModel
 from .robust import BRACKET, ClassKFunction
+
+
+@dataclass(frozen=True)
+class Benchmark:
+    """One plant as the harness runs it.
+
+    The learner starts at (x0, w0, z0); the learning trajectory is audited
+    against the region box in x and the bounds |w| <= w_bound and
+    |z| <= z_bound.  A plant without a hidden channel has no uncertainty,
+    w0 or w_bound; only a cascade (a model with `f1`) has z0, z_bound, the
+    drive policy of its z channel and the fixed rho of its redesign.  A
+    cascade's initial policy is the x-subsystem's, with z as its input.
+    """
+
+    model: SystemModel
+    cost: CostSpec
+    initial_policy: Callable
+    region_low: np.ndarray
+    region_high: np.ndarray
+    x0: np.ndarray
+    w0: Optional[np.ndarray] = None
+    z0: Optional[float] = None
+    uncertainty: Optional[UncertaintyModel] = None
+    w_bound: Optional[float] = None
+    z_bound: Optional[float] = None
+    drive_policy: Optional[Callable] = None
+    rho: Optional[float] = None
 
 
 def _constant_input_gain(values) -> Callable:
@@ -89,20 +119,7 @@ def _gravity_shape(params: ArmParameters, x1):
     return np.sin(half) * np.sin(half + params.target_angle)
 
 
-@dataclass
-class ArmSystem:
-    params: ArmParameters
-    model: SystemModel
-    uncertainty: UncertaintyModel
-    cost: CostSpec
-    initial_policy: Callable
-    region_low: np.ndarray
-    region_high: np.ndarray
-    w_bound: float
-    initial_state: np.ndarray  # (w0, x1_0, x2_0)
-
-
-def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
+def build_arm_system(params: Optional[ArmParameters] = None) -> Benchmark:
     """Arm as an x-subsystem with a matched hidden integrator channel.
 
     The disturbance channel carries w + I*x2 through the 1/I input gain,
@@ -153,16 +170,16 @@ def build_arm_system(params: Optional[ArmParameters] = None) -> ArmSystem:
         matched_disturbance=matched,
         iss_bounds=arm_gain_declarations(p),
     )
-    return ArmSystem(
-        params=p,
+    return Benchmark(
         model=SystemModel(n=2, drift=drift, input_gain=_constant_input_gain([0.0, 1.0 / inertia])),
-        uncertainty=uncertainty,
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.95),
         initial_policy=initial_policy,
         region_low=np.array([-0.8, -3.5]),
         region_high=np.array([0.8, 3.5]),
+        x0=np.array([-np.pi / 4, 0.0]),
+        w0=np.array([1.0]),
+        uncertainty=uncertainty,
         w_bound=1.0,
-        initial_state=np.array([1.0, -np.pi / 4, 0.0]),
     )
 
 
@@ -204,30 +221,20 @@ def arm_gain_declarations(params: ArmParameters) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScalarBenchmark:
-    model: SystemModel
-    cost: CostSpec
-    initial_policy: Callable
-    region_low: np.ndarray
-    region_high: np.ndarray
-    optimal_value_weight: float = np.sqrt(2.0) - 1.0
-    optimal_policy_gain: float = -(np.sqrt(2.0) - 1.0)
-
-
-def build_scalar_plant() -> ScalarBenchmark:
+def build_scalar_plant() -> Benchmark:
     """dx/dt = -x + u with quadratic cost; optimum known in closed form."""
 
     def state_cost(x):
         x = np.asarray(x, dtype=float)
         return x[..., 0] ** 2
 
-    return ScalarBenchmark(
+    return Benchmark(
         model=SystemModel(n=1, drift=_negated, input_gain=_constant_input_gain([1.0])),
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.9),
         initial_policy=lambda x, t=None: 0.0 * np.asarray(x, dtype=float)[..., 0],
         region_low=np.array([-1.0]),
         region_high=np.array([1.0]),
+        x0=np.array([0.8]),
     )
 
 
@@ -236,22 +243,7 @@ def build_scalar_plant() -> ScalarBenchmark:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CascadeBenchmark:
-    model: SystemModel
-    uncertainty: UncertaintyModel
-    cost: CostSpec
-    initial_virtual_policy: Callable
-    drive_policy: Callable
-    rho_value: float
-    region_low: np.ndarray
-    region_high: np.ndarray
-    z_bound: float
-    w_bound: float
-    gains: dict = field(default_factory=dict)
-
-
-def build_cascade_system() -> CascadeBenchmark:
+def build_cascade_system() -> Benchmark:
     """Scalar cascade: dx = -x + z + 0.5 w, dz = x z + u + 0.2 w.
 
     The x-subsystem optimum is the scalar closed form again, so both
@@ -285,7 +277,6 @@ def build_cascade_system() -> CascadeBenchmark:
         w = np.asarray(w, dtype=float)
         return np.sum(w**2, axis=-1)
 
-    s_max = 6.0
     gains = {
         "kappa1": ClassKFunction.linear(0.5, BRACKET, name="kappa1"),
         "kappa2": ClassKFunction.linear(0.05, BRACKET, name="kappa2"),
@@ -297,7 +288,7 @@ def build_cascade_system() -> CascadeBenchmark:
         "lam_lo": ClassKFunction.power(1.0, 2.0, BRACKET, name="lam_lo"),
         "lam_hi": ClassKFunction.power(1.0, 2.0, BRACKET, name="lam_hi"),
         "W": lyap_w,
-        "s_max": s_max,
+        "s_max": 6.0,
     }
     uncertainty = UncertaintyModel(
         p=1,
@@ -306,19 +297,20 @@ def build_cascade_system() -> CascadeBenchmark:
         unmatched_disturbance=unmatched,
         iss_bounds=gains,
     )
-    return CascadeBenchmark(
+    return Benchmark(
         model=SystemModel(n=1, drift=_negated, input_gain=_constant_input_gain([1.0]), f1=f1),
-        uncertainty=uncertainty,
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.8),
-        initial_virtual_policy=lambda x, t=None: 0.0
-        * np.asarray(x, dtype=float)[..., 0],
-        drive_policy=lambda x, z, t=None: -2.0 * z,
-        rho_value=0.5,
+        initial_policy=lambda x, t=None: 0.0 * np.asarray(x, dtype=float)[..., 0],
         region_low=np.array([-1.0]),
         region_high=np.array([1.0]),
-        z_bound=1.0,
+        x0=np.array([0.4]),
+        w0=np.array([0.5]),
+        z0=-0.2,
+        uncertainty=uncertainty,
         w_bound=1.0,
-        gains=gains,
+        z_bound=1.0,
+        drive_policy=lambda x, z, t=None: -2.0 * z,
+        rho=0.5,
     )
 
 

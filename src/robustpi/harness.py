@@ -16,7 +16,7 @@ import hashlib
 import json
 import shutil
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,7 +36,13 @@ from .experiments import (
 from .rundiff import compare_runs
 
 FORMAT_VERSION = 1
-KINDS = ("scalar_lqr", "arm", "cascade")
+# the builder of each plant kind; a kind is whatever this table names
+PLANTS = {
+    "scalar_lqr": build_scalar_plant,
+    "arm": build_arm_system,
+    "cascade": build_cascade_system,
+}
+KINDS = tuple(PLANTS)
 # the certification values that `_certify` writes to both the robust and the
 # cascade block; None when no level certifies, written as null so the keys of
 # run.json do not depend on the outcome
@@ -358,32 +364,11 @@ def _trajectory_table(record) -> dict:
     return table
 
 
-def _build_system(config: RunConfig):
-    """The plant of `config.kind` with its cost, initial policy and start."""
-    z0 = None
-    if config.kind == "scalar_lqr":
-        bench = build_scalar_plant()
-        initial_policy, x0, w0 = bench.initial_policy, np.array([0.8]), None
-    elif config.kind == "arm":
-        bench = build_arm_system()
-        initial_policy = bench.initial_policy
-        x0, w0 = bench.initial_state[1:], bench.initial_state[:1]
-    else:
-        bench = build_cascade_system()
-        initial_policy = bench.initial_virtual_policy
-        x0, w0, z0 = np.array([0.4]), np.array([0.5]), -0.2
-    return {
-        "bench": bench,
-        "model": bench.model,
-        "uncertainty": getattr(bench, "uncertainty", None),
-        "cost": bench.cost,
-        "initial_policy": initial_policy,
-        "region_low": bench.region_low,
-        "region_high": bench.region_high,
-        "x0": x0,
-        "w0": w0,
-        "z0": z0,
-    }
+def _build_system(config: RunConfig) -> dict:
+    """The fields of the `experiments.Benchmark` record of `config.kind`, as
+    a {field name: value} dict; perfbench's workloads index it by key."""
+    plant = PLANTS[config.kind]()
+    return {f.name: getattr(plant, f.name) for f in fields(plant)}
 
 
 def noise_from_config(config: RunConfig, seed_offset: int = 0):
@@ -406,9 +391,7 @@ def _oracle_reference(system, config, n_online_iterates):
     model, cost = system["model"], system["cost"]
     if model.has_z_channel:
         # phase one treats z as the input: the reference is the x-subsystem
-        from .dynsys import SystemModel
-
-        model = SystemModel(n=model.n, drift=model.drift, input_gain=model.input_gain)
+        model = replace(model, f1=None)
     low, high = system["region_low"], system["region_high"]
     dim = model.n
     degree = config.oracle_degree or config.value_degree
@@ -546,12 +529,11 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
 
 
 def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
-    bench = system["bench"]
     cost = system["cost"]
-    gains = bench.gains
+    gains = system["uncertainty"].iss_bounds
     s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = cost.margin
-    rho_value = bench.rho_value
+    rho_value = system["rho"]
 
     plant = Plant(
         system["model"], system["uncertainty"], system["x0"],
@@ -561,7 +543,8 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     basis_v = make_polynomial_basis(1, config.value_degree)
     basis_u = make_polynomial_basis(1, config.policy_degree)
     n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
-    drive = lambda x, z, t: bench.drive_policy(x, z, t) + noise(t)
+    drive_policy = system["drive_policy"]
+    drive = lambda x, z, t: drive_policy(x, z, t) + noise(t)
 
     phase1 = backstep.phase_one(
         plant, system["initial_policy"], drive, basis_v, basis_u, cost,
@@ -575,7 +558,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
 
     # phase two: fresh window with xi frozen
     noise2 = noise_from_config(config, seed_offset=1).rk4_lookup(plant.step)
-    drive2 = lambda x, z, t: bench.drive_policy(x, z, t) + noise2(t)
+    drive2 = lambda x, z, t: drive_policy(x, z, t) + noise2(t)
     psi_basis = make_polynomial_basis(2, 2)
     phi_basis = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)
     n2 = config.n_intervals or online_pi.default_intervals(psi_basis, phi_basis)
@@ -599,7 +582,7 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     composite = backstep.CompositeLyapunov(value_star, xi)
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
     kappa8 = robust.monotone_envelope(xi, 1, 2.0 * s_max)
-    gamma1 = robust.ClassKFunction.linear(0.5 * margin * rho_value, robust.BRACKET, name="gamma1")
+    gamma1 = robust.iss_gain_from_rho(rho_value, margin)
     report = backstep.check_small_gain_cascade(
         gamma1, gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
         gains["kappa1"], gains["kappa2"], gains["kappa3"], gains["lam_lo"],
@@ -642,8 +625,8 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     record = plant.last_record
     engaged = _engage(config, system, final_policy, record)
     run.engaged_record = engaged
-    run.audit = _box_audit(run.learning_record, system, bench.z_bound, bench.w_bound)
-    phase2_audit = _box_audit(record, system, bench.z_bound, bench.w_bound)
+    run.audit = _box_audit(run.learning_record, system)
+    phase2_audit = _box_audit(record, system)
     run.audit["phase2_contained"] = phase2_audit["contained"]
     run.audit["contained"] = run.audit["contained"] and phase2_audit["contained"]
     run.analysis["final_state_norm"] = float(
@@ -653,8 +636,9 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     )
 
 
-def _box_audit(record, system, z_bound=None, w_bound=None) -> dict:
-    """Containment check of the learning trajectory in the declared region."""
+def _box_audit(record, system) -> dict:
+    """Containment check of a learning trajectory in the plant's region box,
+    and of its w and z, where it has them, within the plant's bounds."""
     traj = record.trajectory
     low, high = system["region_low"], system["region_high"]
     inside = np.all((traj.x >= low) & (traj.x <= high), axis=1)
@@ -664,13 +648,13 @@ def _box_audit(record, system, z_bound=None, w_bound=None) -> dict:
         "x_max_abs": [float(v) for v in np.max(np.abs(traj.x), axis=0)],
         "contained": bool(np.all(inside)),
     }
-    if record.w is not None and w_bound is not None:
-        w_ok = np.all(np.abs(record.w) <= w_bound, axis=1)
+    if record.w is not None:
+        w_ok = np.all(np.abs(record.w) <= system["w_bound"], axis=1)
         audit["w_violations"] = int(np.sum(~w_ok))
         audit["w_max_abs"] = float(np.max(np.abs(record.w)))
         audit["contained"] = audit["contained"] and bool(np.all(w_ok))
-    if traj.z is not None and z_bound is not None:
-        z_ok = np.abs(traj.z) <= z_bound
+    if traj.z is not None:
+        z_ok = np.abs(traj.z) <= system["z_bound"]
         audit["z_violations"] = int(np.sum(~z_ok))
         audit["contained"] = audit["contained"] and bool(np.all(z_ok))
     return audit
@@ -733,10 +717,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
         )
     run.pi_result = result
     run.learning_record = plant.last_record
-    run.audit = _box_audit(
-        run.learning_record, system,
-        w_bound=getattr(system["bench"], "w_bound", None),
-    )
+    run.audit = _box_audit(run.learning_record, system)
     run.audit["drift_lipschitz_bound"] = lipschitz_probe(
         model.drift, system["region_low"], system["region_high"], seed=config.seed
     )

@@ -113,6 +113,40 @@ def scalar_bisection_inverse(gain, y, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def loop_lipschitz_probe(fn, low, high, samples=200, seed=0):
+    """`dynsys.lipschitz_probe` with one `np.linalg.norm` per pair and per
+    offset row: the same seeded cloud, pairs and offsets, quotient by
+    quotient in Python."""
+    low = np.atleast_1d(np.asarray(low, dtype=float))
+    high = np.atleast_1d(np.asarray(high, dtype=float))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(low, high, size=(samples, low.size))
+    pts = np.vstack([pts, low[None, :], high[None, :]])
+
+    def f(x):
+        return np.asarray(fn(x), dtype=float).reshape(len(x), -1)
+
+    vals = f(pts)
+    best = 0.0
+    for i, j in rng.integers(0, len(pts), size=(4 * samples, 2)):
+        if i == j:
+            continue
+        dist = np.linalg.norm(pts[i] - pts[j])
+        if dist < 1e-12:
+            continue
+        best = max(best, np.linalg.norm(vals[i] - vals[j]) / dist)
+    h = 1e-5 * np.linalg.norm(high - low)
+    for d in range(low.size):
+        offsets, up = pts.copy(), pts[:, d] + h
+        offsets[:, d] = np.where(up <= high[d], up, pts[:, d] - h)
+        dist = np.abs(offsets[:, d] - pts[:, d])
+        keep = dist >= 1e-15
+        if keep.any():
+            for val, base, q in zip(f(offsets[keep]), vals[keep], dist[keep]):
+                best = max(best, np.linalg.norm(val - base) / q)
+    return float(best)
+
+
 def reference_integrate(model, uncertainty, controller, x0, *, horizon, step, z0=None, w0=None):
     """Fixed-step RK4 that evaluates the controller and disturbance maps a
     second time at every grid node to record u, x_input and z_input

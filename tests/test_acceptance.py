@@ -123,7 +123,7 @@ def test_monotonicity_suite():
          scalar.region_low, scalar.region_high, 2),
         ("linear_2state", linear.model, linear.cost, linear.initial_policy,
          linear.region_low, linear.region_high, 2),
-        ("cascade_x", cascade_x, cascade.cost, cascade.initial_virtual_policy,
+        ("cascade_x", cascade_x, cascade.cost, cascade.initial_policy,
          cascade.region_low, cascade.region_high, 2),
         ("arm", arm.model, arm.cost, arm.initial_policy,
          arm.region_low, arm.region_high, 11),
@@ -346,8 +346,8 @@ def test_pe_monitoring(arm_run, cascade_run):
 
     arm = build_arm_system()
     plant = Plant(
-        arm.model, arm.uncertainty, arm.initial_state[1:], step=1e-3,
-        w0=arm.initial_state[:1],
+        arm.model, arm.uncertainty, arm.x0, step=1e-3,
+        w0=arm.w0,
     )
     with pytest.raises(PEViolation):
         online_pi.run_online_pi(
@@ -364,7 +364,7 @@ def test_pe_monitoring(arm_run, cascade_run):
     )
     with pytest.raises(PEViolation):
         online_pi.run_online_pi(
-            plant, cascade.initial_virtual_policy, None,
+            plant, cascade.initial_policy, None,
             make_polynomial_basis(1, 2), make_polynomial_basis(1, 2),
             cascade.cost, interval=0.1, n_intervals=40,
             delta_rel=1e-6, tol=1e-4, max_iter=4,
@@ -406,8 +406,8 @@ def test_numerics_hygiene(arm_run, tmp_path, scalar_config_path):
     def terminal(step):
         rec = integrate(
             arm.model, arm.uncertainty, lambda x, t: arm.initial_policy(x),
-            arm.initial_state[1:], horizon=1.0, step=step,
-            w0=arm.initial_state[:1],
+            arm.x0, horizon=1.0, step=step,
+            w0=arm.w0,
         )
         return np.concatenate([rec.trajectory.x[-1], rec.w[-1]])
 

@@ -19,7 +19,7 @@ from robustpi.experiments import (
     build_scalar_plant,
 )
 
-from oracles import reference_integrate
+from oracles import loop_lipschitz_probe, reference_integrate
 
 
 def _scalar_model(drift):
@@ -44,10 +44,10 @@ def test_arm_stays_in_operating_box_under_initial_policy():
         arm.model,
         arm.uncertainty,
         lambda x, t: arm.initial_policy(x),
-        arm.initial_state[1:],
+        arm.x0,
         horizon=16.0,
         step=1e-3,
-        w0=arm.initial_state[:1],
+        w0=arm.w0,
     )
     assert np.abs(rec.w).max() <= 1.0 + 1e-9
     assert np.abs(rec.trajectory.x[:, 0]).max() <= 0.8
@@ -108,10 +108,10 @@ def test_rk4_order_via_step_halving():
             arm.model,
             arm.uncertainty,
             lambda x, t: arm.initial_policy(x),
-            arm.initial_state[1:],
+            arm.x0,
             horizon=1.0,
             step=step,
-            w0=arm.initial_state[:1],
+            w0=arm.w0,
         )
         return np.concatenate([rec.trajectory.x[-1], rec.w[-1]])
 
@@ -129,10 +129,10 @@ def test_determinism_bit_identical():
             arm.model,
             arm.uncertainty,
             lambda x, t: arm.initial_policy(x) + 0.1 * np.sin(3.0 * t),
-            arm.initial_state[1:],
+            arm.x0,
             horizon=2.0,
             step=1e-3,
-            w0=arm.initial_state[:1],
+            w0=arm.w0,
         )
         return rec
 
@@ -145,8 +145,8 @@ def test_determinism_bit_identical():
 def test_learner_view_hides_the_uncertainty_state():
     arm = build_arm_system()
     plant = Plant(
-        arm.model, arm.uncertainty, arm.initial_state[1:], step=1e-3,
-        w0=arm.initial_state[:1],
+        arm.model, arm.uncertainty, arm.x0, step=1e-3,
+        w0=arm.w0,
     )
     traj = plant.observe(lambda x, t: arm.initial_policy(x), 0.5)
     assert not hasattr(traj, "w")
@@ -175,7 +175,7 @@ def _closed_loop(name):
             arm.model,
             arm.uncertainty,
             lambda x, t: arm.initial_policy(x) + 0.1 * np.sin(3.0 * t),
-            dict(x0=arm.initial_state[1:], w0=arm.initial_state[:1]),
+            dict(x0=arm.x0, w0=arm.w0),
         )
     if name == "cascade":
         cas = build_cascade_system()
@@ -427,6 +427,23 @@ def test_lipschitz_probe_arm_drift_finite():
     arm = build_arm_system()
     bound = lipschitz_probe(arm.model.drift, arm.region_low, arm.region_high)
     assert np.isfinite(bound) and bound > 0
+
+
+def test_lipschitz_probe_has_the_bits_of_the_pairwise_loop():
+    # the quotients are taken as arrays; every probe value must have the bits
+    # of one np.linalg.norm per pair and per offset row
+    maps = [
+        (plant.model.drift, plant.region_low, plant.region_high)
+        for plant in (build_arm_system(), build_scalar_plant(), build_cascade_system())
+    ]
+    maps += [
+        (lambda x: np.sin(3.0 * x) * np.cos(x[..., :1]), [-1.0, -2.0, 0.0], [1.0, 2.0, 0.5]),
+        (lambda x: np.sum(x**3, axis=-1), [-2.0, -1.0], [2.0, 1.0]),
+    ]
+    for fn, low, high in maps:
+        for seed in range(6):
+            got = lipschitz_probe(fn, low, high, seed=seed)
+            assert got == loop_lipschitz_probe(fn, low, high, seed=seed), seed
 
 
 def test_lipschitz_probe_rejects_bad_domains():

@@ -72,7 +72,7 @@ def test_split_consistency_with_transformed_dynamics():
         state = rng.uniform([-1, -0.8, -3.5], [1, 0.8, 3.5])
         u = rng.uniform(-2, 2)
         w, x = state[:1], state[1:]
-        full = arm_transformed_rhs(arm.params, state, u)
+        full = arm_transformed_rhs(ArmParameters(), state, u)
         delta = arm.uncertainty.matched_disturbance(w, x)
         split = arm.model.drift(x) + arm.model.input_gain(x) * (u + delta)
         assert np.allclose(split, full[1:], atol=1e-12)
@@ -121,7 +121,7 @@ def test_cost_margin_keeps_state_cost_positive():
 
 def test_cascade_declared_gains_hold():
     bench = build_cascade_system()
-    gains = bench.gains
+    gains = bench.uncertainty.iss_bounds
     rng = np.random.default_rng(4)
     for _ in range(500):
         w = rng.uniform(-3, 3, size=1)
@@ -202,8 +202,8 @@ def test_conclusions_robust_to_time_constant():
     for tau in (0.05, 0.1, 0.2):
         arm = build_arm_system(ArmParameters(tau_n=tau))
         plant = Plant(
-            arm.model, arm.uncertainty, arm.initial_state[1:], step=1e-3,
-            w0=arm.initial_state[:1],
+            arm.model, arm.uncertainty, arm.x0, step=1e-3,
+            w0=arm.w0,
         )
         noise = ExplorationNoise(amplitude=2.0, seed=9, freq_low=0.02, freq_high=1.0)
         bv = make_polynomial_basis(2, 5)
@@ -217,8 +217,8 @@ def test_conclusions_robust_to_time_constant():
         rec = integrate(
             arm.model, arm.uncertainty,
             lambda x, t: result.final_policy.evaluate(x),
-            arm.initial_state[1:], horizon=5.0, step=1e-3,
-            w0=arm.initial_state[:1],
+            arm.x0, horizon=5.0, step=1e-3,
+            w0=arm.w0,
         )
         profile = speed_profile_analysis(rec.trajectory)
         assert profile.peak_count == 1, f"tau_n={tau}"
@@ -239,7 +239,7 @@ def test_arm_drift_matches_stacked_form_exactly():
 
 def test_constant_input_gains_are_shared_tuples_and_fresh_arrays():
     arm = build_arm_system()
-    inertia = arm.params.inertia
+    inertia = ArmParameters().inertia
     linear = build_linear_plant()
     plants = (
         (arm.model, np.array([0.3, -1.2]), lambda x: np.where(np.arange(2) == 1, 1.0 / inertia, 0.0)),

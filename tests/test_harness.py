@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustpi import harness
+from robustpi import experiments, harness
 from robustpi.errors import EXIT_CODES, ConfigParse, PEViolation
 from robustpi.harness import (
     CONFIG_KEYS,
@@ -564,6 +564,34 @@ def test_cli_oracle_writes_reference(tmp_path, scalar_config_path):
     payload = json.loads((out / "oracle_final.json").read_text())
     assert payload["iterations"] <= 8
     assert (out / "oracle_iterations.csv").is_file()
+
+
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_build_system_is_the_plant_record(kind, monkeypatch):
+    # every kind's builder returns one Benchmark record, and the harness gets
+    # exactly that record's fields, under their own names
+    assert harness.KINDS == tuple(harness.PLANTS)
+    plant = harness.PLANTS[kind]()
+    assert isinstance(plant, experiments.Benchmark)
+    monkeypatch.setitem(harness.PLANTS, kind, lambda: plant)
+    system = harness._build_system(RunConfig(kind=kind, seed=1))
+    names = [f.name for f in dataclasses.fields(experiments.Benchmark)]
+    assert list(system) == names
+    for name in names:
+        assert system[name] is getattr(plant, name), name
+
+
+@pytest.mark.parametrize("run_fixture", ["arm_run", "cascade_run"])
+def test_learning_starts_at_the_plant_record_start(run_fixture, request):
+    run = request.getfixturevalue(run_fixture)
+    plant = harness.PLANTS[run.config.kind]()
+    record = run.learning_record
+    assert np.array_equal(record.trajectory.x[0], plant.x0)
+    assert np.array_equal(record.w[0], plant.w0)
+    if plant.z0 is None:
+        assert record.trajectory.z is None
+    else:
+        assert record.trajectory.z[0] == plant.z0
 
 
 def test_box_audit_flags_violations(tmp_path, scalar_config_path):

@@ -5,6 +5,7 @@ from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.dynsys import CostSpec, SystemModel
 from robustpi.errors import InadmissiblePolicy, RankDeficient
 from robustpi.experiments import (
+    ArmParameters,
     build_arm_system,
     build_cascade_system,
     build_scalar_plant,
@@ -93,9 +94,10 @@ def test_two_state_iterates_match_kleinman_oracle():
 
 def test_arm_linearization_improvement_matches_riccati_gain():
     arm = build_arm_system()
-    k = arm.params.torque_scale * np.sin(arm.params.target_angle)
-    a = np.array([[0.0, 1.0], [-k / arm.params.inertia, 0.0]])
-    b = np.array([0.0, 1.0 / arm.params.inertia])
+    params = ArmParameters()
+    k = params.torque_scale * np.sin(params.target_angle)
+    a = np.array([[0.0, 1.0], [-k / params.inertia, 0.0]])
+    b = np.array([0.0, 1.0 / params.inertia])
     p_ref, k_ref = riccati_solution(a, b, np.diag([100.0, 1.0]), 1.0)
 
     model = SystemModel(
@@ -236,7 +238,7 @@ def test_batched_plant_maps_match_rowwise_loop_exactly(name):
     assert np.array_equal(model.drift(grid), rowwise.drift(grid))
     assert np.array_equal(model.input_gain(grid), rowwise.input_gain(grid))
 
-    initial = bench.initial_policy if name != "cascade" else bench.initial_virtual_policy
+    initial = bench.initial_policy
     runs = [
         run_policy_iteration(m, bench.cost, initial, basis, basis, grid, max_iter=3, tol=0.0)
         for m in (model, rowwise)

@@ -17,13 +17,16 @@ top-level non-stdlib modules that ``import robustpi.harness`` adds to a
 fresh interpreter (`runtime_imports`): unlike set-up time this list is
 deterministic, so a new heavy import shows as a changed list.  After the
 pairs, one ``--trace 1`` run per side on the first seed records the
-per-unit layer figures `basis.design_matrix.calls`, `basis.design_matrix.rows`
-(the points all design matrices were built at, a deterministic count),
-`dynsys.integrate.steps`, `dynsys.integrate.steps_per_s`,
-`dynsys.simulate_batch.traj_steps` and `dynsys.simulate_batch.self_s` (the
-batched RK4 that `certify_bundle` runs in place of `integrate`) under
-``per_layer.{parent,change}``; the end-to-end figures come from the
-untraced runs only.  Results are merged
+per-unit layer counts `basis.design_matrix.calls`, `basis.design_matrix.rows`
+(the points all design matrices were built at), `dynsys.integrate.steps`
+and `dynsys.simulate_batch.traj_steps` (the batched RK4 that
+`certify_bundle` runs in place of `integrate`) under
+``per_layer.{parent,change}``.  Only counts are recorded there: they do not
+depend on the host's speed, while a time from that run is a single sample
+of one short traced unit per side, which one alike rerun can reverse (a
+traced `simulate_batch` self time once read a change 2% slower whose
+`run_ref` fell 14% in 10 of 10 pairs).  The end-to-end figures come from
+the untraced runs only.  Results are merged
 into the JSON file named by ``--out`` under ``workloads.<name>``, so one
 file can hold several workloads measured on different seeds.  The ``host``
 block records Python, the machine, its CPU count, and the numpy version with
@@ -56,9 +59,7 @@ LAYER_METRICS = (
     "basis.design_matrix.calls",
     "basis.design_matrix.rows",
     "dynsys.integrate.steps",
-    "dynsys.integrate.steps_per_s",
     "dynsys.simulate_batch.traj_steps",
-    "dynsys.simulate_batch.self_s",
 )
 # perfbench runs at least one unit, and the counts per unit do not depend on
 # how many run, so the traced run asks for as little time as it can
