@@ -1,10 +1,15 @@
 """End-to-end run orchestration, configuration, serialization and CLI.
 
-A run follows the four-step recipe: excite the plant under the initial
-policy plus exploration noise while collecting data; iterate the
-regression solves (two-phase for cascade plants); terminate the noise;
-engage the final (robustified) policy.  Every artifact is written with
-fixed formatting so that replaying a config byte-reproduces the run.
+Every plant runs one sequence, `_run_pipeline`, and each per-plant choice
+reads the plant's `experiments.Benchmark` record, never its kind name:
+excite the plant under its initial (or drive) policy plus exploration
+noise and iterate the regression solves on the window (phase one of
+backstepping for a plant with a z channel); audit the window; for a plant
+with an uncertainty, redesign for robustness and certify the loop by the
+small-gain theorem (a z channel adds phase two and the backstepped
+policy); terminate the noise and engage the final policy.  Every artifact
+is written with fixed formatting so that replaying a config
+byte-reproduces the run.
 """
 
 from __future__ import annotations
@@ -36,13 +41,13 @@ from .experiments import (
 from .rundiff import compare_runs
 
 FORMAT_VERSION = 1
-# the builder of each plant kind; a kind is whatever this table names
+# the builder of each plant kind; a kind is whatever this table names, and
+# a run reads every fact about its plant from the record the builder returns
 PLANTS = {
     "scalar_lqr": build_scalar_plant,
     "arm": build_arm_system,
     "cascade": build_cascade_system,
 }
-KINDS = tuple(PLANTS)
 # the certification values that `_certify` writes to both the robust and the
 # cascade block; None when no level certifies, written as null so the keys of
 # run.json do not depend on the outcome
@@ -84,8 +89,13 @@ class RunConfig:
     source_text: str = ""
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PLANTS:
             raise ConfigParse(f"unknown plant kind {self.kind!r}")
+        if self.schedule and PLANTS[self.kind]().model.has_z_channel:
+            raise ConfigParse(
+                f"schedule: plant kind {self.kind!r} has a z channel, whose phase one "
+                "learns on the value_degree and policy_degree bases only"
+            )
         for name in ("step", "interval", "tol", "sim_step", "sim_horizon"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
@@ -179,11 +189,15 @@ def _unknown(what: str, name: str, valid) -> ConfigParse:
     return ConfigParse(f"unknown {what} {name!r}{hint}")
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, **overrides) -> RunConfig:
     """Parse a run configuration file (INI sections, units in comments).
 
     Values are read literally (no `%` interpolation).  A section or key
     missing from `CONFIG_KEYS`, or any `[DEFAULT]` entry, is rejected.
+    `overrides` ({RunConfig field: value}) replace the file's values
+    before the checks, so a field the file leaves unset still takes its
+    default from them: an overridden `seed` moves an unset exploration
+    seed, not one the file sets.
     """
     path = Path(path)
     if not path.is_file():
@@ -219,6 +233,7 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigParse(f"bad value for [{section}] {key}: {raw!r}") from exc
         values[name] = value
+    values.update(overrides)
     version = values.pop("format_version")
     if version != FORMAT_VERSION:
         raise ConfigParse(f"unsupported format_version {version}")
@@ -417,8 +432,7 @@ def _oracle_reference(system, config, n_online_iterates):
 
 
 def _certify(
-    rho, margin, report, policy, value, error, gamma, kappa1, gains,
-    alpha_lo, alpha_hi, s_max, d_top, low, high, seed,
+    rho, margin, report, policy, value, error, gamma, gains, s_max, d_top, low, high, seed,
 ) -> dict:
     """The result entries of one plant's small-gain certificate.
 
@@ -426,8 +440,10 @@ def _certify(
     redesigned (rho, margin).  The error function must stay below gamma on
     a sublevel set of `value`, one of `D_LADDER_N` levels up to `d_top`,
     sampled in the box [low, high].  At the highest certified level the
-    loop gains (chi1, chi2) of kappa1 and `gains` give sigma and the region
-    estimate; with no certified level, the level entries are None.
+    loop gains (chi1, chi2) of the gain set `gains` (the set `select_rho`
+    reads, with the plant's effective kappa1, alpha_lo and alpha_hi) give
+    sigma and, with its W, the region estimate; with no certified level,
+    the level entries are None.
     """
     certified = robust.certify_error_bound(
         error, gamma, value,
@@ -435,7 +451,8 @@ def _certify(
         sample_low=low, sample_high=high, seed=seed,
     )
     chi1, chi2 = robust.build_chi_pair(
-        gamma, kappa1, gains["kappa3"], gains["lam_lo"], alpha_lo, alpha_hi, s_max
+        gamma, gains["kappa1"], gains["kappa3"], gains["lam_lo"],
+        gains["alpha_lo"], gains["alpha_hi"], s_max,
     )
     sigma = roa = None
     if certified is not None:
@@ -473,16 +490,12 @@ def _engage(config, system, policy, record):
     )
 
 
-def _matched_certification(config, system, pi_result, run: LearningRun):
+def _matched_certification(config, system, result, reference, gains, s_max, run):
+    """Redesign the learned policy with the smallest passing rho of
+    `RHO_LADDER` and certify it; returns the redesigned policy."""
     cost = system["cost"]
-    gains = system["uncertainty"].iss_bounds
-    s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = cost.margin
-
-    _, (value_star, policy_star, policy_star_next) = _oracle_reference(
-        system, config, len(pi_result.iterates)
-    )
-
+    value_star, policy_star, policy_star_next = reference
     alpha_lo, alpha_hi = robust.radial_envelopes(
         value_star,
         system["model"].n,
@@ -490,21 +503,14 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
         clip_low=system["region_low"],
         clip_high=system["region_high"],
     )
-    gain_set = {
-        "kappa1": gains["kappa1"],
-        "kappa2": gains["kappa2"],
-        "kappa3": gains["kappa3"],
-        "lam_lo": gains["lam_lo"],
-        "alpha_lo": alpha_lo,
-        "alpha_hi": alpha_hi,
-    }
+    gain_set = {**gains, "alpha_lo": alpha_lo, "alpha_hi": alpha_hi}
     rho_value, report = robust.select_rho(RHO_LADDER, margin, gain_set, s_max=s_max)
     policy_ro = robust.robust_redesign(
-        pi_result.final_policy, rho_value, cost.control_weight, margin
+        result.final_policy, rho_value, cost.control_weight, margin
     )
 
     e_ro = robust.redesign_error(
-        pi_result.final_policy, policy_star, policy_star_next, rho_value, cost.control_weight
+        result.final_policy, policy_star, policy_star_next, rho_value, cost.control_weight
     )
     # cap d so the sublevel set stays inside both the certified ball and
     # the region box the envelopes were built on, then sample that box
@@ -514,8 +520,7 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
     )
     run.robust_report = _certify(
         rho_value, margin, report, policy_ro, value_star, e_ro, policy_ro.gamma,
-        gains["kappa1"], gains, alpha_lo, alpha_hi, s_max,
-        d_top, system["region_low"], system["region_high"], config.seed + 17,
+        gain_set, s_max, d_top, system["region_low"], system["region_high"], config.seed + 17,
     )
     run.robust_report["value_star"] = value_star
     roa = run.robust_report["roa"]
@@ -528,36 +533,17 @@ def _matched_certification(config, system, pi_result, run: LearningRun):
     return policy_ro
 
 
-def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
+def _cascade_certification(config, system, plant, phase1, reference, gains, s_max, run):
+    """Identify the z channel on a second window with xi frozen (phase two),
+    backstep, and certify the cascade; returns the backstepped policy."""
     cost = system["cost"]
-    gains = system["uncertainty"].iss_bounds
-    s_max = config.s_max if config.s_max is not None else gains["s_max"]
     margin = cost.margin
     rho_value = system["rho"]
+    value_star, policy_star, policy_star_next = reference
+    learned, xi = phase1.pi_result.final_policy, phase1.xi
 
-    plant = Plant(
-        system["model"], system["uncertainty"], system["x0"],
-        step=config.step, z0=system["z0"], w0=system["w0"],
-    )
-    noise = noise_from_config(config).rk4_lookup(plant.step)
-    basis_v = make_polynomial_basis(1, config.value_degree)
-    basis_u = make_polynomial_basis(1, config.policy_degree)
-    n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
-    drive_policy = system["drive_policy"]
-    drive = lambda x, z, t: drive_policy(x, z, t) + noise(t)
-
-    phase1 = backstep.phase_one(
-        plant, system["initial_policy"], drive, basis_v, basis_u, cost,
-        rho_value, margin,
-        interval=config.interval, n_intervals=n_intervals,
-        delta_rel=config.delta_rel, tol=config.tol, max_iter=config.max_iter,
-    )
-    run.pi_result = phase1.pi_result
-    run.learning_record = plant.last_record
-    xi = phase1.xi
-
-    # phase two: fresh window with xi frozen
     noise2 = noise_from_config(config, seed_offset=1).rk4_lookup(plant.step)
+    drive_policy = system["drive_policy"]
     drive2 = lambda x, z, t: drive_policy(x, z, t) + noise2(t)
     psi_basis = make_polynomial_basis(2, 2)
     phi_basis = make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True)
@@ -568,17 +554,13 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
     phase2 = backstep.solve_phase_two(
         problem2, delta_rel=config.delta1_rel or config.delta_rel
     )
+    phase2_audit = _box_audit(plant.last_record, system)
+    run.audit["phase2_contained"] = phase2_audit["contained"]
+    run.audit["contained"] = run.audit["contained"] and phase2_audit["contained"]
 
     final_policy = backstep.BacksteppedPolicy(
-        phase2.f1_hat, phase2.g1_hat, phase1.pi_result.final_policy,
-        xi, rho_value, margin, cost.control_weight,
+        phase2.f1_hat, phase2.g1_hat, learned, xi, rho_value, margin, cost.control_weight,
     )
-
-    # certification against the model-based reference
-    _, (value_star, policy_star, policy_star_next) = _oracle_reference(
-        system, config, len(phase1.pi_result.iterates)
-    )
-
     composite = backstep.CompositeLyapunov(value_star, xi)
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
     kappa8 = robust.monotone_envelope(xi, 1, 2.0 * s_max)
@@ -591,17 +573,17 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
 
     f1_bar, g1_bar = backstep.cascade_truth(system["model"], xi)
     e_ro1 = backstep.backstepped_redesign_error(
-        f1_bar, phase2.f1_hat, policy_star_next, phase1.pi_result.final_policy,
+        f1_bar, phase2.f1_hat, policy_star_next, learned,
         g1_bar, phase2.g1_hat, 2.0 * rho_value, xi, cost.control_weight,
     )
     e_ro = robust.redesign_error(
-        phase1.pi_result.final_policy, policy_star, policy_star_next,
-        rho_value, cost.control_weight,
+        learned, policy_star, policy_star_next, rho_value, cost.control_weight
     )
     kappa1_eff, _ = backstep.cascade_effective_gains(
         gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
         gains["kappa1"], gains["kappa2"], s_max,
     )
+    gain_set = {**gains, "kappa1": kappa1_eff, "alpha_lo": alpha1_lo, "alpha_hi": alpha1_hi}
 
     # certify max(|e_ro1|, |e_ro|) < gamma1(|X1|) on sampled sublevels of U;
     # the sample box covers the certified ball in (x, zeta)
@@ -612,28 +594,14 @@ def _cascade_pipeline(config: RunConfig, system, run: LearningRun):
         lambda pts: np.maximum(
             np.abs(e_ro1(pts[:, :1], pts[:, 1])), np.abs(np.asarray(e_ro(pts[:, :1])))
         ),
-        gamma1, kappa1_eff, gains, alpha1_lo, alpha1_hi, s_max,
-        d_top, -ball, ball, config.seed + 23,
+        gamma1, gain_set, s_max, d_top, -ball, ball, config.seed + 23,
     )
     run.cascade_report.update(
         phase2_residual_rms=phase2.residual_rms,
         phase2_min_singular_value=phase2.min_singular_value,
         xi=xi, f1_hat=phase2.f1_hat, g1_hat=phase2.g1_hat, composite=composite,
     )
-
-    # engage the backstepped policy from the end of the phase-two window
-    record = plant.last_record
-    engaged = _engage(config, system, final_policy, record)
-    run.engaged_record = engaged
-    run.audit = _box_audit(run.learning_record, system)
-    phase2_audit = _box_audit(record, system)
-    run.audit["phase2_contained"] = phase2_audit["contained"]
-    run.audit["contained"] = run.audit["contained"] and phase2_audit["contained"]
-    run.analysis["final_state_norm"] = float(
-        np.linalg.norm(engaged.trajectory.x[-1])
-        + abs(engaged.trajectory.z[-1])
-        + np.linalg.norm(engaged.w[-1])
-    )
+    return final_policy
 
 
 def _box_audit(record, system) -> dict:
@@ -683,52 +651,80 @@ def run_algorithm_1(config: RunConfig) -> LearningRun:
 
 
 def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
-    if config.kind == "cascade":
-        _cascade_pipeline(config, system, run)
-        return
-
+    """The one sequence of every plant (the module docstring); a plant
+    without a z channel also gets the Lipschitz probe, the movement replay
+    and the analyses."""
     model, cost = system["model"], system["cost"]
-    noise = noise_from_config(config)
     plant = Plant(
         model, system["uncertainty"], system["x0"],
-        step=config.step, w0=system["w0"],
+        step=config.step, z0=system["z0"], w0=system["w0"],
     )
-    if config.schedule and len(config.schedule) > 1:
+    noise = noise_from_config(config)
+    basis_v = make_polynomial_basis(model.n, config.value_degree)
+    basis_u = make_polynomial_basis(model.n, config.policy_degree)
+    window = dict(
+        interval=config.interval, delta_rel=config.delta_rel,
+        tol=config.tol, max_iter=config.max_iter,
+    )
+    n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
+    if model.has_z_channel:
+        lookup = noise.rk4_lookup(plant.step)
+        drive_policy = system["drive_policy"]
+        phase1 = backstep.phase_one(
+            plant, system["initial_policy"], lambda x, z, t: drive_policy(x, z, t) + lookup(t),
+            basis_v, basis_u, cost, system["rho"], cost.margin,
+            n_intervals=n_intervals, **window,
+        )
+        result = phase1.pi_result
+    elif len(config.schedule) > 1:
         schedule = [
             (make_polynomial_basis(model.n, d), make_polynomial_basis(model.n, d))
             for d in config.schedule
         ]
         two_loop = online_pi.two_loop_optimize(
             plant, system["initial_policy"], noise, cost, schedule,
-            config.residual_threshold,
-            interval=config.interval, delta_rel=config.delta_rel,
-            tol=config.tol, max_iter=config.max_iter,
+            config.residual_threshold, **window,
         )
         result = two_loop.result
         run.analysis["schedule_index"] = two_loop.schedule_index
     else:
-        basis_v = make_polynomial_basis(model.n, config.value_degree)
-        basis_u = make_polynomial_basis(model.n, config.policy_degree)
-        n_intervals = config.n_intervals or online_pi.default_intervals(basis_v, basis_u)
         result = online_pi.run_online_pi(
             plant, system["initial_policy"], noise, basis_v, basis_u, cost,
-            interval=config.interval, n_intervals=n_intervals,
-            delta_rel=config.delta_rel, tol=config.tol, max_iter=config.max_iter,
+            n_intervals=n_intervals, **window,
         )
     run.pi_result = result
     run.learning_record = plant.last_record
     run.audit = _box_audit(run.learning_record, system)
-    run.audit["drift_lipschitz_bound"] = lipschitz_probe(
-        model.drift, system["region_low"], system["region_high"], seed=config.seed
-    )
+    if not model.has_z_channel:
+        run.audit["drift_lipschitz_bound"] = lipschitz_probe(
+            model.drift, system["region_low"], system["region_high"], seed=config.seed
+        )
 
     final_policy = result.final_policy
     if system["uncertainty"] is not None:
-        final_policy = _matched_certification(config, system, result, run)
+        gains = system["uncertainty"].iss_bounds
+        s_max = config.s_max if config.s_max is not None else gains["s_max"]
+        _, reference = _oracle_reference(system, config, len(result.iterates))
+        if model.has_z_channel:
+            final_policy = _cascade_certification(
+                config, system, plant, phase1, reference, gains, s_max, run
+            )
+        else:
+            final_policy = _matched_certification(
+                config, system, result, reference, gains, s_max, run
+            )
 
-    # terminate the noise and engage the final policy from where learning ended
-    record = run.learning_record
-    run.engaged_record = _engage(config, system, final_policy, record)
+    # terminate the noise and engage the final policy from where the last window ended
+    record = plant.last_record
+    engaged = run.engaged_record = _engage(config, system, final_policy, record)
+    if model.has_z_channel:
+        run.analysis["final_state_norm"] = float(
+            np.linalg.norm(engaged.trajectory.x[-1])
+            + abs(engaged.trajectory.z[-1])
+            + np.linalg.norm(engaged.w[-1])
+        )
+        return
+
     roa = run.robust_report.get("roa")
     if roa is not None:  # a certified plant has a hidden state w
         x_end = record.trajectory.x[-1]
@@ -766,29 +762,26 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        config.seed = args.seed
-        config.exploration_seed = args.seed + 1
-    if args.out_dir is not None:
-        config.out_dir = args.out_dir
-    if args.step is not None:
-        config.step = args.step
-    if args.max_iter is not None:
-        config.max_iter = args.max_iter
-    config.__post_init__()  # overrides pass the same checks as file values
-    return config
+def _load(args) -> RunConfig:
+    """The config of a command, with its command-line overrides; they pass
+    the same checks as file values."""
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "out_dir", "step", "max_iter")
+        if getattr(args, name) is not None
+    }
+    return load_config(args.config, **overrides)
 
 
 def _cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load(args)
     run_algorithm_1(config)
     print(f"run complete: {config.out_dir}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load(args)
     system = _build_system(config)
     states, _ = _oracle_reference(system, config, config.max_iter)
     out = Path(config.out_dir)
@@ -811,11 +804,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_gains(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    if config.kind not in ("arm", "cascade"):
+    config = _load(args)
+    if PLANTS[config.kind]().uncertainty is None:
         raise ConfigParse("check-gains needs a plant with an uncertainty channel")
     run = run_algorithm_1(config)
-    report = run.cascade_report if config.kind == "cascade" else run.robust_report
+    report = run.cascade_report or run.robust_report
     print(gain_table(report))
     print(f"holds: {report['small_gain_holds']}")
     return 0 if report["small_gain_holds"] else 1

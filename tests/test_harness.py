@@ -1,6 +1,7 @@
 import ast
 import configparser
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -544,6 +545,87 @@ def test_cli_check_gains(tmp_path, cascade_config_path, capsys):
     assert "gain_table" not in info["cascade"]
 
 
+def test_check_gains_needs_an_uncertainty(tmp_path, scalar_config_path):
+    # scalar_lqr's record has no uncertainty: refused before any output is written
+    out = tmp_path / "gains"
+    argv = ["check-gains", str(scalar_config_path), "--out-dir", str(out)]
+    assert harness.cli(argv) == EXIT_CODES[ConfigParse.category]
+    assert not out.exists()
+
+
+def test_a_plant_registered_under_a_new_name_runs_by_its_record(
+    tmp_path, cascade_config_path, cascade_run, monkeypatch, capsys
+):
+    # the harness reads the cascade path off the record, not the kind name:
+    # the cascade's builder under another name writes the cascade's artifacts
+    def renamed_cascade():
+        return experiments.build_cascade_system()
+
+    monkeypatch.setitem(harness.PLANTS, "renamed_cascade", renamed_cascade)
+    text = cascade_config_path.read_text()
+    assert text.count("kind = cascade\n") == 1
+    cfg = _write_cfg(
+        tmp_path / "renamed.cfg", text.replace("kind = cascade\n", "kind = renamed_cascade\n")
+    )
+    out = tmp_path / "renamed"
+    assert harness.cli(["check-gains", str(cfg), "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("\nholds: True\n")
+    reference = Path(cascade_run.config.out_dir)
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in reference.iterdir())
+    for name in names:
+        renamed = (out / name).read_text()
+        if name in ("config.cfg", "run.json"):
+            renamed = renamed.replace("renamed_cascade", "cascade")
+        assert renamed == (reference / name).read_text(), name
+
+
+def test_schedule_on_a_z_channel_plant_is_rejected(tmp_path, cascade_config_path):
+    # phase one learns on one basis pair: a schedule would be ignored, so it is refused
+    text = cascade_config_path.read_text().replace(
+        "[pi]\n", "[pi]\nschedule = 1,2\nresidual_threshold = 1e-30\n"
+    )
+    cfg = _write_cfg(tmp_path / "scheduled.cfg", text)
+    with pytest.raises(ConfigParse, match="z channel"):
+        load_config(cfg)
+    out = tmp_path / "out"
+    argv = ["run", str(cfg), "--out-dir", str(out)]
+    assert harness.cli(argv) == EXIT_CODES[ConfigParse.category]
+    assert not out.exists()
+
+
+def test_seed_override_keeps_an_explicit_exploration_seed(tmp_path):
+    # --seed moves the exploration seed only where the file leaves it unset
+    unset = _write_cfg(tmp_path / "unset.cfg", MINIMAL.format(out=tmp_path / "unused"))
+    assert load_config(unset, seed=5).exploration_seed == 6
+    explicit = _write_cfg(
+        tmp_path / "explicit.cfg",
+        MINIMAL.format(out=tmp_path / "unused").replace(
+            "amplitude = 0.8", "amplitude = 0.8\nseed = 9"
+        ),
+    )
+    assert load_config(explicit).exploration_seed == 9
+    assert load_config(explicit, seed=5).exploration_seed == 9
+    # passing the file's own seed changes nothing in the run
+    plain, again = tmp_path / "plain", tmp_path / "again"
+    assert harness.cli(["run", str(explicit), "--out-dir", str(plain)]) == 0
+    assert harness.cli(["run", str(explicit), "--out-dir", str(again), "--seed", "3"]) == 0
+    for path in sorted(plain.iterdir()):
+        assert path.read_bytes() == (again / path.name).read_bytes(), path.name
+
+
+def test_same_artifacts_runs_every_bundled_config():
+    # tools/same_artifacts.py is the byte-identity gate of a refactor: it
+    # must run each config the package ships
+    tool = Path(__file__).parents[1] / "tools" / "same_artifacts.py"
+    spec = importlib.util.spec_from_file_location("same_artifacts", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    bundled = {p.name for p in (Path(harness.__file__).parent / "configs").glob("*.cfg")}
+    assert bundled
+    assert {config for command, config in module.CASES if command == "run"} == bundled
+
+
 def test_schedule_drives_two_loop(tmp_path, scalar_config_path):
     cfg = load_config(scalar_config_path)
     cfg.out_dir = str(tmp_path / "sched")
@@ -566,11 +648,10 @@ def test_cli_oracle_writes_reference(tmp_path, scalar_config_path):
     assert (out / "oracle_iterations.csv").is_file()
 
 
-@pytest.mark.parametrize("kind", harness.KINDS)
+@pytest.mark.parametrize("kind", harness.PLANTS)
 def test_build_system_is_the_plant_record(kind, monkeypatch):
     # every kind's builder returns one Benchmark record, and the harness gets
     # exactly that record's fields, under their own names
-    assert harness.KINDS == tuple(harness.PLANTS)
     plant = harness.PLANTS[kind]()
     assert isinstance(plant, experiments.Benchmark)
     monkeypatch.setitem(harness.PLANTS, kind, lambda: plant)
