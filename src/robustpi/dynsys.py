@@ -7,22 +7,29 @@ types: `Trajectory` carries no field derived from w; the full
 `SimulationRecord` (with w) stays on the simulation side and is used
 only for post-hoc audits.
 
-One RK4 kernel steps the stacked state s = [x, z, w] of `integrate` and
-`simulate_batch`.  Both share the input checks and failure rules: a
+Classical RK4 steps the stacked state s = [x, z, w] of `integrate` and
+`simulate_batch`, with one set of input checks and failure rules: a
 non-finite derivative at any stage or state after a step raises
 NonFiniteDynamics, and a trajectory whose Euclidean norm of s exceeds
-`blowup` raises StateDivergence.  One trajectory is stepped as a list of
-Python floats in numpy's order of operations,
-s + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each float has the bits of the
-array form; the finiteness checks scan that list, and a sum of squares
-settles the blow-up test unless it is within 0.1% of blowup**2, where the
-numpy norm decides.  A one-row `simulate_batch` steps on those floats too.
+`blowup` raises StateDivergence.  One trajectory, that of `integrate` or of
+a one-row `simulate_batch`, steps on Python floats in a loop compiled once
+per state layout (n, has_z, p, has_unmatched) and cached (`_float_loop`):
+straight-line Python with the state unpacked into locals, in numpy's order
+of operations, s + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so each float has the
+bits of the array form.  The controller and the plant and uncertainty maps
+are arguments of the loop, never inlined, so one compiled loop serves every
+plant of its layout.  The loop checks every stage derivative and every
+updated state with `math.isfinite`, settles the blow-up test with a sum of
+squares unless it is within 0.1% of blowup**2, where the numpy norm decides,
+and writes the states and the u, x_input and z_input records into arrays
+allocated for the whole run.  Two rows or more step on (B, size) arrays in
+`_rk4`, which records the states only.
 
 Every callback of one trajectory, the controller included, gets the
 stepped floats themselves: x and w as lists of Python floats, z as a
-float.  drift, input_gain and w_dynamics return a sequence of floats, and
-the controller and the scalar maps a float; a map that returns ndarrays
-also works, at numpy's speed.  The controller of a one-row
+float.  drift and input_gain return n floats, w_dynamics p floats (any
+sequence), and the controller and the scalar maps a float; a map that
+returns ndarrays also works, at numpy's speed.  The controller of a one-row
 `simulate_batch` is a batch controller and gets that list wrapped as
 x (1, n), z (1,).  Two rows or more step on arrays, and every callback
 gets a batch.  A map that indexes x[..., 0] without `np.asarray` first
@@ -31,6 +38,7 @@ therefore fails at one state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -140,23 +148,13 @@ class SimulationRecord:
 
 
 def _check_finite(s, what):
-    finite = all(map(math.isfinite, s)) if isinstance(s, list) else np.isfinite(s).all()
-    if not finite:
+    if not np.isfinite(s).all():
         raise NonFiniteDynamics(f"{what} returned a non-finite value")
 
 
 def _exceeds(s, blowup) -> bool:
-    """Whether some trajectory's Euclidean |s| exceeds `blowup`, as decided
-    by ``(np.sqrt((s * s).sum(-1)) > blowup).any()``.
-
-    For one trajectory, a list of floats, a Python sum of squares decides
-    when it lies clearly below blowup**2, where numpy's rounding cannot
-    change the answer; otherwise the numpy expression decides.
-    """
-    if isinstance(s, list):
-        if blowup > 0 and sum([v * v for v in s]) < 0.999 * blowup * blowup:
-            return False
-        s = np.array(s)
+    """Whether some trajectory's Euclidean |s| exceeds `blowup`: the numpy
+    decision ``(np.sqrt((s * s).sum(-1)) > blowup).any()`` on an array s."""
     return bool((np.sqrt((s * s).sum(-1)) > blowup).any())
 
 
@@ -182,9 +180,9 @@ def _stacked_start(model, uncertainty, x0, z0, w0, lead, *, horizon, step):
 
 
 def stage_times(k0, k1, step):
-    """The times `_rk4` hands the controller on steps k0 <= k < k1.
+    """The times the RK4 loops hand the controller on steps k0 <= k < k1.
 
-    Yields (t, t + step/2, t + step) with t = k * step, in the kernel's own
+    Yields (t, t + step/2, t + step) with t = k * step, in the loops' own
     float arithmetic: the first stage, the two midpoint stages and the last
     stage of step k.  The record at the final node uses only t.
     """
@@ -193,93 +191,185 @@ def stage_times(k0, k1, step):
         yield t, t + step / 2, t + step
 
 
-def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
-    """Classical fixed-step RK4 on the stacked state s = [x, z, w].
-
-    `s0` has shape (size,) or (B, size); the callbacks see x, z and w with
-    the same leading axes.  Returns t, the x, z, w histories and the u,
-    x_input, z_input records (None where a channel is absent).
-    """
-    n = model.n
-    has_z = model.has_z_channel
+def _layout(model, uncertainty):
+    """The state layout (n, has_z, p, has_unmatched) of a plant: the unmatched
+    disturbance enters only through a z channel."""
     p = uncertainty.p if uncertainty is not None else 0
-    iw = n + (1 if has_z else 0)
-    one = s0.ndim == 1
-    drift, gain, f1 = model.drift, model.input_gain, model.f1
-    matched = unmatched = w_dynamics = None
-    if uncertainty is not None:
-        matched = uncertainty.matched_disturbance
-        unmatched = uncertainty.unmatched_disturbance
-        w_dynamics = uncertainty.w_dynamics
+    has_unmatched = (
+        model.has_z_channel and p > 0 and uncertainty.unmatched_disturbance is not None
+    )
+    return model.n, model.has_z_channel, p, has_unmatched
+
+
+def _histories(states, step, n, has_z, p):
+    """The grid t and the x, z, w histories of the stacked states (K, ..., size)."""
+    ts = np.arange(states.shape[0]) * step
+    z = states[..., n].copy() if has_z else None
+    w = states[..., n + has_z:].copy() if p else None
+    return ts, states[..., :n].copy(), z, w
+
+
+def _rk4(model, uncertainty, controller, s0, *, horizon, step, blowup):
+    """Classical fixed-step RK4 of B trajectories on the stacked states
+    s0 (B, size), on arrays; the callbacks get x (B, n), z (B,), w (B, p).
+    Returns t and the x, z, w histories (None where a channel is absent)."""
+    n, has_z, p, has_unmatched = _layout(model, uncertainty)
+    iw = n + has_z
 
     def stage(t, s):
-        """Derivative at (t, s), with the u, x_input and z_input behind it."""
-        x = s[:n] if one else s[..., :n]
-        z = (s[n] if one else s.T[n]) if has_z else None
-        w = (s[iw:] if one else s[..., iw:]) if p else None
+        """The derivative at (t, s)."""
+        x = s[..., :n]
+        z = s.T[n] if has_z else None
+        w = s[..., iw:] if p else None
         u = controller(x, z, t) if has_z else controller(x, t)
-        u = float(u) if one else u
-        delta = matched(w, x) if matched else 0.0
+        delta = uncertainty.matched_disturbance(w, x) if p else 0.0
         xin = (z + delta) if has_z else (u + delta)
-        dx, gx = drift(x), gain(x)
-        zin = dz = dw = None
+        ds = np.empty(s.shape)
+        ds[..., :n] = model.drift(x) + (model.input_gain(x).T * xin).T
         if has_z:
-            d1 = unmatched(w, x, z) if unmatched else 0.0
-            zin = u + d1
-            dz = f1(x, z) + u + d1
+            d1 = uncertainty.unmatched_disturbance(w, x, z) if has_unmatched else 0.0
+            ds[..., n] = model.f1(x, z) + u + d1
         if p:
-            dw = w_dynamics(w, x)
-        if one:
-            ds = [d + g * xin for d, g in zip(dx, gx)]
-            if has_z:
-                ds.append(dz)
-            if p:
-                ds.extend(dw)
-        else:
-            ds = np.empty(s.shape)
-            ds[..., :n] = dx + (gx.T * xin).T
-            if has_z:
-                ds[..., n] = dz
-            if p:
-                ds[..., iw:] = dw
+            ds[..., iw:] = uncertainty.w_dynamics(w, x)
         _check_finite(ds, "dynamics")
-        return ds, u, xin, zin
-
-    def ahead(s, a, k):
-        """s + a * k, for a list s as for an array."""
-        return [v + a * d for v, d in zip(s, k)] if one else s + a * k
+        return ds
 
     n_steps = int(round(horizon / step))
-    ts = np.arange(n_steps + 1) * step
     states = np.empty((n_steps + 1,) + s0.shape)
-    rec_shape = (n_steps + 1,) + s0.shape[:-1]
-    u_rec, xin_rec = np.empty(rec_shape), np.empty(rec_shape)
-    zin_rec = np.empty(rec_shape) if has_z else None
-
-    s, h = (s0.tolist() if one else s0), step
+    s, h = s0, step
     for k, (t, t_mid, t_end) in enumerate(stage_times(0, n_steps + 1, h)):
-        k1, u, xin, zin = stage(t, s)
-        states[k], u_rec[k], xin_rec[k] = s, u, xin
-        if has_z:
-            zin_rec[k] = zin
+        k1 = stage(t, s)
+        states[k] = s
         if k == n_steps:
             break
-        k2 = stage(t_mid, ahead(s, h / 2, k1))[0]
-        k3 = stage(t_mid, ahead(s, h / 2, k2))[0]
-        k4 = stage(t_end, ahead(s, h, k3))[0]
-        if one:
-            slope = [b1 + 2 * b2 + 2 * b3 + b4 for b1, b2, b3, b4 in zip(k1, k2, k3, k4)]
-        else:
-            slope = k1 + 2 * k2 + 2 * k3 + k4
-        s = ahead(s, h / 6, slope)
+        k2 = stage(t_mid, s + h / 2 * k1)
+        k3 = stage(t_mid, s + h / 2 * k2)
+        k4 = stage(t_end, s + h * k3)
+        s = s + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_finite(s, "state update")
         if _exceeds(s, blowup):
             raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t_end:.6g} s")
+    return _histories(states, step, n, has_z, p)
 
-    x = states[..., :n].copy()
-    z = states[..., n].copy() if has_z else None
-    w = states[..., iw:].copy() if p else None
-    return ts, x, z, w, u_rec, xin_rec, zin_rec
+
+@functools.cache
+def _float_loop(n, has_z, p, has_unmatched):
+    """The one-trajectory RK4 loop of a state layout (`_layout`), generated
+    as straight-line Python on floats and compiled once per layout (module
+    docstring).
+
+    ``loop(model, uncertainty, controller, s, last, h, blowup, states, u_rec,
+    xin_rec, zin_rec)`` steps the list of floats s over
+    ``stage_times(0, last + 1, h)`` and writes each grid node's state, u,
+    x_input and z_input into the flat float memoryviews (zin_rec None without
+    a z channel).  It reads the controller and the maps from its arguments
+    and keeps `_rk4`'s expressions, order of map calls and checks.
+    """
+    size = n + has_z + p
+
+    def names(prefix):
+        return [f"{prefix}{i}" for i in range(size)]
+
+    def unpacked(items):
+        return "".join(f"{item}, " for item in items)
+
+    def finite(items, what):
+        test = " and ".join(f"isfinite({item})" for item in items)
+        return [
+            f"if not ({test}):",
+            f'    raise NonFiniteDynamics("{what} returned a non-finite value")',
+        ]
+
+    def stage(at, t, out, record):
+        """Lines of one stage at the state `at` and time t; its derivative
+        goes to `out`, and u, xin and zin stay set for the record."""
+        x, z, w = at[:n], at[n] if has_z else None, at[n + has_z:]
+        lines = [f"x = [{', '.join(x)}]"]
+        if p:
+            lines.append(f"w = [{', '.join(w)}]")
+        args = f"x, {z}, {t}" if has_z else f"x, {t}"
+        lines.append(f"u = float(controller({args}))")
+        delta = "matched(w, x)" if p else "0.0"
+        lines.append(f"xin = {z if has_z else 'u'} + {delta}")
+        lines.append(f"{unpacked(f'd{i}' for i in range(n))}= drift(x)")
+        lines.append(f"{unpacked(f'g{i}' for i in range(n))}= gain(x)")
+        lines += [f"{out[i]} = d{i} + g{i} * xin" for i in range(n)]
+        if has_z:
+            d1 = "d1z" if has_unmatched else "0.0"
+            if has_unmatched:
+                lines.append(f"d1z = unmatched(w, x, {z})")
+            if record:
+                lines.append(f"zin = u + {d1}")
+            lines.append(f"{out[n]} = f1(x, {z}) + u + {d1}")
+        if p:
+            lines.append(f"{unpacked(out[n + has_z:])}= w_dynamics(w, x)")
+        return lines + finite(out, "dynamics")
+
+    s, y = names("s"), names("y")
+    k1, k2, k3, k4 = (names(f"k{j}_") for j in range(1, 5))
+    body = stage(s, "t", k1, True)
+    body += [f"states[j + {i}] = {v}" if i else f"states[j] = {v}" for i, v in enumerate(s)]
+    body += ["u_rec[i] = u", "xin_rec[i] = xin"] + (["zin_rec[i] = zin"] if has_z else [])
+    body += ["if i == last:", "    break", f"j += {size}", "i += 1"]
+    later = (("half", k1, "t_mid", k2), ("half", k2, "t_mid", k3), ("h", k3, "t_end", k4))
+    for a, k, t, out in later:
+        body += [f"{yi} = {si} + {a} * {ki}" for yi, si, ki in zip(y, s, k)]  # s + a * k
+        body += stage(y, t, out, False)
+    body += [
+        f"{s[i]} = {s[i]} + sixth * ({k1[i]} + 2 * {k2[i]} + 2 * {k3[i]} + {k4[i]})"
+        for i in range(size)
+    ]
+    body += finite(s, "state update")
+    squares = " + ".join(f"{v} * {v}" for v in s)
+    body += [
+        f"if {squares} >= clear and _exceeds(np.array([{', '.join(s)}]), blowup):",
+        '    raise StateDivergence(f"|state| exceeded {blowup:g} at t = {t_end:.6g} s")',
+    ]
+    maps = ["drift, gain = model.drift, model.input_gain"]
+    if has_z:
+        maps.append("f1 = model.f1")
+    if p:
+        maps.append("matched = uncertainty.matched_disturbance")
+        maps.append("w_dynamics = uncertainty.w_dynamics")
+    if has_unmatched:
+        maps.append("unmatched = uncertainty.unmatched_disturbance")
+    lines = [
+        "def loop(model, uncertainty, controller, s, last, h, blowup,",
+        "         states, u_rec, xin_rec, zin_rec):",
+        *(f"    {line}" for line in maps),
+        f"    {unpacked(s)}= s",
+        "    half, sixth = h / 2, h / 6",
+        # entries are finite, so the sum is never NaN; blowup <= 0 or NaN leaves it to numpy
+        "    clear = 0.999 * blowup * blowup if blowup > 0 else -inf",
+        "    i = j = 0",
+        "    for t, t_mid, t_end in stage_times(0, last + 1, h):",
+        *(f"        {line}" for line in body),
+    ]
+    namespace = dict(
+        isfinite=math.isfinite, inf=math.inf, np=np, _exceeds=_exceeds,
+        stage_times=stage_times, NonFiniteDynamics=NonFiniteDynamics,
+        StateDivergence=StateDivergence,
+    )
+    exec(compile("\n".join(lines), "<rk4 loop>", "exec"), namespace)
+    return namespace["loop"]
+
+
+def _rk4_floats(model, uncertainty, controller, s0, *, horizon, step, blowup):
+    """RK4 of one trajectory s0 (size,) on Python floats, in the compiled loop
+    of its layout.  Returns t, the x, z, w histories and the u, x_input,
+    z_input records (None where a channel is absent)."""
+    layout = _layout(model, uncertainty)
+    n, has_z, p, _ = layout
+    n_steps = int(round(horizon / step))
+    states = np.empty((n_steps + 1, s0.size))
+    u, xin = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    zin = np.empty(n_steps + 1) if has_z else None
+    _float_loop(*layout)(
+        model, uncertainty, controller, s0.tolist(), n_steps, step, blowup,
+        memoryview(states.reshape(-1)), memoryview(u), memoryview(xin),
+        None if zin is None else memoryview(zin),
+    )
+    return (*_histories(states, step, n, has_z, p), u, xin, zin)
 
 
 def integrate(
@@ -303,13 +393,15 @@ def integrate(
     the record at a grid node (`u`, `x_input`, `z_input`) reuses the
     first-stage evaluation there.  Failures follow the module rules
     (NonFiniteDynamics at a stage or a step, StateDivergence past `blowup`
-    on |[x, z, w]|).  The state steps as a list of Python floats, with the
+    on |[x, z, w]|).  The state steps on Python floats in the RK4 loop
+    compiled for the plant's layout (n, has_z, p, has_unmatched), with the
     bits of the batched numpy form; the controller and the plant and
-    uncertainty maps get its slices, x a list of n floats and z a float
-    (module docstring).
+    uncertainty maps are its arguments and get x as a list of n floats and
+    z a float (module docstring).  The loop writes the states and the u,
+    x_input and z_input records into arrays allocated for the whole run.
     """
     s0 = _stacked_start(model, uncertainty, x0, z0, w0, (), horizon=horizon, step=step)
-    ts, x, z, w, u, xin, zin = _rk4(
+    ts, x, z, w, u, xin, zin = _rk4_floats(
         model, uncertainty, controller, s0, horizon=horizon, step=step, blowup=blowup
     )
     traj = Trajectory(t=ts, x=x, u=u, x_input=xin, z=z, z_input=zin)
@@ -337,10 +429,11 @@ def simulate_batch(
     (t, x, z, w) histories, shaped (K,), (K, B, n), (K, B), (K, B, p),
     None for an absent channel.
 
-    A batch of one row steps on `integrate`'s Python floats, with the same
-    bits: the plant maps then get x and w as lists of floats and z a float,
-    and the controller gets the list x wrapped as x (1, n), z as (1,), and
-    returns one value.
+    A batch of one row steps in `integrate`'s compiled loop on Python
+    floats, with the same bits: the plant maps then get x and w as lists of
+    floats and z a float, and the controller gets the list x wrapped as
+    x (1, n), z as (1,), and returns one value.  Two rows or more step on
+    arrays, and only the states are recorded.
     """
     x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     s0 = _stacked_start(
@@ -350,14 +443,14 @@ def simulate_batch(
     if s0.shape[0] > 1:
         return _rk4(
             model, uncertainty, controller, s0, horizon=horizon, step=step, blowup=blowup
-        )[:4]
+        )
     if model.has_z_channel:
         def row(x, z, t):
             return np.asarray(controller(np.array(x)[None], np.array([z]), t)).item()
     else:
         def row(x, t):
             return np.asarray(controller(np.array(x)[None], t)).item()
-    ts, x, z, w = _rk4(
+    ts, x, z, w = _rk4_floats(
         model, uncertainty, row, s0[0], horizon=horizon, step=step, blowup=blowup
     )[:4]
     return ts, x[:, None], None if z is None else z[:, None], None if w is None else w[:, None]

@@ -131,6 +131,17 @@ class RunConfig:
             raise ConfigParse("schedule degrees must be at least 1")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
             raise ConfigParse("schedule degrees must be strictly increasing")
+        # only a schedule of two or more degrees runs the basis search
+        if len(self.schedule) == 1:
+            raise ConfigParse(
+                "schedule: one degree runs no basis search; name two or more, or leave "
+                "it out and set value_degree and policy_degree"
+            )
+        if not self.schedule and self.residual_threshold != np.inf:
+            raise ConfigParse(
+                "residual_threshold is read only by the basis search, which needs a "
+                "schedule of two or more degrees"
+            )
         if self.n_intervals is not None and self.n_intervals < 1:
             raise ConfigParse("n_intervals must be at least 1")
         # NaN fails every comparison, so a NaN delta_rel would switch off the PE guard

@@ -8,6 +8,8 @@ from robustpi.dynsys import (
     SystemModel,
     UncertaintyModel,
     _exceeds,
+    _float_loop,
+    _layout,
     integrate,
     lipschitz_probe,
     simulate_batch,
@@ -185,6 +187,18 @@ def _closed_loop(name):
             lambda x, z, t: cas.drive_policy(x, z) + 0.3 * np.sin(2.0 * t),
             dict(x0=[0.5], z0=0.2, w0=[0.3]),
         )
+    if name == "z_no_unmatched":
+        # the cascade without its unmatched disturbance: a z channel and a w
+        # channel, and no d1 in dz/dt
+        cas = build_cascade_system()
+        return (
+            cas.model,
+            dataclasses.replace(cas.uncertainty, unmatched_disturbance=None),
+            lambda x, z, t: cas.drive_policy(x, z) + 0.3 * np.sin(2.0 * t),
+            dict(x0=[0.5], z0=0.2, w0=[0.3]),
+        )
+    if name == "two_w":
+        return _two_w_closed_loop()
     if name == "asarray":
         return _asarray_closed_loop()
     scalar = build_scalar_plant()
@@ -222,6 +236,39 @@ def _asarray_closed_loop():
         lambda x, z, t: -2.0 * arr(z) - arr(x)[..., 1] + 0.3 * np.sin(2.0 * t),
         dict(x0=[0.5, -0.2], z0=0.2, w0=[0.3, -0.1]),
     )
+
+
+def _two_w_closed_loop():
+    """An uncertain plant with two w states and no z channel, written for one
+    state: a list of floats in gives floats out, an (n,) array an array."""
+
+    def vec(values, like):
+        return values if isinstance(like, list) else np.array(values)
+
+    model = SystemModel(
+        n=2,
+        drift=lambda x: vec([x[1], -x[0] - 0.5 * x[1]], x),
+        input_gain=lambda x: vec([0.0, 1.0 + 0.1 * x[0] * x[0]], x),
+    )
+    uncertainty = UncertaintyModel(
+        p=2,
+        w_dynamics=lambda w, x: vec(
+            [-w[0] + 0.3 * w[1] + 0.2 * x[1], -2.0 * w[1] + 0.1 * x[0] * w[0]], w
+        ),
+        matched_disturbance=lambda w, x: 0.4 * w[0] - 0.2 * w[1] * x[0],
+    )
+
+    def controller(x, t):
+        x = np.asarray(x)
+        return -x[..., 0] - 1.5 * x[..., 1] + 0.2 * np.sin(3.0 * t)
+
+    return model, uncertainty, controller, dict(x0=[0.4, -0.3], w0=[0.2, -0.1])
+
+
+# the `_closed_loop` fixtures: six layouts (n, has_z, p, has_unmatched) of the
+# compiled one-trajectory loop, with n of 1 and 2, p of 0, 1 and 2, and a z
+# channel with and without the unmatched disturbance
+LAYOUTS = ["arm", "cascade", "scalar", "asarray", "z_no_unmatched", "two_w"]
 
 
 # three starts per plant, stacked on the batch axis
@@ -265,7 +312,7 @@ def test_batch_matches_single_trajectories():
         _batch_matches_single(name)
 
 
-@pytest.mark.parametrize("name", ["arm", "cascade", "scalar", "asarray"])
+@pytest.mark.parametrize("name", LAYOUTS)
 def test_one_row_batch_matches_integrate_exactly(name):
     # a one-row bundle steps on integrate's floats; its controller still gets
     # a batch, x (1, n) and z (1,), and the histories keep the batch axis
@@ -296,7 +343,7 @@ def test_one_row_batch_matches_integrate_exactly(name):
         assert ws is None
 
 
-@pytest.mark.parametrize("name", ["arm", "cascade", "scalar", "asarray"])
+@pytest.mark.parametrize("name", LAYOUTS)
 def test_integrate_matches_reference_loop_exactly(name):
     # the reference hands the maps arrays (n,), integrate lists of floats; a
     # plant that returns ndarrays must step to the same bits as one that
@@ -328,7 +375,7 @@ def _typed(fn, calls):
     return wrapped
 
 
-@pytest.mark.parametrize("name", ["arm", "cascade"])
+@pytest.mark.parametrize("name", ["arm", "cascade", "z_no_unmatched", "two_w"])
 def test_one_trajectory_maps_get_and_return_python_floats(name):
     # one trajectory hands the plant and uncertainty maps the stepped state
     # as lists of floats, z as a float, and takes floats back: a stage that
@@ -355,7 +402,7 @@ def test_one_trajectory_maps_get_and_return_python_floats(name):
             and _typed(uncertainty.unmatched_disturbance, calls)
         ),
     )
-    n_maps = 6 if model.has_z_channel else 4
+    n_maps = 4 + model.has_z_channel + (uncertainty.unmatched_disturbance is not None)
     for run in (integrate, _run_batch):
         calls.clear()
         run(model, uncertainty, controller, horizon=0.02, step=1e-3, **kw)
@@ -453,45 +500,101 @@ def test_lipschitz_probe_rejects_bad_domains():
         lipschitz_probe(lambda x: np.full_like(x, np.nan), [-1.0], [1.0])
 
 
-def _stage_scripted_model(values):
-    """Scalar plant whose drift returns values[j] at its j-th call (0.0
-    after the script): drift runs once per RK4 stage, k1..k4 of step 0
-    being calls 0..3."""
+def _stage_scripted_plant(layout, c, values):
+    """(model, uncertainty, start keywords, calls): a plant of `layout` =
+    (n, has_z, p, has_unmatched) whose maps and controller return zeros,
+    except that entry c of the stacked derivative is values[j] at the j-th
+    stage (0.0 after the script).  Every map runs once per RK4 stage, k1..k4
+    of step 0 being calls 0..3 of the map behind entry c."""
+    n, has_z, p, has_unmatched = layout
     calls = []
 
-    def drift(x):
-        x = np.asarray(x, dtype=float)
+    def scripted(zeros):
         j = len(calls)
         calls.append(j)
-        return np.full_like(x, values[j] if j < len(values) else 0.0)
+        return zeros + (values[j] if j < len(values) else 0.0)
+
+    def arr(v):
+        return np.asarray(v, dtype=float)
+
+    def entry(vec, k):
+        """vec with its entry k (last axis) from the script."""
+        vec = np.zeros_like(arr(vec))
+        vec[..., k] = scripted(vec[..., k])
+        return vec
 
     model = SystemModel(
-        n=1, drift=drift, input_gain=lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        n=n,
+        drift=lambda x: entry(x, c) if c < n else np.zeros_like(arr(x)),
+        input_gain=lambda x: np.zeros_like(arr(x)),
+        f1=(lambda x, z: scripted(0.0 * arr(z)) if c == n else 0.0 * arr(z)) if has_z else None,
     )
-    return model, calls
+    uncertainty = None
+    if p:
+        iw = n + has_z
+        uncertainty = UncertaintyModel(
+            p=p,
+            w_dynamics=lambda w, x: entry(w, c - iw) if c >= iw else np.zeros_like(arr(w)),
+            matched_disturbance=lambda w, x: 0.0 * arr(w)[..., 0],
+            unmatched_disturbance=(lambda w, x, z: 0.0 * arr(z)) if has_unmatched else None,
+        )
+    kw = dict(x0=[1.0] * n, z0=1.0 if has_z else None, w0=[1.0] * p if p else None)
+    return model, uncertainty, kw, calls
+
+
+def _zero_control(x, *zt):
+    return 0.0
 
 
 def test_non_finite_caught_at_every_stage_and_update():
+    # for every layout of the compiled loop and every entry of its stacked
+    # derivative: the non-finite value is caught at the stage it appears in
+    for layout in sorted({_layout(*_closed_loop(name)[:2]) for name in LAYOUTS}):
+        n, has_z, p, _ = layout
+        for c in range(n + has_z + p):
+            _non_finite_caught(layout, c)
+
+
+def _non_finite_caught(layout, c):
     for run in FRONT_ENDS:
         for bad in (np.nan, np.inf, -np.inf):
             # steps 0 and 1 are clean, then the value appears at stage k of step 2
             for k in range(4):
                 j = 8 + k
-                model, calls = _stage_scripted_model([0.5] * j + [bad])
-                with pytest.raises(NonFiniteDynamics, match="^dynamics returned a non-finite value$"):
-                    run(model, None, lambda x, t: 0.0, [1.0], horizon=1.0, step=1e-3)
-                assert len(calls) == j + 1, (run, bad, k)
+                model, unc, kw, calls = _stage_scripted_plant(layout, c, [0.5] * j + [bad])
+                with pytest.raises(
+                    NonFiniteDynamics, match="^dynamics returned a non-finite value$"
+                ):
+                    run(model, unc, _zero_control, horizon=1.0, step=1e-3, **kw)
+                assert len(calls) == j + 1, (layout, c, run, bad, k)
             # finite stages whose weighted sum overflows: +inf, -inf, and inf - inf = nan
             for script in ([0.0, 1e308], [0.0, -1e308], [0.0, 1e308, -1e308]):
-                model, calls = _stage_scripted_model([0.5] * 4 + script)
+                model, unc, kw, calls = _stage_scripted_plant(layout, c, [0.5] * 4 + script)
                 with pytest.raises(
                     NonFiniteDynamics, match="^state update returned a non-finite value$"
                 ), np.errstate(over="ignore", invalid="ignore"):
-                    run(model, None, lambda x, t: 0.0, [1.0], horizon=1.0, step=1e-3)
-                assert len(calls) == 8, (run, script)
+                    run(model, unc, _zero_control, horizon=1.0, step=1e-3, **kw)
+                assert len(calls) == 8, (layout, c, run, script)
+
+
+def _blows_up_in_one_step(s, blowup) -> bool:
+    """Whether `integrate` stops with StateDivergence on the one step of a
+    plant with zero dynamics from s: the state after the step is s, bit for
+    bit, so the loop's blow-up decision is made on s itself."""
+    model = SystemModel(
+        n=len(s), drift=lambda x: [0.0] * len(x), input_gain=lambda x: [0.0] * len(x)
+    )
+    try:
+        integrate(model, None, _zero_control, s, horizon=1e-3, step=1e-3, blowup=blowup)
+    except StateDivergence:
+        return True
+    return False
 
 
 def test_blowup_decision_matches_numpy_norm():
+    # the compiled loop's Python sum of squares settles clear cases and numpy
+    # the rest, within 0.1% of blowup**2 included; both must agree with the
+    # numpy norm on every state and blowup below
     rng = np.random.default_rng(5)
     for size in (1, 2, 3, 5, 9, 17):
         for _ in range(20):
@@ -506,13 +609,29 @@ def test_blowup_decision_matches_numpy_norm():
             ]
             for blowup in blowups:
                 want = bool(np.sqrt((s * s).sum(-1)) > blowup)
-                # one trajectory steps as a list of Python floats
-                assert _exceeds(s.tolist(), blowup) == want, (s, blowup)
+                assert _blows_up_in_one_step(s, blowup) == want, (s, blowup)
                 assert _exceeds(s, blowup) == want, (s, blowup)
                 assert _exceeds(s[None, :], blowup) == want, (s, blowup)
     # squares that overflow a float
     big = np.array([1e200, 1e200])
     with np.errstate(over="ignore"):
-        for form in (big, big.tolist()):
-            assert _exceeds(form, 1e300) and _exceeds(form, 1e6)
-            assert not _exceeds(form, np.inf)
+        assert _exceeds(big, 1e300) and _exceeds(big, 1e6)
+        assert not _exceeds(big, np.inf)
+        assert _blows_up_in_one_step(big, 1e300) and _blows_up_in_one_step(big, 1e6)
+        assert not _blows_up_in_one_step(big, np.inf)
+
+
+def test_one_loop_compiled_per_layout():
+    # a second run of a layout reuses its compiled loop; each layout has its own
+    loops = {}
+    for name in LAYOUTS:
+        model, uncertainty, controller, kw = _closed_loop(name)
+        integrate(model, uncertainty, controller, horizon=0.01, step=1e-3, **kw)
+        before = _float_loop.cache_info()
+        integrate(model, uncertainty, controller, horizon=0.01, step=1e-3, **kw)
+        after = _float_loop.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses), name
+        layout = _layout(model, uncertainty)
+        loops[layout] = _float_loop(*layout)
+    assert len(loops) == len(LAYOUTS)
+    assert len({id(loop) for loop in loops.values()}) == len(LAYOUTS)

@@ -283,6 +283,9 @@ def test_non_finite_values_raise(tmp_path, section, key, value):
         ("pi", "schedule", "0,2"),
         ("pi", "schedule", "2,2"),
         ("pi", "schedule", "3,2"),
+        # one degree runs no basis search, and without one the threshold is unread
+        ("pi", "schedule", "3"),
+        ("pi", "residual_threshold", "1e-6"),
         ("integration", "step", "0.5"),  # longer than the sampling interval
         ("integration", "step", "5.0"),  # also longer than sim_horizon
         # steps that do not divide the 0.1 s interval: 0.06 once ran short of

@@ -15,7 +15,7 @@ from robustpi.online_pi import (
     solve_pi_step,
     two_loop_optimize,
 )
-from robustpi.experiments import build_scalar_plant
+from robustpi.experiments import build_cascade_system, build_scalar_plant
 from robustpi.pi_oracle import (
     collocation_grid,
     policy_evaluation_collocation,
@@ -429,21 +429,36 @@ class _CountingNoise(ExplorationNoise):
 
 @pytest.mark.parametrize("step", [1e-3, 5e-4])
 def test_rk4_lookup_serves_every_time_integrate_hands_the_controller(step, scalar):
-    # every t the RK4 kernel passes must be a key of the table built from
+    # every t the RK4 loop passes must be a key of the table built from
     # dynsys.stage_times; a single call of the signal means a fallback, which
-    # happens when the kernel's time arithmetic and the helper part ways
-    noise = _CountingNoise(amplitude=0.5, seed=4)
-    lookup = noise.rk4_lookup(step)
-    seen = []
-
-    def controller(x, t):
-        seen.append(t)
-        return scalar.initial_policy(x) + lookup(t)
-
+    # happens when the loop's time arithmetic and the helper part ways.  The
+    # z-channel loop gets the cascade's drive plus lookup, as the run builds it
+    cascade = build_cascade_system()
+    drive_policy = cascade.drive_policy
     n_steps = 2 * LOOKUP_BLOCK_STEPS + 100
-    integrate(scalar.model, None, controller, [0.8], horizon=n_steps * step, step=step)
-    assert len(seen) == 4 * n_steps + 1
-    assert noise.single_calls == 0
-    values = [lookup(t) for t in seen]
-    assert noise.single_calls == 0
-    assert [_bits(v) for v in values] == [_bits(noise(t)) for t in seen]
+    for z_channel in (False, True):
+        noise = _CountingNoise(amplitude=0.5, seed=4)
+        lookup = noise.rk4_lookup(step)
+        seen = []
+        if z_channel:
+            drive = lambda x, z, t: drive_policy(x, z, t) + lookup(t)
+
+            def controller(x, z, t):
+                seen.append(t)
+                return drive(x, z, t)
+
+            integrate(
+                cascade.model, cascade.uncertainty, controller, [0.5], z0=0.2, w0=[0.3],
+                horizon=n_steps * step, step=step,
+            )
+        else:
+            def controller(x, t):
+                seen.append(t)
+                return scalar.initial_policy(x) + lookup(t)
+
+            integrate(scalar.model, None, controller, [0.8], horizon=n_steps * step, step=step)
+        assert len(seen) == 4 * n_steps + 1, z_channel
+        assert noise.single_calls == 0, z_channel
+        values = [lookup(t) for t in seen]
+        assert noise.single_calls == 0, z_channel
+        assert [_bits(v) for v in values] == [_bits(noise(t)) for t in seen], z_channel
