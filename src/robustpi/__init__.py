@@ -34,6 +34,7 @@ from .errors import (
 )
 from .online_pi import (
     ExplorationNoise,
+    Fit,
     RegressionProblem,
     SampleWindow,
     assemble_regression,

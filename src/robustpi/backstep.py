@@ -12,15 +12,17 @@ of the small-gain test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .basis import Approximant, BasisSet
 from .dynsys import CostSpec, Plant, SystemModel
 from .online_pi import (
+    Fit,
     OnlinePIResult,
+    RegressionProblem,
     SampleWindow,
     _interval_integrals,
     guarded_solve,
@@ -100,34 +102,21 @@ def phase_one(
     return PhaseOneResult(pi_result=result, xi=xi)
 
 
-@dataclass
-class PhaseTwoRegression:
-    """Least-squares system identifying the zeta-channel dynamics.
-
-    Column layout: the psi-basis integrals first, then the
-    disturbance-weighted phi-basis integrals, matching the declared
-    excitation condition for this stage.
-    """
-
-    theta: np.ndarray
-    targets: np.ndarray
-    psi_basis: BasisSet
-    phi_basis: BasisSet
-    residuals: Optional[np.ndarray] = None
-    min_singular_value: Optional[float] = None
-
-
 def assemble_phase_two(
     window: SampleWindow,
     psi_basis: BasisSet,
     phi_basis: BasisSet,
     xi: RobustPolicy,
-) -> PhaseTwoRegression:
-    """Assemble rows from a cascade window with xi frozen.
+) -> RegressionProblem:
+    """The least squares identifying the zeta-channel dynamics, from a
+    cascade window with xi frozen.
 
-    The disturbance factor is recovered from learner-visible channels
-    (composite x-input minus the measured z); the actuation side of the
-    zeta equation is the recorded composite z-channel input.
+    Column layout: the psi-basis integrals first, then the
+    disturbance-weighted phi-basis integrals, matching the declared
+    excitation condition for this stage.  The disturbance factor is
+    recovered from learner-visible channels (composite x-input minus the
+    measured z); the actuation side of the zeta equation is the recorded
+    composite z-channel input.
     """
     traj = window.trajectory
     if traj.z is None or traj.z_input is None:
@@ -148,33 +137,19 @@ def assemble_phase_two(
     half_sq = 0.5 * zeta**2
     drive_term = _interval_integrals((traj.z_input * zeta)[:, None], t, idx)[:, 0]
     targets = half_sq[idx[1:]] - half_sq[idx[:-1]] - drive_term
-    return PhaseTwoRegression(
-        theta=theta, targets=targets, psi_basis=psi_basis, phi_basis=phi_basis
-    )
+    return RegressionProblem(theta=theta, targets=targets, bases=(psi_basis, phi_basis))
 
 
-@dataclass
-class PhaseTwoResult:
-    f1_hat: Approximant
-    g1_hat: Approximant
-    residual_rms: float
-    min_singular_value: float
+def solve_phase_two(problem: RegressionProblem, delta_rel: float = 1e-6) -> Fit:
+    """The guarded solve of the zeta-dynamics regression: parts (f1_hat, g1_hat).
 
-
-def solve_phase_two(
-    problem: PhaseTwoRegression, delta_rel: float = 1e-6
-) -> PhaseTwoResult:
-    """SVD least squares for the zeta-dynamics weights, with PE guard."""
-    beta = guarded_solve(problem, delta_rel, "phase two")
-    n3 = len(problem.psi_basis)
-    # theta carries +integral(phi * delta * zeta); the model subtracts the
-    # g-term, so those weights come out negated
-    return PhaseTwoResult(
-        f1_hat=Approximant(problem.psi_basis, beta[:n3]),
-        g1_hat=Approximant(problem.phi_basis, -beta[n3:]),
-        residual_rms=float(np.sqrt(np.mean(problem.residuals**2))),
-        min_singular_value=problem.min_singular_value,
-    )
+    Theta carries +integral(phi * delta * zeta) and the model subtracts the
+    g-term, so g1_hat is the negated phi block; `weights` stays the
+    solve's own vector.
+    """
+    fit = guarded_solve(problem, delta_rel, "phase two")
+    f1_hat, g1_block = fit.parts
+    return replace(fit, parts=(f1_hat, Approximant(g1_block.basis, -g1_block.weights)))
 
 
 class BacksteppedPolicy:

@@ -454,7 +454,8 @@ def _certify(
     loop gains (chi1, chi2) of the gain set `gains` (the set `select_rho`
     reads, with the plant's effective kappa1, alpha_lo and alpha_hi) give
     sigma and, with its W, the region estimate; with no certified level,
-    the level entries are None.
+    the level entries are None.  `value` is kept as "value_star": V* on
+    the matched plant, U = V + zeta^2 / 2 on the cascade.
     """
     certified = robust.certify_error_bound(
         error, gamma, value,
@@ -477,6 +478,7 @@ def _certify(
         "small_gain_relative_margin": report.relative_margin,
         "small_gain": report,
         "policy": policy,
+        "value_star": value,
         "certified_d": certified.d if certified else None,
         "certified_worst_ratio": certified.worst_ratio if certified else None,
         "sigma_level": roa.level if roa else None,
@@ -533,7 +535,6 @@ def _matched_certification(config, system, result, reference, gains, s_max, run)
         rho_value, margin, report, policy_ro, value_star, e_ro, policy_ro.gamma,
         gain_set, s_max, d_top, system["region_low"], system["region_high"], config.seed + 17,
     )
-    run.robust_report["value_star"] = value_star
     roa = run.robust_report["roa"]
     if roa is not None and system["model"].n <= 2:
         pts = roa.boundary_points(system["model"].n)
@@ -565,12 +566,13 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
     phase2 = backstep.solve_phase_two(
         problem2, delta_rel=config.delta1_rel or config.delta_rel
     )
+    f1_hat, g1_hat = phase2.parts
     phase2_audit = _box_audit(plant.last_record, system)
     run.audit["phase2_contained"] = phase2_audit["contained"]
     run.audit["contained"] = run.audit["contained"] and phase2_audit["contained"]
 
     final_policy = backstep.BacksteppedPolicy(
-        phase2.f1_hat, phase2.g1_hat, learned, xi, rho_value, margin, cost.control_weight,
+        f1_hat, g1_hat, learned, xi, rho_value, margin, cost.control_weight,
     )
     composite = backstep.CompositeLyapunov(value_star, xi)
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
@@ -584,8 +586,8 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
 
     f1_bar, g1_bar = backstep.cascade_truth(system["model"], xi)
     e_ro1 = backstep.backstepped_redesign_error(
-        f1_bar, phase2.f1_hat, policy_star_next, learned,
-        g1_bar, phase2.g1_hat, 2.0 * rho_value, xi, cost.control_weight,
+        f1_bar, f1_hat, policy_star_next, learned,
+        g1_bar, g1_hat, 2.0 * rho_value, xi, cost.control_weight,
     )
     e_ro = robust.redesign_error(
         learned, policy_star, policy_star_next, rho_value, cost.control_weight
@@ -610,7 +612,7 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
     run.cascade_report.update(
         phase2_residual_rms=phase2.residual_rms,
         phase2_min_singular_value=phase2.min_singular_value,
-        xi=xi, f1_hat=phase2.f1_hat, g1_hat=phase2.g1_hat, composite=composite,
+        xi=xi, f1_hat=f1_hat, g1_hat=g1_hat,
     )
     return final_policy
 

@@ -160,18 +160,23 @@ class SampleWindow:
 
 @dataclass
 class RegressionProblem:
-    """Stacked least-squares system for one policy-iteration step."""
+    """Stacked least-squares system of one learning step, phase one or two:
+    the columns of `theta` are one block per basis of `bases`, in order."""
 
     theta: np.ndarray
     targets: np.ndarray
-    basis_value: BasisSet
-    basis_policy: BasisSet
-    residuals: Optional[np.ndarray] = None
-    min_singular_value: Optional[float] = None
+    bases: tuple
 
-    @property
-    def n_value(self) -> int:
-        return len(self.basis_value)
+
+@dataclass
+class Fit:
+    """A guarded solve of a `RegressionProblem`: `parts` holds one
+    `Approximant` per basis, on its block of the stacked `weights`."""
+
+    parts: tuple
+    weights: np.ndarray
+    residual_rms: float
+    min_singular_value: float
 
 
 def default_intervals(*bases: BasisSet) -> int:
@@ -231,29 +236,18 @@ def assemble_regression(
 
     running = cost.state_cost(x) + r * u_i**2
     targets = -_interval_integrals(running[:, None], t, idx)[:, 0]
-    return RegressionProblem(
-        theta=theta,
-        targets=targets,
-        basis_value=basis_value,
-        basis_policy=basis_policy,
-    )
+    return RegressionProblem(theta=theta, targets=targets, bases=(basis_value, basis_policy))
 
 
-@dataclass
-class PIStepResult:
-    value: Approximant
-    policy: Approximant
-    residual_rms: float
-    min_singular_value: float
-
-
-def guarded_solve(problem, delta_rel: float, stage: str) -> np.ndarray:
-    """Minimum-norm least-squares weights for problem.theta, problem.targets.
+def guarded_solve(problem: RegressionProblem, delta_rel: float, stage: str) -> Fit:
+    """Minimum-norm least-squares fit of problem.theta to problem.targets.
 
     The persistent-excitation (PE) guard compares the smallest eigenvalue
-    of (1/l) Theta^T Theta (stored as `problem.min_singular_value`) to
-    `delta_rel` times the largest; failing it means the excitation did not
-    span the basis and raises PEViolation with the `stage` message.
+    of (1/l) Theta^T Theta to `delta_rel` times the largest; failing it
+    means the excitation did not span the bases and raises PEViolation with
+    the `stage` message.  The fit's `min_singular_value` holds that
+    smallest eigenvalue, not a singular value of Theta.  `problem` is left
+    as it was.
     """
     theta = problem.theta
     l, cols = theta.shape
@@ -261,25 +255,23 @@ def guarded_solve(problem, delta_rel: float, stage: str) -> np.ndarray:
         raise PEViolation(f"{l} intervals cannot excite {cols} unknowns")
     svals = np.linalg.svd(theta, compute_uv=False)
     scaled = svals**2 / l
-    problem.min_singular_value = float(scaled[-1])
     if svals[0] == 0.0 or scaled[-1] < delta_rel * scaled[0]:
         ratio = 0 if svals[0] == 0 else scaled[-1] / scaled[0]
         raise PEViolation(PE_MESSAGES[stage].format(ratio=ratio, delta_rel=delta_rel))
     weights, *_ = np.linalg.lstsq(theta, problem.targets, rcond=None)
-    problem.residuals = theta @ weights - problem.targets
-    return weights
-
-
-def solve_pi_step(problem: RegressionProblem, delta_rel: float = 1e-6) -> PIStepResult:
-    """Minimum-norm SVD solve of one regression, with the PE guard."""
-    weights = guarded_solve(problem, delta_rel, "policy iteration")
-    n1 = problem.n_value
-    return PIStepResult(
-        value=Approximant(problem.basis_value, weights[:n1]),
-        policy=Approximant(problem.basis_policy, weights[n1:]),
-        residual_rms=float(np.sqrt(np.mean(problem.residuals**2))),
-        min_singular_value=problem.min_singular_value,
+    residuals = theta @ weights - problem.targets
+    ends = np.cumsum([len(basis) for basis in problem.bases])[:-1]
+    return Fit(
+        parts=tuple(map(Approximant, problem.bases, np.split(weights, ends))),
+        weights=weights,
+        residual_rms=float(np.sqrt(np.mean(residuals**2))),
+        min_singular_value=float(scaled[-1]),
     )
+
+
+def solve_pi_step(problem: RegressionProblem, delta_rel: float = 1e-6) -> Fit:
+    """The guarded solve of one policy-iteration regression: parts (value, policy)."""
+    return guarded_solve(problem, delta_rel, "policy iteration")
 
 
 @dataclass
@@ -305,10 +297,6 @@ class OnlinePIResult:
     @property
     def final_policy(self) -> Approximant:
         return self.iterates[-1].policy
-
-
-def _stacked_weights(step: PIStepResult) -> np.ndarray:
-    return np.concatenate([step.value.weights, step.policy.weights])
 
 
 def run_online_pi(
@@ -350,18 +338,18 @@ def run_online_pi(
     for i in range(max_iter):
         problem = assemble_regression(window, basis_value, basis_policy, policy, cost)
         step = solve_pi_step(problem, delta_rel=delta_rel)
-        stacked = _stacked_weights(step)
+        value, policy = step.parts
         if prev is None:
             change = np.inf
         else:
             change = float(
-                np.max(np.abs(stacked - prev)) / max(1.0, np.max(np.abs(stacked)))
+                np.max(np.abs(step.weights - prev)) / max(1.0, np.max(np.abs(step.weights)))
             )
         iterates.append(
             OnlineIterate(
                 iteration=i,
-                value=step.value,
-                policy=step.policy,
+                value=value,
+                policy=policy,
                 residual_rms=step.residual_rms,
                 min_singular_value=step.min_singular_value,
                 weight_change=change,
@@ -370,8 +358,7 @@ def run_online_pi(
         if change < tol:
             converged = i + 1
             break
-        prev = stacked
-        policy = step.policy
+        prev = step.weights
     # the design matrices served the iterations; the result keeps the data only
     window._design.clear()
     return OnlinePIResult(
@@ -382,8 +369,6 @@ def run_online_pi(
 @dataclass
 class TwoLoopResult:
     schedule_index: int
-    basis_value: BasisSet
-    basis_policy: BasisSet
     result: OnlinePIResult
     residual_rms: float
     history: list = field(default_factory=list)
@@ -430,13 +415,7 @@ def two_loop_optimize(
             max_iter=max_iter,
         )
         residual = result.iterates[-1].residual_rms
-        entry = TwoLoopResult(
-            schedule_index=k,
-            basis_value=basis_value,
-            basis_policy=basis_policy,
-            result=result,
-            residual_rms=residual,
-        )
+        entry = TwoLoopResult(schedule_index=k, result=result, residual_rms=residual)
         history.append((k, residual))
         if best is None or residual < best.residual_rms:
             best = entry

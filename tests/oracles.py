@@ -402,12 +402,7 @@ def reference_assemble_regression(window, basis_value, basis_policy, current_pol
 
     running = cost.state_cost(x) + r * u_i**2
     targets = -_interval_integrals(running[:, None], t, idx)[:, 0]
-    return RegressionProblem(
-        theta=theta,
-        targets=targets,
-        basis_value=basis_value,
-        basis_policy=basis_policy,
-    )
+    return RegressionProblem(theta=theta, targets=targets, bases=(basis_value, basis_policy))
 
 
 @dataclass

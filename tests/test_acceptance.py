@@ -285,7 +285,7 @@ def test_phase_two_identification(cascade_run):
     roa1 = cr["roa"]
     assert cr["sigma_level"] == roa1.level
     assert cr["certified_d"] == roa1.d
-    composite: CompositeLyapunov = cr["composite"]
+    composite: CompositeLyapunov = cr["value_star"]
     policy = cr["policy"]
     pts = []
     while len(pts) < 20:

@@ -11,6 +11,7 @@ from robustpi.online_pi import (
     SampleWindow,
     _interval_integrals,
     assemble_regression,
+    guarded_solve,
     run_online_pi,
     solve_pi_step,
     two_loop_optimize,
@@ -81,22 +82,36 @@ def test_orthonormal_rows_solve_exactly():
     basis_u = BasisSet(dim=1, indices=((1,),))
     theta = 2.0 * np.eye(4)[:, :2]  # (1/l) Theta^T Theta = I_2
     targets = np.array([1.0, -2.0, 0.0, 0.0])
-    problem = RegressionProblem(
-        theta=theta, targets=targets, basis_value=basis_v, basis_policy=basis_u,
-    )
+    problem = RegressionProblem(theta=theta, targets=targets, bases=(basis_v, basis_u))
     step = solve_pi_step(problem)
+    value, policy = step.parts
     assert step.min_singular_value == pytest.approx(1.0)
-    assert step.value.weights[0] == pytest.approx(0.5)
-    assert step.policy.weights[0] == pytest.approx(-1.0)
+    assert value.weights[0] == pytest.approx(0.5)
+    assert policy.weights[0] == pytest.approx(-1.0)
+
+
+def test_guarded_solve_is_pure_and_splits_in_column_order():
+    bases = (make_polynomial_basis(1, 2), BasisSet(dim=1, indices=((1,), (3,), (5,))))
+    rng = np.random.default_rng(4)
+    theta = rng.standard_normal((12, 5))
+    targets = rng.standard_normal(12)
+    problem = RegressionProblem(theta=theta.copy(), targets=targets.copy(), bases=bases)
+    fields = dict(vars(problem))
+    fit = guarded_solve(problem, 1e-12, "policy iteration")
+    assert vars(problem).keys() == fields.keys()
+    assert all(vars(problem)[k] is v for k, v in fields.items())
+    assert problem.theta.tobytes() == theta.tobytes()
+    assert problem.targets.tobytes() == targets.tobytes()
+    assert tuple(part.basis for part in fit.parts) == bases
+    assert fit.parts[0].weights.tobytes() == fit.weights[:2].tobytes()
+    assert fit.parts[1].weights.tobytes() == fit.weights[2:].tobytes()
 
 
 def test_duplicate_rows_violate_excitation():
     basis_v = BasisSet(dim=1, indices=((2,),))
     basis_u = BasisSet(dim=1, indices=((1,),))
     theta = np.tile([1.0, 2.0], (6, 1))
-    problem = RegressionProblem(
-        theta=theta, targets=np.ones(6), basis_value=basis_v, basis_policy=basis_u,
-    )
+    problem = RegressionProblem(theta=theta, targets=np.ones(6), bases=(basis_v, basis_u))
     with pytest.raises(PEViolation):
         solve_pi_step(problem)
 
@@ -105,8 +120,7 @@ def test_underdetermined_is_an_excitation_failure():
     basis_v = make_polynomial_basis(1, 2)
     basis_u = make_polynomial_basis(1, 2)
     problem = RegressionProblem(
-        theta=np.ones((2, 4)), targets=np.ones(2),
-        basis_value=basis_v, basis_policy=basis_u,
+        theta=np.ones((2, 4)), targets=np.ones(2), bases=(basis_v, basis_u)
     )
     with pytest.raises(PEViolation):
         solve_pi_step(problem)

@@ -2,7 +2,10 @@
 
 Runs ``robustpi run`` on the three bundled configs and ``robustpi oracle``
 on ``scalar_lqr.cfg`` in a parent tree and a change tree, each with
-``--out-dir`` under a temporary directory, then compares each pair of
+``--out-dir`` under a temporary directory.  A fifth case runs ``arm.cfg``
+with ``[exploration] seed = 10``, an excitation that fails the PE check, so
+the error record of a failed run is compared too; each tree's edited config
+is written to the temporary directory.  The tool then compares each pair of
 output directories with `rundiff.compare_runs` and byte for byte.  A file
 differs when it is in one run only, when a number differs by more than
 ``--rtol`` relative (numbers in ``.csv``, ``.json`` and ``.txt`` files;
@@ -34,12 +37,38 @@ CASES = (
     ("run", "scalar_lqr.cfg"),
     ("oracle", "scalar_lqr.cfg"),
 )
+# (command, bundled config, {(section, key): value} set in a copy of the config)
+EDITED_CASES = (
+    ("run", "arm.cfg", {("exploration", "seed"): "10"}),  # exits with PEViolation
+)
 CLI = "import sys; from robustpi.harness import cli; sys.exit(cli(sys.argv[1:]))"
 
 
-def run_case(tree: Path, command: str, config: str, out: Path) -> int:
-    """`robustpi COMMAND CONFIG --out-dir OUT` on the tree's own src/; its exit code."""
+def edited_config(text: str, edits: dict) -> str:
+    """The config `text` with each `key` line of its `[section]` set to `value`."""
+    lines = text.splitlines(keepends=True)
+    section = None
+    for i, line in enumerate(lines):
+        stripped = line.strip()
+        if stripped.startswith("["):
+            section = stripped.strip("[]")
+        key = stripped.partition("=")[0].strip()
+        if (section, key) in edits:
+            lines[i] = f"{key} = {edits[section, key]}\n"
+    return "".join(lines)
+
+
+def run_case(tree: Path, command: str, config: str, edits: dict, out: Path) -> int:
+    """`robustpi COMMAND CONFIG --out-dir OUT` on the tree's own src/; its exit code.
+
+    With `edits`, CONFIG is the tree's config edited and written next to OUT.
+    """
     cfg = tree / "src" / "robustpi" / "configs" / config
+    if edits:
+        text = edited_config(cfg.read_text(), edits)
+        cfg = out.with_suffix(".cfg")
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(text)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     argv = [sys.executable, "-c", CLI, command, str(cfg), "--out-dir", str(out)]
     return subprocess.run(argv, env=env, capture_output=True).returncode
@@ -78,12 +107,15 @@ def main(argv=None) -> int:
 
     failed = 0
     with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
-        for command, config in CASES:
-            label = f"{command} {config}"
+        cases = [(command, config, {}) for command, config in CASES] + list(EDITED_CASES)
+        for k, (command, config, edits) in enumerate(cases):
+            label = " ".join(
+                [command, config, *(f"[{s}] {key} = {v}" for (s, key), v in edits.items())]
+            )
             outs, codes = {}, {}
             for side, tree in trees.items():
-                outs[side] = Path(tmp) / side / f"{command}_{Path(config).stem}"
-                codes[side] = run_case(tree, command, config, outs[side])
+                outs[side] = Path(tmp) / side / f"{k}_{command}_{Path(config).stem}"
+                codes[side] = run_case(tree, command, config, edits, outs[side])
             found = differing_files(outs["change"], outs["parent"], args.rtol)
             if codes["parent"] != codes["change"]:
                 found["(exit code)"] = f"parent {codes['parent']}, change {codes['change']}"
@@ -93,7 +125,7 @@ def main(argv=None) -> int:
             status = "DIFFERS" if found else "same"
             print(f"{label}: {status} ({n_files} files, exit {codes['parent']})", flush=True)
             failed += bool(found)
-    print(f"{failed} of {len(CASES)} cases differ (rtol {args.rtol:g})")
+    print(f"{failed} of {len(cases)} cases differ (rtol {args.rtol:g})")
     return 1 if failed else 0
 
 
