@@ -36,22 +36,28 @@ def _bisect(fn, y, hi, *, tol: float, iters: int) -> np.ndarray:
 
     Each element halves its bracket until hi - lo <= tol * max(1, hi), at
     most `iters` times.  fn(mid, idx) is called with the midpoints of the
-    open elements and their flat indices; an element with hi = 0 is 0.
+    open elements and their flat indices, in ascending order; an element
+    with hi = 0 is 0.  Only the open elements are carried from step to
+    step: an element is written out when it stops.
     """
     y = np.asarray(y, dtype=float)
-    target = y.ravel()
     hi = np.array(np.broadcast_to(hi, y.shape), dtype=float).ravel()
-    lo = np.zeros_like(hi)
+    out = 0.5 * (0.0 + hi)
     idx = np.flatnonzero(hi > 0)
+    target, lo, hi = y.ravel()[idx], np.zeros(idx.size), hi[idx]
     for _ in range(iters):
         if idx.size == 0:
             break
-        mid = 0.5 * (lo[idx] + hi[idx])
-        below = np.asarray(fn(mid, idx)) < target[idx]
-        lo[idx[below]] = mid[below]
-        hi[idx[~below]] = mid[~below]
-        idx = idx[hi[idx] - lo[idx] > tol * np.maximum(1.0, hi[idx])]
-    return (0.5 * (lo + hi)).reshape(y.shape)
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(fn(mid, idx)) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        keep = hi - lo > tol * np.maximum(1.0, hi)
+        if not keep.all():
+            out[idx[~keep]] = 0.5 * (lo[~keep] + hi[~keep])
+            idx, target, lo, hi = idx[keep], target[keep], lo[keep], hi[keep]
+    out[idx] = 0.5 * (lo + hi)
+    return out.reshape(y.shape)
 
 
 def _radius_to_level(fn, level: float, count: int, limit: float, iters: int) -> np.ndarray:
@@ -79,37 +85,66 @@ def _directions(dim: int, n: int, seed: int) -> np.ndarray:
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def _through(links, s, flipped: bool):
+    """s sent through (gain, inverted) links: first to last as gain(s), or
+    gain.inverse(s) where inverted; flipped, last to first with each
+    link's other direction."""
+    for gain, inverted in reversed(links) if flipped else links:
+        s = gain.inverse(s) if inverted != flipped else gain(s)
+    return s
+
+
 @dataclass
 class ClassKFunction:
     """Scalar gain function: continuous, zero at zero, increasing.
 
     `inverse` takes arrays and bisects each element on [0, s_max] with
-    its own stop rule; composition simply chains callables.
+    its own stop rule.  A gain made by `chain` is a composition of gains
+    and their inverses: it keeps its `links`, and its inverse applies the
+    links' inverses in reverse order, (f o g)^-1 = g^-1 o f^-1, in place
+    of bisecting the composite.
     """
 
     fn: Callable
     s_max: float
     name: str = ""
+    links: tuple = ()
 
     def __call__(self, s):
         return self.fn(np.asarray(s, dtype=float))
 
     def inverse(self, y):
-        """Elementwise inverse of an array (a float for a scalar y)."""
+        """Elementwise inverse of an array (a float for a scalar y).
+
+        A negative or non-finite y, or one above the gain's value at s_max,
+        raises CompositionDomain.  A chain's inverse never calls its `fn`.
+        """
         y = np.asarray(y, dtype=float)
         label = self.name or "gain"
+        if not np.all(np.isfinite(y)):
+            raise CompositionDomain(f"{label}: inverse of a non-finite value")
         if np.any(y < 0):
             raise CompositionDomain(f"{label}: inverse of negative value")
         if np.any(y > 0):
-            top = float(self.fn(np.asarray(self.s_max)))
+            s_max = np.asarray(self.s_max)
+            top = float(_through(self.links, s_max, False) if self.links else self.fn(s_max))
             if np.any(y > top * (1 + 1e-12)):
                 raise CompositionDomain(
                     f"{label}: inverse of {float(np.max(y)):g} outside range (max {top:g}); "
                     "s_max too small for the declared bounds"
                 )
-        hi = np.where(y == 0.0, 0.0, self.s_max)
-        s = _bisect(lambda mid, idx: self.fn(mid), y, hi, tol=1e-12, iters=200)
+        if self.links:
+            s = np.asarray(_through(self.links, y, True))
+        else:
+            hi = np.where(y == 0.0, 0.0, self.s_max)
+            s = _bisect(lambda mid, idx: self.fn(mid), y, hi, tol=1e-12, iters=200)
         return float(s) if s.ndim == 0 else s
+
+    @classmethod
+    def chain(cls, *links: tuple, s_max: float, name: str) -> "ClassKFunction":
+        """Composition of (gain, inverted) links, applied first to last:
+        gain(s), or gain.inverse(s) where inverted."""
+        return cls(fn=lambda s: _through(links, s, False), s_max=s_max, name=name, links=links)
 
     @staticmethod
     def maximum(*gains: "ClassKFunction") -> "ClassKFunction":
@@ -240,11 +275,12 @@ class SmallGainReport:
 def _small_gain_rhs(gains, ladder: np.ndarray) -> np.ndarray:
     """max(kappa2, kappa1 o lam_lo^-1 o kappa3 o alpha_lo^-1 o alpha_hi) on the
     ladder; `gains` maps those names to class-K functions."""
-    vals = np.asarray(gains["alpha_hi"](ladder))
-    vals = gains["alpha_lo"].inverse(vals)
-    vals = np.asarray(gains["kappa3"](vals))
-    vals = gains["lam_lo"].inverse(vals)
-    return np.maximum(np.asarray(gains["kappa2"](ladder)), np.asarray(gains["kappa1"](vals)))
+    uncertainty = ClassKFunction.chain(
+        (gains["alpha_hi"], False), (gains["alpha_lo"], True), (gains["kappa3"], False),
+        (gains["lam_lo"], True), (gains["kappa1"], False),
+        s_max=float(ladder[-1]), name="uncertainty",
+    )
+    return np.maximum(np.asarray(gains["kappa2"](ladder)), np.asarray(uncertainty(ladder)))
 
 
 def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -494,7 +530,9 @@ def interconnection_sigma(
     Built numerically: chi_hat = geometric mean of chi2 and chi1^-1 on
     the ladder (well defined exactly when the small-gain loop is a
     contraction), then sigma = geometric mean of chi2 and chi_hat,
-    monotonized by cumulative max.
+    monotonized by cumulative max.  For a chi1 made by `chain`, chi1^-1
+    is its links' inverses in reverse order: one bisection per inverted
+    link, none of the composite.
     """
     ladder = log_ladder(s_max)
     chi2_vals = np.asarray(chi2(ladder))
@@ -519,15 +557,14 @@ def build_chi_pair(
     alpha_hi: ClassKFunction,
     s_max: float,
 ) -> tuple:
-    """The two loop gains whose contraction the small-gain test verifies."""
-    chi1 = ClassKFunction(
-        fn=lambda s: alpha_hi(gamma.inverse(kappa1(lam_lo.inverse(s)))),
-        s_max=s_max,
-        name="chi1",
+    """The two loop gains whose contraction the small-gain test verifies:
+    chi1 = alpha_hi o gamma^-1 o kappa1 o lam_lo^-1 and chi2 = kappa3 o
+    alpha_lo^-1, both chains on [0, s_max]."""
+    chi1 = ClassKFunction.chain(
+        (lam_lo, True), (kappa1, False), (gamma, True), (alpha_hi, False),
+        s_max=s_max, name="chi1",
     )
-    chi2 = ClassKFunction(
-        fn=lambda s: kappa3(alpha_lo.inverse(s)), s_max=s_max, name="chi2"
-    )
+    chi2 = ClassKFunction.chain((alpha_lo, True), (kappa3, False), s_max=s_max, name="chi2")
     return chi1, chi2
 
 

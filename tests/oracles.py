@@ -113,6 +113,35 @@ def scalar_bisection_inverse(gain, y, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def scalar_chain_inverse(gain, y):
+    """One-element inverse of a chained gain: its links last to first, a
+    forward link inverted by `scalar_bisection_inverse` and an inverted
+    link applied forward."""
+    s = float(y)
+    for link, inverted in reversed(gain.links):
+        s = float(link.fn(np.asarray(s))) if inverted else scalar_bisection_inverse(link, s)
+    return s
+
+
+def uncompacted_bisect(fn, y, hi, *, tol, iters):
+    """`robust._bisect` on full-length arrays: every step gathers the open
+    elements from, and scatters them back to, arrays over all elements."""
+    y = np.asarray(y, dtype=float)
+    target = y.ravel()
+    hi = np.array(np.broadcast_to(hi, y.shape), dtype=float).ravel()
+    lo = np.zeros_like(hi)
+    idx = np.flatnonzero(hi > 0)
+    for _ in range(iters):
+        if idx.size == 0:
+            break
+        mid = 0.5 * (lo[idx] + hi[idx])
+        below = np.asarray(fn(mid, idx)) < target[idx]
+        lo[idx[below]] = mid[below]
+        hi[idx[~below]] = mid[~below]
+        idx = idx[hi[idx] - lo[idx] > tol * np.maximum(1.0, hi[idx])]
+    return (0.5 * (lo + hi)).reshape(y.shape)
+
+
 def loop_lipschitz_probe(fn, low, high, samples=200, seed=0):
     """`dynsys.lipschitz_probe` with one `np.linalg.norm` per pair and per
     offset row: the same seeded cloud, pairs and offsets, quotient by

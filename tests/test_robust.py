@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import check_basic, per_candidate_select_rho, scalar_bisection_inverse
+from oracles import (
+    check_basic,
+    per_candidate_select_rho,
+    scalar_bisection_inverse,
+    scalar_chain_inverse,
+    uncompacted_bisect,
+)
 
+from robustpi import robust
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.errors import CompositionDomain
 from robustpi.experiments import build_arm_system
@@ -48,18 +55,28 @@ def test_inverse_outside_range_raises():
         gain.inverse(np.array([0.0, 2.0, -1e-9, 5.0]))
     with pytest.raises(CompositionDomain):
         gain.inverse(np.array([0.0, 2.0, 11.0, 5.0]))
+    # a NaN target has no inverse, alone or as one element of an array
+    for bad in (ClassKFunction.linear(2.0, 1e7), gain, _inverse_gains()["chi1"]):
+        with pytest.raises(CompositionDomain):
+            bad.inverse(np.nan)
+        with pytest.raises(CompositionDomain):
+            bad.inverse(np.array([0.0, 1.0, np.nan, 2.0]))
 
 
-def _inverse_gains():
-    chi1, _ = build_chi_pair(
+def _chi_gains():
+    """gamma, kappa1, kappa3, lam_lo, alpha_lo, alpha_hi for `build_chi_pair`."""
+    return (
         ClassKFunction.linear(2.0, 1e6),
         ClassKFunction.linear(0.5, 1e6),
         ClassKFunction.power(0.25, 2.0, 1e6),
         ClassKFunction.power(1.0, 2.0, 1e6),
         ClassKFunction.power(1.0, 2.0, 1e6),
         ClassKFunction.power(4.0, 2.0, 1e6),
-        10.0,
     )
+
+
+def _inverse_gains():
+    chi1, _ = build_chi_pair(*_chi_gains(), 10.0)
     return {
         "linear": ClassKFunction.linear(3.0, 100.0),
         "power": ClassKFunction.power(0.7, 1.5, 1e4),
@@ -80,7 +97,14 @@ def test_array_inverse_matches_scalar_calls(name):
     together = gain.inverse(ys)
     assert together.shape == ys.shape
     assert np.array_equal(together, each)
-    reference = [scalar_bisection_inverse(gain, y) for y in ys.ravel()]
+    # a chain inverts link by link.  Bisecting its composite gives the old
+    # answer, which stops within 1e-12 * max(1, s): absolute below s = 1
+    nested = [scalar_bisection_inverse(gain, y) for y in ys.ravel()]
+    if gain.links:
+        reference = [scalar_chain_inverse(gain, y) for y in ys.ravel()]
+        np.testing.assert_allclose(together.ravel(), nested, rtol=1e-9, atol=1e-12)
+    else:
+        reference = nested
     assert np.array_equal(together.ravel(), reference)
     assert isinstance(gain.inverse(np.asarray(ys[0, 3])), float)
 
@@ -325,6 +349,57 @@ def test_build_chi_pair_composes_correctly():
     assert chi1(4.0) == pytest.approx(4.0 * (0.25 * 2.0) ** 2, rel=1e-6)
     # chi2(s) = kappa3(sqrt(s))
     assert chi2(4.0) == pytest.approx(0.25 * 4.0, rel=1e-9)
+
+
+def test_chain_forward_matches_nested_lambda_bit_for_bit():
+    gamma, kappa1, kappa3, lam_lo, alpha_lo, alpha_hi = _chi_gains()
+    chi1, chi2 = build_chi_pair(gamma, kappa1, kappa3, lam_lo, alpha_lo, alpha_hi, 10.0)
+    nested1 = lambda s: alpha_hi(gamma.inverse(kappa1(lam_lo.inverse(s))))
+    nested2 = lambda s: kappa3(alpha_lo.inverse(s))
+    ladder = np.concatenate([[0.0], log_ladder(10.0, 37)])
+    assert np.asarray(chi1(ladder)).tobytes() == np.asarray(nested1(ladder)).tobytes()
+    assert np.asarray(chi2(ladder)).tobytes() == np.asarray(nested2(ladder)).tobytes()
+    for s in (0.0, 3.7):
+        assert float(chi1(s)) == float(nested1(np.asarray(s)))
+
+
+def test_chain_inverse_round_trips_without_its_forward_map():
+    chi1, _ = build_chi_pair(*_chi_gains(), 10.0)
+    ys = np.concatenate([[0.0], np.asarray(chi1(log_ladder(10.0, 25)))])
+    forward = chi1.fn
+    chi1.fn = lambda s: pytest.fail("a chain's inverse called its fn")
+    inverted = chi1.inverse(ys)
+    chi1.fn = forward
+    np.testing.assert_allclose(np.asarray(chi1(inverted)), ys, rtol=1e-9, atol=0.0)
+    with pytest.raises(CompositionDomain):
+        chi1.inverse(float(chi1(10.0)) * 1.01)
+
+
+def test_bisect_matches_the_uncompacted_transcription_bit_for_bit():
+    def traced(calls):
+        def fn(mid, idx):
+            calls.append(idx.copy())
+            return mid ** 3
+        return fn
+
+    y = np.array([[8.0, 1e-9, 0.0, 5e5], [2.0, 1e-3, 7.0, 1e6]])
+    hi = np.array([[1e7, 1e7, 0.0, 1e7], [-0.0, 1e3, -1.0, np.nan]])
+    cases = [
+        (y, hi, 1e-12, 200),  # elements stop at different steps; hi <= 0 and NaN
+        (y, 1e7, 0.0, 7),  # the iteration cap stops every element
+        (np.asarray(3.0), 10.0, 1e-12, 200),  # a 0-d target
+    ]
+    for target, bracket, tol, iters in cases:
+        got_calls, want_calls = [], []
+        got = robust._bisect(traced(got_calls), target, bracket, tol=tol, iters=iters)
+        want = uncompacted_bisect(traced(want_calls), target, bracket, tol=tol, iters=iters)
+        assert got.shape == want.shape == np.shape(target)
+        assert got.tobytes() == want.tobytes()
+        assert len(got_calls) == len(want_calls)
+        for a, b in zip(got_calls, want_calls):
+            assert np.array_equal(a, b) and np.all(np.diff(a) > 0)
+        if target is y and iters == 200:
+            assert len({c.size for c in got_calls}) > 2  # elements stop at different steps
 
 
 def test_radial_envelopes_sandwich_quadratic():

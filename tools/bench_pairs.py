@@ -18,9 +18,11 @@ fresh interpreter (`runtime_imports`): unlike set-up time this list is
 deterministic, so a new heavy import shows as a changed list.  After the
 pairs, one ``--trace 1`` run per side on the first seed records the
 per-unit layer counts `basis.design_matrix.calls`, `basis.design_matrix.rows`
-(the points all design matrices were built at), `dynsys.integrate.steps`
-and `dynsys.simulate_batch.traj_steps` (the batched RK4 that
-`certify_bundle` runs in place of `integrate`) under
+(the points all design matrices were built at), `dynsys.integrate.steps`,
+`dynsys.simulate_batch.traj_steps` (the batched RK4 that
+`certify_bundle` runs in place of `integrate`), `robust.inverse.calls`
+(calls of `ClassKFunction.inverse`, a chain's link inverses included) and
+`robust.chi1.points` (the points chi1's forward map is evaluated at) under
 ``per_layer.{parent,change}``.  Only counts are recorded there: they do not
 depend on the host's speed, while a time from that run is a single sample
 of one short traced unit per side, which one alike rerun can reverse (a
@@ -60,6 +62,8 @@ LAYER_METRICS = (
     "basis.design_matrix.rows",
     "dynsys.integrate.steps",
     "dynsys.simulate_batch.traj_steps",
+    "robust.inverse.calls",
+    "robust.chi1.points",
 )
 # perfbench runs at least one unit, and the counts per unit do not depend on
 # how many run, so the traced run asks for as little time as it can
