@@ -273,21 +273,15 @@ def cascade_truth(model: SystemModel, xi: RobustPolicy):
     return f1_bar, g1_bar
 
 
-def cascade_effective_gains(
-    kappa5: ClassKFunction,
-    kappa6: ClassKFunction,
-    kappa7: ClassKFunction,
-    kappa8: ClassKFunction,
-    kappa1: ClassKFunction,
-    kappa2: ClassKFunction,
-    s_max: float,
-) -> tuple:
-    """Fold the z-channel disturbance bounds into a matched-form pair.
+def cascade_effective_gains(gains, kappa8: ClassKFunction, s_max: float) -> dict:
+    """Fold the z-channel disturbance bounds into a matched-form gain set.
 
     kappa9 majorizes the z dependence through the xi envelope kappa8;
-    the maxima with the x-channel gains give the effective
-    (w-side, state-side) pair for the augmented loop.
+    the maxima with the x-channel gains give the effective (w-side,
+    state-side) pair for the augmented loop.  Returns a copy of `gains`
+    with kappa1 -> max(kappa1, kappa5) and kappa2 -> max(kappa2, kappa9).
     """
+    kappa6, kappa7 = gains["kappa6"], gains["kappa7"]
     kappa9 = ClassKFunction(
         fn=lambda s: np.maximum(
             np.asarray(kappa6(s)),
@@ -299,37 +293,22 @@ def cascade_effective_gains(
         s_max=s_max,
         name="kappa9",
     )
-    return ClassKFunction.maximum(kappa1, kappa5), ClassKFunction.maximum(
-        kappa2, kappa9
-    )
+    return {
+        **gains,
+        "kappa1": ClassKFunction.maximum(gains["kappa1"], gains["kappa5"]),
+        "kappa2": ClassKFunction.maximum(gains["kappa2"], kappa9),
+    }
 
 
-def check_small_gain_cascade(
-    gamma1: ClassKFunction,
-    kappa5: ClassKFunction,
-    kappa6: ClassKFunction,
-    kappa7: ClassKFunction,
-    kappa8: ClassKFunction,
-    kappa1: ClassKFunction,
-    kappa2: ClassKFunction,
-    kappa3: ClassKFunction,
-    lam_lo: ClassKFunction,
-    alpha1_lo: ClassKFunction,
-    alpha1_hi: ClassKFunction,
-    *,
-    s_max: float,
-):
-    """Ladder test of the augmented-loop gain inequality."""
-    kappa1_eff, kappa2_eff = cascade_effective_gains(
-        kappa5, kappa6, kappa7, kappa8, kappa1, kappa2, s_max
-    )
-    return check_small_gain(
-        gamma1,
-        kappa1_eff,
-        kappa2_eff,
-        kappa3,
-        lam_lo,
-        alpha1_lo,
-        alpha1_hi,
-        s_max=s_max,
-    )
+def check_small_gain_cascade(gamma1: ClassKFunction, gains, kappa8: ClassKFunction, *,
+                             s_max: float) -> tuple:
+    """Ladder test of the augmented-loop gain inequality.
+
+    `gains` is the loop's gain set (kappa1, kappa2, kappa3, lam_lo, and the
+    envelopes alpha_lo, alpha_hi of the composite Lyapunov function) with
+    the z-channel bounds kappa5, kappa6, kappa7; kappa8 is the xi envelope.
+    The test is `check_small_gain` on the effective set of
+    `cascade_effective_gains`.  Returns (report, effective set).
+    """
+    effective = cascade_effective_gains(gains, kappa8, s_max)
+    return check_small_gain(gamma1, effective, s_max=s_max), effective

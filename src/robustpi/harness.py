@@ -443,20 +443,23 @@ def _oracle_reference(system, config, n_online_iterates):
 
 
 def _certify(
-    rho, margin, report, policy, value, error, gamma, gains, s_max, d_top, low, high, seed,
+    rho, margin, report, policy, value, error, gains, s_max, d_top, low, high, seed,
 ) -> dict:
     """The result entries of one plant's small-gain certificate.
 
-    `report` is the ladder check of the gains with which `policy` was
-    redesigned (rho, margin).  The error function must stay below gamma on
-    a sublevel set of `value`, one of `D_LADDER_N` levels up to `d_top`,
+    `report` is the ladder check of the gain set `gains` against gamma =
+    `robust.iss_gain_from_rho(rho, margin)`, the gain with which `policy`
+    was redesigned.  The error function must stay below gamma on a
+    sublevel set of `value`, one of `D_LADDER_N` levels up to `d_top`,
     sampled in the box [low, high].  At the highest certified level the
-    loop gains (chi1, chi2) of the gain set `gains` (the set `select_rho`
-    reads, with the plant's effective kappa1, alpha_lo and alpha_hi) give
-    sigma and, with its W, the region estimate; with no certified level,
-    the level entries are None.  `value` is kept as "value_star": V* on
-    the matched plant, U = V + zeta^2 / 2 on the cascade.
+    loop gains (chi1, chi2) of `gains` give sigma and, with its W, the
+    region estimate; with no certified level, the level entries are None.
+    `gains` is the set `select_rho` reads on the matched plant and, on the
+    cascade, the effective set (kappa1 -> max(kappa1, kappa5), kappa2 ->
+    max(kappa2, kappa9)).  `value` is kept as "value_star": V* on the
+    matched plant, U = V + zeta^2 / 2 on the cascade.
     """
+    gamma = robust.iss_gain_from_rho(rho, margin)
     certified = robust.certify_error_bound(
         error, gamma, value,
         d_ladder=np.geomspace(d_top * 1e-3, d_top, D_LADDER_N),
@@ -532,8 +535,8 @@ def _matched_certification(config, system, result, reference, gains, s_max, run)
         robust.boundary_minimum(value_star, system["region_low"], system["region_high"]),
     )
     run.robust_report = _certify(
-        rho_value, margin, report, policy_ro, value_star, e_ro, policy_ro.gamma,
-        gain_set, s_max, d_top, system["region_low"], system["region_high"], config.seed + 17,
+        rho_value, margin, report, policy_ro, value_star, e_ro, gain_set, s_max, d_top,
+        system["region_low"], system["region_high"], config.seed + 17,
     )
     roa = run.robust_report["roa"]
     if roa is not None and system["model"].n <= 2:
@@ -578,10 +581,8 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
     kappa8 = robust.monotone_envelope(xi, 1, 2.0 * s_max)
     gamma1 = robust.iss_gain_from_rho(rho_value, margin)
-    report = backstep.check_small_gain_cascade(
-        gamma1, gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
-        gains["kappa1"], gains["kappa2"], gains["kappa3"], gains["lam_lo"],
-        alpha1_lo, alpha1_hi, s_max=s_max,
+    report, effective = backstep.check_small_gain_cascade(
+        gamma1, {**gains, "alpha_lo": alpha1_lo, "alpha_hi": alpha1_hi}, kappa8, s_max=s_max,
     )
 
     f1_bar, g1_bar = backstep.cascade_truth(system["model"], xi)
@@ -592,11 +593,6 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
     e_ro = robust.redesign_error(
         learned, policy_star, policy_star_next, rho_value, cost.control_weight
     )
-    kappa1_eff, _ = backstep.cascade_effective_gains(
-        gains["kappa5"], gains["kappa6"], gains["kappa7"], kappa8,
-        gains["kappa1"], gains["kappa2"], s_max,
-    )
-    gain_set = {**gains, "kappa1": kappa1_eff, "alpha_lo": alpha1_lo, "alpha_hi": alpha1_hi}
 
     # certify max(|e_ro1|, |e_ro|) < gamma1(|X1|) on sampled sublevels of U;
     # the sample box covers the certified ball in (x, zeta)
@@ -607,7 +603,7 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
         lambda pts: np.maximum(
             np.abs(e_ro1(pts[:, :1], pts[:, 1])), np.abs(np.asarray(e_ro(pts[:, :1])))
         ),
-        gamma1, gain_set, s_max, d_top, -ball, ball, config.seed + 23,
+        effective, s_max, d_top, -ball, ball, config.seed + 23,
     )
     run.cascade_report.update(
         phase2_residual_rms=phase2.residual_rms,

@@ -271,6 +271,15 @@ class SmallGainReport:
             rho, margin, self.holds, self.margin, self.relative_margin, self.table(),
         )
 
+    @staticmethod
+    def scored(ladder: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> SmallGainReport:
+        """The report of lhs > rhs on the ladder: its margins, and it holds
+        when the smallest lhs - rhs is positive."""
+        margin, rel = map(float, _margins(lhs, rhs))
+        return SmallGainReport(
+            holds=margin > 0, margin=margin, relative_margin=rel, ladder=ladder, lhs=lhs, rhs=rhs,
+        )
+
 
 def _small_gain_rhs(gains, ladder: np.ndarray) -> np.ndarray:
     """max(kappa2, kappa1 o lam_lo^-1 o kappa3 o alpha_lo^-1 o alpha_hi) on the
@@ -291,35 +300,11 @@ def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple:
     return np.min(lhs - rhs, axis=-1), rel
 
 
-def check_small_gain(
-    gamma: ClassKFunction,
-    kappa1: ClassKFunction,
-    kappa2: ClassKFunction,
-    kappa3: ClassKFunction,
-    lam_lo: ClassKFunction,
-    alpha_lo: ClassKFunction,
-    alpha_hi: ClassKFunction,
-    *,
-    s_max: float,
-    samples: int = 200,
-) -> SmallGainReport:
-    """Ladder test of gamma > max(kappa2, chained uncertainty gain)."""
-    ladder = log_ladder(s_max, samples)
-    lhs = np.asarray(gamma(ladder))
-    rhs = _small_gain_rhs(
-        dict(kappa1=kappa1, kappa2=kappa2, kappa3=kappa3, lam_lo=lam_lo,
-             alpha_lo=alpha_lo, alpha_hi=alpha_hi),
-        ladder,
-    )
-    margin, rel = map(float, _margins(lhs, rhs))
-    return SmallGainReport(
-        holds=margin > 0,
-        margin=margin,
-        relative_margin=rel,
-        ladder=ladder,
-        lhs=lhs,
-        rhs=rhs,
-    )
+def check_small_gain(gamma: ClassKFunction, gains, *, s_max: float) -> SmallGainReport:
+    """Ladder test of gamma > max(kappa2, chained uncertainty gain) for the
+    gain set `gains` (kappa1, kappa2, kappa3, lam_lo, alpha_lo, alpha_hi)."""
+    ladder = log_ladder(s_max)
+    return SmallGainReport.scored(ladder, np.asarray(gamma(ladder)), _small_gain_rhs(gains, ladder))
 
 
 def select_rho(
@@ -349,15 +334,7 @@ def select_rho(
         passing = np.flatnonzero((margins > 0) & (rels >= relative_margin))
         if passing.size:
             i = passing[0]
-            report = SmallGainReport(
-                holds=True,
-                margin=float(margins[i]),
-                relative_margin=float(rels[i]),
-                ladder=ladder,
-                lhs=lhs[i].copy(),
-                rhs=rhs,
-            )
-            return float(rhos[i]), report
+            return float(rhos[i]), SmallGainReport.scored(ladder, lhs[i].copy(), rhs)
     raise CompositionDomain(
         "no rho on the search ladder satisfies the small-gain condition "
         f"with relative margin {relative_margin:g}"

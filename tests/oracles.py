@@ -380,8 +380,7 @@ def arm_linearization(params):
     )
 
 
-def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_margin=0.10,
-                             samples=200):
+def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_margin=0.10):
     """Smallest ladder rho passing the small-gain test, one full
     `check_small_gain` per candidate with its `iss_gain_from_rho` gain: the
     loop `select_rho` ran before it scored the ladder as one array.  Returns
@@ -390,17 +389,7 @@ def per_candidate_select_rho(rho_ladder, margin, gain_set, *, s_max, relative_ma
 
     for rho_val in np.asarray(rho_ladder, dtype=float):
         gamma = iss_gain_from_rho(float(rho_val), margin)
-        report = check_small_gain(
-            gamma,
-            gain_set["kappa1"],
-            gain_set["kappa2"],
-            gain_set["kappa3"],
-            gain_set["lam_lo"],
-            gain_set["alpha_lo"],
-            gain_set["alpha_hi"],
-            s_max=s_max,
-            samples=samples,
-        )
+        report = check_small_gain(gamma, gain_set, s_max=s_max)
         if report.holds and report.relative_margin >= relative_margin:
             return float(rho_val), report
     return None

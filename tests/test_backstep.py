@@ -15,7 +15,7 @@ from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
 from robustpi.dynsys import Trajectory
 from robustpi.errors import PEViolation
 from robustpi.online_pi import SampleWindow
-from robustpi.robust import ClassKFunction, robust_redesign
+from robustpi.robust import ClassKFunction, check_small_gain, robust_redesign
 
 
 def _linear_xi(slope, rho_c=1.0, r=1.0, margin=0.5):
@@ -300,32 +300,59 @@ def _lin(slope):
     return ClassKFunction.linear(slope, 1e6)
 
 
+def _cascade_gains(**slopes):
+    """A cascade gain set of linear gains, slope 1 unless given, with a W."""
+    names = ("kappa1", "kappa2", "kappa3", "lam_lo", "alpha_lo", "alpha_hi",
+             "kappa5", "kappa6", "kappa7")
+    gains = {name: _lin(slopes.get(name, 1.0)) for name in names}
+    gains["W"] = lambda w: np.sum(np.asarray(w, dtype=float) ** 2, axis=-1)
+    return gains
+
+
 def test_cascade_small_gain_linear_cases():
     # gamma1 slope 2 vs chain slope 1: holds
-    report = check_small_gain_cascade(
-        _lin(2.0), _lin(1.0), _lin(1.0), _lin(0.2), _lin(0.5),
-        _lin(1.0), _lin(1.0), _lin(1.0), _lin(1.0), _lin(1.0), _lin(1.0),
-        s_max=5.0,
+    report, _ = check_small_gain_cascade(
+        _lin(2.0), _cascade_gains(kappa7=0.2), _lin(0.5), s_max=5.0
     )
     assert report.holds
     # a large z-channel gain dominates through the doubling: fails
-    report = check_small_gain_cascade(
-        _lin(2.0), _lin(1.0), _lin(1.0), _lin(3.0), _lin(0.5),
-        _lin(1.0), _lin(1.0), _lin(1.0), _lin(1.0), _lin(1.0), _lin(1.0),
-        s_max=5.0,
+    report, _ = check_small_gain_cascade(
+        _lin(2.0), _cascade_gains(kappa7=3.0), _lin(0.5), s_max=5.0
     )
     assert not report.holds
     assert report.margin < 0
 
 
 def test_effective_gain_bookkeeping():
-    k1_eff, k2_eff = cascade_effective_gains(
-        _lin(0.3), _lin(0.1), _lin(0.2), _lin(0.5), _lin(0.25), _lin(0.05), 5.0
-    )
+    gains = _cascade_gains(kappa5=0.3, kappa6=0.1, kappa7=0.2, kappa1=0.25, kappa2=0.05)
+    given = dict(gains)
+    effective = cascade_effective_gains(gains, _lin(0.5), 5.0)
     # kappa1_eff = max(kappa1, kappa5)
-    assert k1_eff(1.0) == pytest.approx(max(0.25, 0.3))
+    assert effective["kappa1"](1.0) == pytest.approx(max(0.25, 0.3))
     # kappa9(1) = max(0.1, kappa7(kappa8(2)), kappa7(2)) = max(0.1, 0.2, 0.4)
-    assert k2_eff(1.0) == pytest.approx(max(0.05, 0.4))
+    assert effective["kappa2"](1.0) == pytest.approx(max(0.05, 0.4))
+    # a copy: the given set is untouched, and every other entry is the given object
+    assert all(gains[name] is given[name] for name in given) and gains.keys() == given.keys()
+    assert effective.keys() == gains.keys()
+    for name in gains.keys() - {"kappa1", "kappa2"}:
+        assert effective[name] is gains[name], name
+
+    # the cascade check returns the set it scored: the plain check on that
+    # set gives the same report, field for field and bit for bit
+    gamma1 = _lin(2.0)
+    report, scored = check_small_gain_cascade(gamma1, gains, _lin(0.5), s_max=5.0)
+    assert scored.keys() == gains.keys()
+    for name in gains.keys() - {"kappa1", "kappa2"}:
+        assert scored[name] is gains[name], name
+    for name in ("kappa1", "kappa2"):
+        assert scored[name](1.0) == effective[name](1.0)
+    want = check_small_gain(gamma1, scored, s_max=5.0)
+    assert report.holds == want.holds
+    assert report.margin == want.margin
+    assert report.relative_margin == want.relative_margin
+    for key in ("ladder", "lhs", "rhs"):
+        assert np.array_equal(getattr(report, key), getattr(want, key)), key
+    assert report.table() == want.table()
 
 
 def test_estimate_roa_cascade_identity_sigma():

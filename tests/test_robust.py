@@ -179,12 +179,13 @@ def _identity(s_max=1e6):
     return ClassKFunction.linear(1.0, s_max)
 
 
+def _identity_gain_set():
+    names = ("kappa1", "kappa2", "kappa3", "lam_lo", "alpha_lo", "alpha_hi")
+    return {name: _identity() for name in names}
+
+
 def test_small_gain_linear_holds():
-    report = check_small_gain(
-        ClassKFunction.linear(2.0, 1e6),
-        _identity(), _identity(), _identity(), _identity(), _identity(), _identity(),
-        s_max=10.0,
-    )
+    report = check_small_gain(ClassKFunction.linear(2.0, 1e6), _identity_gain_set(), s_max=10.0)
     assert report.holds
     # both sides linear: margin at each ladder point equals s itself
     assert np.allclose(report.lhs - report.rhs, report.ladder)
@@ -192,11 +193,7 @@ def test_small_gain_linear_holds():
 
 
 def test_small_gain_linear_fails():
-    report = check_small_gain(
-        ClassKFunction.linear(0.5, 1e6),
-        _identity(), _identity(), _identity(), _identity(), _identity(), _identity(),
-        s_max=10.0,
-    )
+    report = check_small_gain(ClassKFunction.linear(0.5, 1e6), _identity_gain_set(), s_max=10.0)
     assert not report.holds
     assert report.margin == pytest.approx(-0.5 * 10.0, rel=1e-6)
 

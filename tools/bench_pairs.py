@@ -11,8 +11,12 @@ below the parent's by more than the parent's quartile spread), and for each
 tree's `src/` its line count, its number of statements (`src_statements`,
 the `ast.stmt` nodes: a measure of code that docstrings, comments and line
 breaks do not move), its number of function parameters with a default
-(`src_defaults`, the options the code offers) and its number of config keys
-(`config_keys`, the rows of `harness.CONFIG_KEYS`), and the
+(`src_defaults`, the options the code offers), its number of function
+parameters (`src_parameters`, every parameter of every `def`, `*args` and
+`**kwargs` included: a measure of interfaces, which a change that passes one
+mapping in place of several arguments shrinks while its statement count
+stays) and its number of config keys (`config_keys`, the rows of
+`harness.CONFIG_KEYS`), and the
 top-level non-stdlib modules that ``import robustpi.harness`` adds to a
 fresh interpreter (`runtime_imports`): unlike set-up time this list is
 deterministic, so a new heavy import shows as a changed list.  After the
@@ -97,6 +101,19 @@ def src_defaults(tree: Path) -> int:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
+
+
+def src_parameters(tree: Path) -> int:
+    """Parameters over the `def`s under the tree's src/, `*args` and
+    `**kwargs` included (lambdas not counted), read with `ast`."""
+    count = 0
+    for path in sorted((tree / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                count += len(args.posonlyargs) + len(args.args) + len(args.kwonlyargs)
+                count += (args.vararg is not None) + (args.kwarg is not None)
     return count
 
 
@@ -242,6 +259,7 @@ def main(argv=None) -> int:
     data["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
     data["src_statements"] = {side: src_statements(tree) for side, tree in trees.items()}
     data["src_defaults"] = {side: src_defaults(tree) for side, tree in trees.items()}
+    data["src_parameters"] = {side: src_parameters(tree) for side, tree in trees.items()}
     data["config_keys"] = {side: config_keys(tree) for side, tree in trees.items()}
     data["runtime_imports"] = {side: runtime_imports(tree) for side, tree in trees.items()}
     data.setdefault("workloads", {})[args.workload] = report
