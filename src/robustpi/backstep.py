@@ -156,16 +156,16 @@ class BacksteppedPolicy:
     """Final control law on (x, z) for the cascade plant.
 
     Combines the identified zeta dynamics, the phase-one learned policy
-    and the damping terms sized by the constant rho, rho1 = 2 rho and the
-    cost margin.  The last term divides by rho^2, which the positivity of
-    rho guarantees is safe.
+    (xi's base: xi is its rescaling, so one evaluation of it gives both
+    terms) and the damping terms sized by the constant rho, rho1 = 2 rho
+    and the cost margin.  The last term divides by rho^2, which the
+    positivity of rho guarantees is safe.
     """
 
     def __init__(
         self,
         f1_hat: Approximant,
         g1_hat: Approximant,
-        learned_policy: Approximant,
         xi: RobustPolicy,
         rho: float,
         margin: float,
@@ -173,7 +173,6 @@ class BacksteppedPolicy:
     ):
         self.f1_hat = f1_hat
         self.g1_hat = g1_hat
-        self.learned_policy = learned_policy
         self.xi = xi
         self.rho = rho
         self.rho1 = 2.0 * rho
@@ -186,13 +185,14 @@ class BacksteppedPolicy:
     def evaluate_many(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        zeta = z - self.xi.evaluate_many(x)
+        learned = self.xi.base_policy.evaluate_many(x)
+        zeta = z - self.xi.scale * learned  # xi.evaluate_many(x), bit for bit
         xz = np.hstack([x, z[:, None]])
         eps2, rho_sq, rho1_sq = self.eps2, self.rho_sq, self.rho1_sq
         g_hat = self.g1_hat.evaluate_many(x)
         return (
             -self.f1_hat.evaluate_many(xz)
-            + 2.0 * self.control_weight * self.learned_policy.evaluate_many(x)
+            + 2.0 * self.control_weight * learned
             - g_hat**2 * rho1_sq * zeta / 4.0
             - eps2 * zeta
             - rho1_sq * zeta / 4.0
@@ -202,12 +202,13 @@ class BacksteppedPolicy:
 
     def __call__(self, x, z) -> float:
         # evaluate_many's arithmetic, term for term, at one point on floats
-        zeta = z - self.xi.evaluate(x)
+        learned = self.xi.base_policy.evaluate(x)
+        zeta = z - self.xi.scale * learned
         eps2, rho_sq, rho1_sq = self.eps2, self.rho_sq, self.rho1_sq
         g_hat = self.g1_hat.evaluate(x)
         return float(
             -self.f1_hat.evaluate([*x, z])
-            + 2.0 * self.control_weight * self.learned_policy.evaluate(x)
+            + 2.0 * self.control_weight * learned
             - g_hat * g_hat * rho1_sq * zeta / 4.0
             - eps2 * zeta
             - rho1_sq * zeta / 4.0

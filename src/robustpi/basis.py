@@ -5,10 +5,15 @@ dynamics are plain weighted sums of multivariate monomials.  Monomials
 (rather than an orthogonal family) keep the vanish-at-origin constraint
 trivial; conditioning is the SVD solvers' problem.  One point is a list
 of dim floats (`evaluate`), a batch a (P, dim) array (`evaluate_many`).
+A batch goes through the design matrix (`_monomials`); one point goes
+through straight-line Python generated for each approximant, its weights
+written in as float literals (`point_function`), with the bits of that
+point's design-matrix row summed left to right.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -38,6 +43,50 @@ def graded_lex_indices(dim: int, max_degree: int, include_constant: bool) -> tup
     return tuple(out)
 
 
+def point_function(basis, weights: np.ndarray, scale):
+    """``evaluate(point, t=None)``: sum_i w_i * x^alpha_i at one point (or
+    `scale` times that sum, unless `scale` is None) as straight-line Python
+    on floats, generated from `basis.powers` with `weights` and `scale` as
+    float literals and compiled anew for each call of this function.
+
+    It does `_monomials`' arithmetic (x^k = x^(k-1) * x, each monomial's
+    non-zero factors left to right, 1.0 if it has none: 1.0 * y is y in
+    every bit) and adds the terms to 0.0 one statement each.  A finite
+    constant is written with `repr`, which reads back as the same double; a
+    non-finite one is bound by name, since `repr` would lose its sign or
+    payload.  An ndarray point is read with `tolist()`: numpy scalars would
+    give a NaN another sign bit.  A point that is not dim numbers raises
+    DimensionMismatch.  `t` is ignored, so the function is a controller of
+    `dynsys.integrate` as it stands.
+    """
+    values = weights.tolist() + ([] if scale is None else [float(scale)])
+    consts = [repr(v) if math.isfinite(v) else f"c{i}" for i, v in enumerate(values)]
+    namespace = {f"c{i}": v for i, v in enumerate(values) if not math.isfinite(v)}
+    namespace.update(ndarray=np.ndarray, DimensionMismatch=DimensionMismatch)
+    powers = basis.powers.tolist()
+    coords = "".join(f"x{d}_1, " for d in range(basis.dim))
+    body = [f"{coords}= point.tolist() if isinstance(point, ndarray) else point"]
+    for d, column in enumerate(zip(*powers)):  # x_d^k as x{d}_{k}
+        body += [f"x{d}_{k} = x{d}_{k - 1} * x{d}_1" for k in range(2, max(column) + 1)]
+    body.append("acc = 0.0")
+    for alpha, c in zip(powers, consts):
+        factors = [f"x{d}_{k}" for d, k in enumerate(alpha) if k] or ["1.0"]
+        body.append(f"acc += {' * '.join(factors)} * {c}")
+    body.append("return acc" if scale is None else f"return {consts[-1]} * acc")
+    lines = [
+        "def evaluate(point, t=None):",
+        "    try:",
+        *(f"        {line}" for line in body),
+        # a bare number, another length, or a batch's rows
+        "    except (TypeError, ValueError):",
+        "        raise DimensionMismatch(",
+        f'            f"bad point {{point!r:.40}}: basis has dim {basis.dim}"',
+        "        ) from None",
+    ]
+    exec(compile("\n".join(lines), "<point function>", "exec"), namespace)
+    return namespace.pop("evaluate")  # its globals keep no cycle through it
+
+
 def _monomials(pts: np.ndarray, column_sets, top: int) -> list:
     """prod_d x_d ** alpha_d at the rows x of `pts` for every multi-index
     alpha of each set in `column_sets`: one (P, N) array per set.
@@ -46,7 +95,7 @@ def _monomials(pts: np.ndarray, column_sets, top: int) -> list:
     array per dim.  One table holds every power x_d^k, k <= `top`, as
     x^0 = 1.0 and x^k = x^(k-1) * x; each dim's factor is gathered from it
     with `take` and the dims are multiplied left to right, with the bits of
-    the one-point kernel `BasisSet._floats_kernel`.  A monomial of total
+    the one-point function `point_function`.  A monomial of total
     degree n is within gamma_(n-1) of exact (Higham, Accuracy and Stability
     of Numerical Algorithms, 3.1).  The result is F-ordered when `pts` has column-major
     strides and C-ordered otherwise, so every gather stays contiguous.
@@ -105,31 +154,6 @@ class BasisSet:
     def _power_columns(self) -> tuple:
         """The exponent columns of the multi-indices, one per dim."""
         return tuple(np.ascontiguousarray(self.powers[:, d]) for d in range(self.dim))
-
-    @cached_property
-    def _floats_kernel(self):
-        """``kernel(x0, ..., x_{dim-1}, w)``: sum_i w[i] * x^alpha_i on Python
-        floats, straight-line code compiled once per basis from the ints of
-        `powers`.  It does `_monomials`' arithmetic (x^k = x^(k-1) * x, each
-        monomial's non-zero factors left to right, 1.0 if it has none: 1.0 * y
-        is y in every bit) and adds the terms to 0.0 one statement each."""
-        powers = self.powers.tolist()
-
-        def name(d, k):
-            return f"x{d}" if k == 1 else f"x{d}_{k}"
-
-        lines = [f"def kernel({', '.join(name(d, 1) for d in range(self.dim))}, w):"]
-        for d, column in enumerate(zip(*powers)):
-            for k in range(2, max(column) + 1):
-                lines.append(f"    {name(d, k)} = {name(d, k - 1)} * x{d}")
-        lines.append("    acc = 0.0")
-        for i, alpha in enumerate(powers):
-            factors = [name(d, k) for d, k in enumerate(alpha) if k] or ["1.0"]
-            lines.append(f"    acc += {' * '.join(factors)} * w[{i}]")
-        lines.append("    return acc")
-        namespace = {}
-        exec(compile("\n".join(lines), "<basis kernel>", "exec"), namespace)
-        return namespace["kernel"]
 
     @cached_property
     def _dropped_columns(self) -> tuple:
@@ -215,7 +239,7 @@ class Approximant:
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        # a read-only copy of its own, so `_weight_floats` cannot go stale
+        # a read-only copy of its own, so `evaluate`'s literals cannot go stale
         weights = np.zeros(len(self.basis)) if self.weights is None else self.weights
         self.weights = np.array(weights, dtype=float)
         self.weights.flags.writeable = False
@@ -234,26 +258,21 @@ class Approximant:
     def gradient_many(self, points: np.ndarray) -> np.ndarray:
         return np.einsum("pnd,n->pd", self.basis.gradient_tensor(points), self.weights)
 
-    def evaluate(self, point) -> float:
-        """Value at one point, a list or tuple of dim floats, by the basis's
-        compiled kernel, with the design matrix's bits.  An ndarray is read
-        with `tolist()`: numpy scalars would give a NaN another sign bit.  A
-        point that is not dim numbers raises DimensionMismatch."""
-        row = point.tolist() if isinstance(point, np.ndarray) else point
-        try:
-            return self.basis._floats_kernel(*row, self._weight_floats)
-        except TypeError:  # a bare number, another length, or a batch's rows
-            dim = self.basis.dim
-            raise DimensionMismatch(f"bad point {point!r:.40}: basis has dim {dim}") from None
-
     @cached_property
-    def _weight_floats(self) -> tuple:
-        return tuple(self.weights.tolist())
+    def evaluate(self):
+        """``evaluate(point)``: the value at one point, a list or tuple of dim
+        floats, with the design matrix's bits.  It is this approximant's own
+        `point_function`, compiled on first use: one call, and itself a
+        controller of `integrate`."""
+        return point_function(self.basis, self.weights, None)
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_many(np.atleast_2d(x))[0]
 
-    __call__ = evaluate
+    @property
+    def __call__(self):
+        """Calling an approximant is calling its `evaluate`."""
+        return self.evaluate
 
     def to_dict(self) -> dict:
         return {"basis": self.basis.to_dict(), "weights": self.weights.tolist()}

@@ -73,6 +73,15 @@ def _negated(x):
     return -np.asarray(x, dtype=float)
 
 
+def _zero_policy(x):
+    """u = 0 times x1, the initial policy of the scalar and cascade
+    benchmarks: on floats at a list state, where 0.0 * x[0] has the bits
+    of the array form."""
+    if isinstance(x, list):
+        return 0.0 * x[0]
+    return 0.0 * np.asarray(x, dtype=float)[..., 0]
+
+
 # ---------------------------------------------------------------------------
 # single-joint arm
 # ---------------------------------------------------------------------------
@@ -231,7 +240,7 @@ def build_scalar_plant() -> Benchmark:
     return Benchmark(
         model=SystemModel(n=1, drift=_negated, input_gain=_constant_input_gain([1.0])),
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.9),
-        initial_policy=lambda x, t=None: 0.0 * np.asarray(x, dtype=float)[..., 0],
+        initial_policy=_zero_policy,
         region_low=np.array([-1.0]),
         region_high=np.array([1.0]),
         x0=np.array([0.8]),
@@ -300,7 +309,7 @@ def build_cascade_system() -> Benchmark:
     return Benchmark(
         model=SystemModel(n=1, drift=_negated, input_gain=_constant_input_gain([1.0]), f1=f1),
         cost=CostSpec(state_cost=state_cost, control_weight=1.0, margin=0.8),
-        initial_policy=lambda x, t=None: 0.0 * np.asarray(x, dtype=float)[..., 0],
+        initial_policy=_zero_policy,
         region_low=np.array([-1.0]),
         region_high=np.array([1.0]),
         x0=np.array([0.4]),

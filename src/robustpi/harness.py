@@ -494,9 +494,9 @@ def _certify(
 def _engage(config, system, policy, record):
     """Run `policy` with the noise terminated, from where `record` ended."""
     traj = record.trajectory
-    if traj.z is None:  # named arguments: a `*args` form costs ~0.4 us per RK4 stage
-        controller = lambda x, t: policy(x)
-    else:
+    if traj.z is None:  # the compiled one-point function, called as it is
+        controller = policy.evaluate
+    else:  # named arguments: a `*args` form costs ~0.4 us per RK4 stage
         controller = lambda x, z, t: policy(x, z)
     return integrate(
         system["model"], system["uncertainty"], controller, traj.x[-1],
@@ -575,7 +575,7 @@ def _cascade_certification(config, system, plant, phase1, reference, gains, s_ma
     run.audit["contained"] = run.audit["contained"] and phase2_audit["contained"]
 
     final_policy = backstep.BacksteppedPolicy(
-        f1_hat, g1_hat, learned, xi, rho_value, margin, cost.control_weight,
+        f1_hat, g1_hat, xi, rho_value, margin, cost.control_weight,
     )
     composite = backstep.CompositeLyapunov(value_star, xi)
     alpha1_lo, alpha1_hi = robust.radial_envelopes(composite, 2, s_max)
@@ -746,7 +746,7 @@ def _run_pipeline(config: RunConfig, system, run: LearningRun) -> None:
     learned = result.final_policy
     movement = integrate(
         model, system["uncertainty"],
-        lambda x, t: learned.evaluate(x), system["x0"],
+        learned.evaluate, system["x0"],
         horizon=config.sim_horizon, step=config.step,
         w0=system["w0"],
     )

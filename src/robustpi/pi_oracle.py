@@ -71,16 +71,17 @@ def probe_admissibility(
     the admissibility precondition numerically; it is a sanity check, not
     a proof.
     """
+    if isinstance(policy, Approximant):  # its compiled one-point function, as it is
+        controller = policy.evaluate
+    else:
+        controller = lambda x, t: policy(x)
     for x0 in initial_conditions:
         x = np.asarray(x0, dtype=float)
         t = 0.0
         chunk = max(step * 50, 1.0)
         try:
             while t < 20.0:
-                rec = integrate(
-                    model, None, lambda x, t: policy(x), x,
-                    horizon=chunk, step=step,
-                )
+                rec = integrate(model, None, controller, x, horizon=chunk, step=step)
                 x = rec.trajectory.x[-1]
                 t += chunk
                 if np.linalg.norm(x) <= 1e-3:

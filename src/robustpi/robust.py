@@ -12,11 +12,12 @@ estimate is exported as a level-set descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import Approximant, policy_values
+from .basis import Approximant, point_function, policy_values
 from .errors import CompositionDomain
 
 LADDER_DECADES = 8.0
@@ -130,8 +131,8 @@ class ClassKFunction:
             top = float(_through(self.links, s_max, False) if self.links else self.fn(s_max))
             if np.any(y > top * (1 + 1e-12)):
                 raise CompositionDomain(
-                    f"{label}: inverse of {float(np.max(y)):g} outside range (max {top:g}); "
-                    "s_max too small for the declared bounds"
+                    f"{label}: inverse of {float(np.max(y)):g} outside range [0, {top:g}], "
+                    f"the values on [0, s_max] with s_max = {float(s_max):g}"
                 )
         if self.links:
             s = np.asarray(_through(self.links, y, True))
@@ -215,11 +216,19 @@ class RobustPolicy:
         """Exact gradient rows: the scale times the base gradient."""
         return self.scale * self.base_policy.gradient_many(np.atleast_2d(points))
 
-    def evaluate(self, point) -> float:
-        """The scale times the base policy's `evaluate` at one point."""
-        return self.scale * self.base_policy.evaluate(point)
+    @cached_property
+    def evaluate(self):
+        """``evaluate(point)``: the scale times the base policy's `evaluate` at
+        one point, in every bit.  It is the base's `point_function` ending in
+        ``return scale * acc``, compiled on first use: one call, and itself a
+        controller of `integrate`."""
+        base = self.base_policy
+        return point_function(base.basis, base.weights, self.scale)
 
-    __call__ = evaluate
+    @property
+    def __call__(self):
+        """Calling the policy is calling its `evaluate`."""
+        return self.evaluate
 
 
 def iss_gain_from_rho(rho: float, margin: float, s_max: float = BRACKET) -> ClassKFunction:

@@ -204,8 +204,7 @@ def test_backstepped_policy_zero_at_origin():
     phi = make_polynomial_basis(1, 1, vanish_at_origin=False, include_constant=True)
     f1_hat = Approximant(psi, np.array([0.1, -0.2, 0.0, 1.0, 0.05]))
     g1_hat = Approximant(phi, np.array([-0.5, 0.0]))
-    learned = Approximant(BasisSet(dim=1, indices=((1,),)), np.array([-0.4]))
-    policy = BacksteppedPolicy(f1_hat, g1_hat, learned, xi, 0.5, 0.8, 1.0)
+    policy = BacksteppedPolicy(f1_hat, g1_hat, xi, 0.5, 0.8, 1.0)
     assert policy(np.array([0.0]), 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -223,7 +222,6 @@ def test_backstepped_policy_single_point_matches_batched_row_exactly(rho):
     policy = BacksteppedPolicy(
         Approximant(psi, rng.normal(size=len(psi))),
         Approximant(phi, rng.normal(size=len(phi))),
-        Approximant(deg5, rng.normal(size=len(deg5))),
         xi, rho, 0.8, 1.0,
     )
     xs = rng.uniform(-2.0, 2.0, size=(200, 1))
@@ -246,9 +244,9 @@ def test_backstepped_policy_zeta_terms_cancel():
     phi = make_polynomial_basis(1, 1, vanish_at_origin=False, include_constant=True)
     f1_hat = Approximant(psi, np.array([0.1, -0.2, 0.0, 1.0, 0.05]))
     g1_hat = Approximant(phi, np.array([-0.5, 0.0]))
-    learned = Approximant(BasisSet(dim=1, indices=((1,),)), np.array([-0.4]))
+    learned = xi.base_policy
     r = 1.0
-    policy = BacksteppedPolicy(f1_hat, g1_hat, learned, xi, 0.5, 0.8, r)
+    policy = BacksteppedPolicy(f1_hat, g1_hat, xi, 0.5, 0.8, r)
     x = np.array([0.6])
     z = float(xi(x))  # zeta = 0
     expected = -f1_hat.evaluate(np.array([x[0], z])) + 2.0 * r * learned.evaluate(x)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -303,18 +305,73 @@ def test_weights_are_a_read_only_copy():
         approx.weights[0] = 7.0
 
 
-def test_approximants_on_one_basis_share_one_kernel(monkeypatch):
+def test_each_approximant_compiles_its_evaluate_once_on_first_use(monkeypatch):
     compiled = []
     monkeypatch.setattr(
         basis_module, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
     )
     basis = make_polynomial_basis(2, 5)
     first, second = Approximant(basis, np.ones(20)), Approximant(basis, np.arange(20.0))
+    # nothing at set-up, and nothing for a many-row batch
+    second.evaluate_many([[0.1, 0.4], [0.2, -0.3]])
+    assert compiled == []
     for _ in range(3):
-        first.evaluate([0.3, -0.2])
-        second.evaluate_many([[0.1, 0.4]])
-    assert len(compiled) == 1
-    assert first.basis._floats_kernel is second.basis._floats_kernel
+        assert first.evaluate([0.3, -0.2]) == first([0.3, -0.2])
+        assert len(compiled) == 1
+    # a one-row batch is one point: the second approximant's own compile
+    second.evaluate_many([[0.1, 0.4]])
+    assert len(compiled) == 2
+    assert first.evaluate is first.evaluate and first.evaluate is not second.evaluate
+    # no cache outside the approximant, and no reference cycle, keeps its
+    # function alive: it goes with the approximant's last reference
+    function = weakref.ref(first.evaluate)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del first
+        assert function() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# one NaN of each sign with a payload: `repr` gives "nan" for both
+PAYLOAD_NANS = np.array([0x7FF8_0000_0000_0123, 0xFFF8_0000_0000_0456], dtype=np.uint64).view(float)
+SPECIAL_WEIGHTS = [-0.0, np.inf, -np.inf, *PAYLOAD_NANS, 5e-324, -1.5e300]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        make_polynomial_basis(2, 3),
+        make_polynomial_basis(2, 2, vanish_at_origin=False, include_constant=True),
+        # the cascade's phi: its constant term's 1.0 * w is folded when compiled
+        make_polynomial_basis(1, 2, vanish_at_origin=False, include_constant=True),
+    ],
+    ids=["dim2", "dim2_constant", "phi"],
+)
+def test_evaluate_keeps_special_weights_and_points_bit_for_bit(basis):
+    # each special weight in turn at every position among finite ones, at
+    # points given as a list, a tuple and a 1-D array, with -0.0 and NaN
+    # entries; the reference is the design-matrix row summed left to right
+    rng = np.random.default_rng(31)
+    entries = [0.3, -1.7, -0.0, PAYLOAD_NANS[0], 2.5]
+    points = [np.array(x) for x in itertools.product(entries, repeat=basis.dim)]
+    for special in SPECIAL_WEIGHTS:
+        for i in range(len(basis)):
+            weights = rng.normal(size=len(basis))
+            weights[i] = special
+            approx = Approximant(basis, weights)
+            for x in points:
+                want = _bits(ordered_dot(
+                    broadcast_design_matrix(basis, x, product_factors)[0], weights
+                ))
+                for form in (x.tolist(), tuple(x.tolist()), x):
+                    assert _bits(approx.evaluate(form)) == want, (special, i, form)
 
 
 @pytest.mark.parametrize("indices", [(("x",),), ((-1,),), ((1, 2),), ((2.5,),), ()])

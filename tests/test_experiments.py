@@ -307,17 +307,18 @@ def _map_states(size, seed):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("name", ["arm", "cascade"])
+@pytest.mark.parametrize("name", ["arm", "cascade", "scalar"])
 def test_single_state_maps_equal_their_batch_rows_exactly(name):
     # at one state given as lists the plant maps compute on Python floats (the
     # arm's gravity shape with math.sin), for arrays on numpy; every value must
     # have the bits of its batch row, or integrate and simulate_batch part ways.
     # This is also the check that math.sin and np.sin agree on the host that
     # runs it: where they differ, it fails instead of letting artifacts drift.
-    plant = build_arm_system() if name == "arm" else build_cascade_system()
+    builders = {"arm": build_arm_system, "cascade": build_cascade_system}
+    plant = builders.get(name, build_scalar_plant)()
     model, unc = plant.model, plant.uncertainty
-    n, nz = model.n, int(model.has_z_channel)
-    states = _map_states(n + nz + unc.p, seed=11)
+    n, nz, p = model.n, int(model.has_z_channel), 0 if unc is None else unc.p
+    states = _map_states(n + nz + p, seed=11)
     xs, ws = states[:, :n], states[:, n + nz:]
     zs = states[:, n] if nz else None
 
@@ -325,15 +326,15 @@ def test_single_state_maps_equal_their_batch_rows_exactly(name):
         out = {
             "drift": model.drift(x),
             "input_gain": model.input_gain(x),
-            "w_dynamics": unc.w_dynamics(w, x),
-            "matched": unc.matched_disturbance(w, x),
+            "initial_policy": plant.initial_policy(x),
         }
+        if unc is not None:
+            out["w_dynamics"] = unc.w_dynamics(w, x)
+            out["matched"] = unc.matched_disturbance(w, x)
         if nz:
             out["f1"] = model.f1(x, z)
             out["unmatched"] = unc.unmatched_disturbance(w, x, z)
             out["drive_policy"] = plant.drive_policy(x, z)
-        else:
-            out["initial_policy"] = plant.initial_policy(x)
         return out
 
     with np.errstate(invalid="ignore", over="ignore"):

@@ -485,6 +485,22 @@ def test_cli_one_iteration_cascade_completes(tmp_path, cascade_config_path):
         assert key in info["cascade"] and info["cascade"][key] is None
 
 
+def test_cascade_out_of_range_gain_inverse_states_range_and_s_max(tmp_path, cascade_config_path):
+    # with s_max = 10 sigma's ladder top grows like s_max^2, past chi1's
+    # range, so a larger s_max fails here: the message states chi1's range
+    # and its s_max, and does not call s_max too small
+    text = cascade_config_path.read_text()
+    assert "s_max = 3.0" in text
+    cfg = _write_cfg(tmp_path / "s_max_10.cfg", text.replace("s_max = 3.0", "s_max = 10"))
+    out = tmp_path / "s_max_10"
+    code = harness.cli(["run", str(cfg), "--out-dir", str(out)])
+    assert code == EXIT_CODES["CompositionDomain"] == 9
+    error = json.loads((out / "run.json").read_text())["error"]
+    assert error["category"] == "CompositionDomain"
+    assert "outside range [0, " in error["message"] and "s_max = 10" in error["message"]
+    assert "too small" not in error["message"]
+
+
 def test_robust_and_cascade_blocks_share_result_keys(arm_run, cascade_run):
     # both plants certify through one routine, so run.json's robust and
     # cascade blocks carry the same result keys; both bundled runs certify

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from oracles import (
 
 from robustpi import robust
 from robustpi.basis import Approximant, BasisSet, make_polynomial_basis
-from robustpi.errors import CompositionDomain
+from robustpi.errors import CompositionDomain, DimensionMismatch
 from robustpi.experiments import build_arm_system
 from robustpi.robust import (
     ClassKFunction,
@@ -507,6 +509,31 @@ def test_one_row_robust_policy_equals_the_batch_formula_exactly(dim):
                 got = policy.evaluate_many(row)
                 assert got.shape == (1,) and got.tobytes() == want.tobytes(), (rho, x)
                 assert policy.evaluate(x) == float(want[0])
+
+
+def test_robust_evaluate_is_the_scale_times_the_base_value_bit_for_bit():
+    # one point goes through the base's generated sum ending in scale * acc:
+    # it must give scale * base.evaluate(x) in every bit, at non-finite and
+    # signed-zero weights and points too, and refuse what the base refuses
+    rng = np.random.default_rng(12)
+    basis = make_polynomial_basis(2, 3)
+    nan = np.array([0xFFF8_0000_0000_0456], dtype=np.uint64).view(float)[0]
+    bits = lambda v: np.asarray(v, dtype=float).tobytes()
+    entries = [0.7, -2.1, -0.0, nan, 1e200]
+    for special in (0.25, -0.0, np.inf, nan):
+        weights = rng.normal(size=len(basis))
+        weights[3] = special
+        base = Approximant(basis, weights)
+        for rho in (0.3, 2.0 / 3.0, 1e-3):
+            policy = robust_redesign(base, rho, 0.37, 0.5)
+            for x in itertools.product(entries, repeat=2):
+                for form in (list(x), x, np.array(x)):
+                    want = bits(policy.scale * base.evaluate(form))
+                    assert bits(policy.evaluate(form)) == want, (special, rho, form)
+                    assert bits(policy(form)) == want
+    for bad in (np.zeros(3), [0.1], 0.5, np.zeros((2, 2)), [[0.1, 0.2]] * 2):
+        with pytest.raises(DimensionMismatch, match="basis has dim 2"):
+            policy.evaluate(bad)
 
 
 def _arm_like_gain_set():

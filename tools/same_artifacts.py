@@ -2,9 +2,11 @@
 
 Runs ``robustpi run`` on the three bundled configs and ``robustpi oracle``
 on ``scalar_lqr.cfg`` in a parent tree and a change tree, each with
-``--out-dir`` under a temporary directory.  A fifth case runs ``arm.cfg``
-with ``[exploration] seed = 10``, an excitation that fails the PE check, so
-the error record of a failed run is compared too; each tree's edited config
+``--out-dir`` under a temporary directory.  Two more cases compare the
+error record of a failed run: ``arm.cfg`` with ``[exploration] seed = 10``,
+an excitation that fails the PE check, and ``cascade_unmatched.cfg`` with
+``[robustness] s_max = 10``, where a gain inverse of the cascade
+certificate leaves its range (CompositionDomain); each tree's edited config
 is written to the temporary directory.  The tool then compares each pair of
 output directories with `rundiff.compare_runs` and byte for byte.  A file
 differs when it is in one run only, when a number differs by more than
@@ -40,6 +42,7 @@ CASES = (
 # (command, bundled config, {(section, key): value} set in a copy of the config)
 EDITED_CASES = (
     ("run", "arm.cfg", {("exploration", "seed"): "10"}),  # exits with PEViolation
+    ("run", "cascade_unmatched.cfg", {("robustness", "s_max"): "10"}),  # CompositionDomain
 )
 CLI = "import sys; from robustpi.harness import cli; sys.exit(cli(sys.argv[1:]))"
 
